@@ -13,7 +13,9 @@ empirical probability at least 1 - alpha.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -158,7 +160,8 @@ def bootstrap_neighborhood(
         draws[b] = emd_cache[pick]
 
     draws.sort()
-    k = int(np.ceil((1.0 - alpha) * replicates))
+    # Exact rational rank: in floats (1 - 0.41) * 100 is 59.00000000000001.
+    k = math.ceil((1 - Fraction(str(float(alpha)))) * replicates)
     radius = float(draws[min(k, replicates) - 1])
     return BootstrapNeighborhood(
         alpha=alpha, radius=radius, replicates=replicates, finger_id=finger_id

@@ -18,11 +18,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
 from .analysis import DistanceMatrix, mds_embed
-from .histogram import BinSpec, build_2dmh, build_4dmh
+from .histogram import IDENTIFICATION_SPEC, BinSpec, build_2dmh, build_4dmh
 from .identify import GalleryIndex, access_rate_report, build_index, search
 from .realness import ClassModel, TrainConfig, classify_template, evaluate, train
 from .refine import OrientationField, RefineConfig, init_template, refine, write_trace_csv
@@ -52,10 +53,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> "CliError":
-    return CliError(code, message)
-
-
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         path = os.environ.get(ENV_CONFIG)
@@ -64,50 +61,49 @@ def _load_config(path: Optional[str]) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise _fail(EXIT_USAGE, f"cannot read config {path}: {exc}")
+        raise CliError(EXIT_USAGE, f"cannot read config {path}: {exc}")
 
 
-def _spec_from(args, config: dict) -> BinSpec:
-    base = dict(config.get("spec", {}))
-    for key, flag in (
-        ("d_max", "d_max"),
-        ("b_dist", "bins_dist"),
-        ("b_dir", "bins_dir"),
-        ("b_relangle", "bins_relangle"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            base[key] = value
+def _spec_from(args, config: dict, key: str = "spec", base: BinSpec = BinSpec()) -> BinSpec:
+    """The config's `key` section and the spec flags laid over `base`."""
     try:
-        return BinSpec(**base)
+        fields = dict(config.get(key, {}))
+        for field, flag in (
+            ("d_max", "d_max"),
+            ("b_dist", "bins_dist"),
+            ("b_dir", "bins_dir"),
+            ("b_relangle", "bins_relangle"),
+        ):
+            value = getattr(args, flag, None)
+            if value is not None:
+                fields[field] = value
+        return replace(base, **fields)
     except (TypeError, ValueError) as exc:
-        raise _fail(EXIT_USAGE, f"bad bin specification: {exc}")
+        raise CliError(EXIT_USAGE, f"bad bin specification: {exc}")
 
 
 def _read_template(path: str) -> MinutiaTemplate:
     try:
         return load_template(path)
     except OSError as exc:
-        raise _fail(EXIT_PARSE, f"cannot read template {path}: {exc}")
+        raise CliError(EXIT_PARSE, f"cannot read template {path}: {exc}")
     except TemplateParseError as exc:
-        raise _fail(EXIT_PARSE, f"{path}: {exc}")
+        raise CliError(EXIT_PARSE, f"{path}: {exc}")
 
 
 def _read_model(path: str) -> ClassModel:
     try:
         return ClassModel.load(path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise _fail(EXIT_BAD_MODEL, f"cannot load model {path}: {exc}")
+        raise CliError(EXIT_BAD_MODEL, f"cannot load model {path}: {exc}")
 
 
 def _read_templates_dir(path: str, label: Optional[str] = None) -> List[MinutiaTemplate]:
     try:
         templates = load_directory(path)
     except OSError as exc:
-        raise _fail(EXIT_PARSE, f"cannot read directory {path}: {exc}")
+        raise CliError(EXIT_PARSE, f"cannot read directory {path}: {exc}")
     if label is not None:
-        from dataclasses import replace
-
         templates = [replace(t, label=label) for t in templates]
     return templates
 
@@ -124,7 +120,7 @@ def cmd_histogram(args, config: dict) -> int:
         else:
             h = build_4dmh(t, spec, normalize=args.normalize)
     except ValueError as exc:
-        raise _fail(EXIT_TOO_FEW, str(exc))
+        raise CliError(EXIT_TOO_FEW, str(exc))
     json.dump(h.to_dict(), sys.stdout)
     sys.stdout.write("\n")
     return 0
@@ -137,7 +133,7 @@ def cmd_train(args, config: dict) -> int:
     if args.split is not None:
         parts = tuple(int(x) for x in args.split.split("/"))
         if len(parts) != 3:
-            raise _fail(EXIT_USAGE, "--split expects N1/N2/N3")
+            raise CliError(EXIT_USAGE, "--split expects N1/N2/N3")
         train_cfg.split = parts
     if args.no_side_features:
         train_cfg.use_side_features = False
@@ -147,8 +143,8 @@ def cmd_train(args, config: dict) -> int:
         result = train(real, synth, train_cfg)
     except ValueError as exc:
         if "class empty" in str(exc):
-            raise _fail(EXIT_EMPTY_CLASS, str(exc))
-        raise _fail(EXIT_USAGE, str(exc))
+            raise CliError(EXIT_EMPTY_CLASS, str(exc))
+        raise CliError(EXIT_USAGE, str(exc))
     result.model.save(args.out)
     print(f"set II accuracy: {result.set2_accuracy:.1f}")
     return 0
@@ -160,7 +156,7 @@ def cmd_classify(args, config: dict) -> int:
     try:
         score = classify_template(t, model)
     except ValueError as exc:
-        raise _fail(EXIT_TOO_FEW, str(exc))
+        raise CliError(EXIT_TOO_FEW, str(exc))
     json.dump(score.to_dict(), sys.stdout)
     sys.stdout.write("\n")
     return EXIT_REAL if score.decision == "real" else EXIT_SYNTHETIC
@@ -174,7 +170,7 @@ def cmd_evaluate(args, config: dict) -> int:
     try:
         report = evaluate(model, templates)
     except ValueError as exc:
-        raise _fail(EXIT_USAGE, str(exc))
+        raise CliError(EXIT_USAGE, str(exc))
     if args.out:
         report.write_csv(args.out)
     print(f"accuracy: {report.accuracy:.1f}")
@@ -184,13 +180,12 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_identify_enroll(args, config: dict) -> int:
-    spec_cfg = dict(config.get("identify_spec", {}))
-    spec = BinSpec(**spec_cfg) if spec_cfg else BinSpec(b_dist=20, b_dir=20, b_relangle=20)
+    spec = _spec_from(args, config, "identify_spec", IDENTIFICATION_SPEC)
     templates = _read_templates_dir(args.directory)
     try:
         index = build_index(templates, spec)
     except ValueError as exc:
-        raise _fail(EXIT_USAGE, str(exc))
+        raise CliError(EXIT_USAGE, str(exc))
     index.save(args.out)
     print(f"enrolled {len(index.entries)} impressions of {len(index.finger_ids())} fingers")
     return 0
@@ -200,7 +195,7 @@ def _read_index(path: str) -> GalleryIndex:
     try:
         return GalleryIndex.load(path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise _fail(EXIT_BAD_MODEL, f"cannot load index {path}: {exc}")
+        raise CliError(EXIT_BAD_MODEL, f"cannot load index {path}: {exc}")
 
 
 def cmd_identify_search(args, config: dict) -> int:
@@ -209,7 +204,7 @@ def cmd_identify_search(args, config: dict) -> int:
     try:
         result = search(index, query)
     except ValueError as exc:
-        raise _fail(EXIT_TOO_FEW, str(exc))
+        raise CliError(EXIT_TOO_FEW, str(exc))
     payload = {
         "query": list(result.query_id),
         "true_rank": result.true_rank,
@@ -227,7 +222,7 @@ def cmd_identify_report(args, config: dict) -> int:
     try:
         report = access_rate_report(index, queries)
     except ValueError as exc:
-        raise _fail(EXIT_USAGE, str(exc))
+        raise CliError(EXIT_USAGE, str(exc))
     print(f"queries: {report.n_queries}")
     print(f"mean accessed fraction: {report.mean_accessed_fraction:.4f}")
     print(f"rank-1: {report.rank1_percent:.1f}%")
@@ -265,7 +260,7 @@ def cmd_mds(args, config: dict) -> int:
     try:
         dm = DistanceMatrix.from_csv(args.matrix)
     except (OSError, ValueError) as exc:
-        raise _fail(EXIT_PARSE, f"cannot read distance matrix {args.matrix}: {exc}")
+        raise CliError(EXIT_PARSE, f"cannot read distance matrix {args.matrix}: {exc}")
     result = mds_embed(dm, dims=args.dims)
     result.write_csv(args.out)
     if result.flagged_dims:

@@ -12,7 +12,7 @@ Templates must be at 500 DPI before histogramming; callers rescale first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
 import numpy as np
@@ -59,19 +59,6 @@ class BinSpec:
     def relangle_width(self) -> float:
         return 360.0 / self.b_relangle
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "d_max": self.d_max,
-            "b_dist": self.b_dist,
-            "b_dir": self.b_dir,
-            "b_relangle": self.b_relangle,
-            "b_type": self.b_type,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "BinSpec":
-        return cls(**d)
-
 
 # Default spec for the identification path (unnormalized 4D histograms).
 IDENTIFICATION_SPEC = BinSpec(d_max=200.0, b_dist=20, b_dir=20, b_relangle=20)
@@ -98,7 +85,7 @@ class MinutiaeHistogram:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "spec": self.spec.to_dict(),
+            "spec": asdict(self.spec),
             "dims": self.dims,
             "normalized": self.normalized,
             "pair_count": self.pair_count,
@@ -107,7 +94,7 @@ class MinutiaeHistogram:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "MinutiaeHistogram":
-        spec = BinSpec.from_dict(d["spec"])
+        spec = BinSpec(**d["spec"])
         dims = int(d["dims"])
         shape = _mass_shape(spec, dims)
         mass = np.asarray(d["mass"], dtype=float).reshape(shape)
@@ -128,6 +115,11 @@ def _mass_shape(spec: BinSpec, dims: int):
     raise ValueError("dims must be 2 or 4")
 
 
+def _fold(diff):
+    """Mirror absolute direction differences in [0, 360) into [0, 180]."""
+    return np.minimum(diff, 360.0 - diff)
+
+
 def fold_direction_difference(a1: float, a2: float) -> float:
     """Fold the difference of two directions in [0, 360) into [0, 180].
 
@@ -136,19 +128,7 @@ def fold_direction_difference(a1: float, a2: float) -> float:
     """
     if not (0.0 <= a1 < 360.0 and 0.0 <= a2 < 360.0):
         raise ValueError("directions must lie in [0, 360)")
-    diff = abs(a1 - a2)
-    return min(diff, 360.0 - diff)
-
-
-def _pair_features(t: MinutiaTemplate):
-    """Pairwise distance and folded direction-difference matrices (n x n)."""
-    xy = np.array([[m.x, m.y] for m in t.minutiae], dtype=float)
-    dirs = np.array([m.direction for m in t.minutiae], dtype=float)
-    delta = xy[:, None, :] - xy[None, :, :]
-    dist = np.hypot(delta[..., 0], delta[..., 1])
-    diff = np.abs(dirs[:, None] - dirs[None, :])
-    alpha = np.minimum(diff, 360.0 - diff)
-    return xy, dirs, dist, alpha
+    return float(_fold(abs(a1 - a2)))
 
 
 def _check_histogram_input(t: MinutiaTemplate) -> None:
@@ -158,9 +138,25 @@ def _check_histogram_input(t: MinutiaTemplate) -> None:
         raise ValueError("template must be rescaled to 500 DPI before histogramming")
 
 
-def _bin_clamped(values: np.ndarray, width: float, n_bins: int) -> np.ndarray:
-    idx = np.floor(values / width).astype(int)
-    return np.clip(idx, 0, n_bins - 1)
+def _pair_bins(t: MinutiaTemplate, spec: BinSpec):
+    """The unordered minutiae pairs i < j within spec.d_max and their 2D bins.
+
+    Returns (i, j, bins): pair member indices and the flat 2D bin index
+    dist_bin * b_dir + dir_bin of each pair, the row-major layout of the 2D
+    mass array. The boundary values d = d_max and alpha = 180 land in the
+    last bin of their axis.
+    """
+    xy = np.array([[m.x, m.y] for m in t.minutiae], dtype=float)
+    dirs = np.array([m.direction for m in t.minutiae], dtype=float)
+    i, j = np.triu_indices(len(xy), k=1)
+    d = np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1])
+    keep = d <= spec.d_max
+    i, j, d = i[keep], j[keep], d[keep]
+    alpha = _fold(np.abs(dirs[i] - dirs[j]))
+    # Features are non-negative, so truncation is the floor.
+    di = np.minimum((d / spec.dist_width).astype(np.intp), spec.b_dist - 1)
+    ai = np.minimum((alpha / spec.dir_width).astype(np.intp), spec.b_dir - 1)
+    return i, j, di * spec.b_dir + ai
 
 
 def build_2dmh(
@@ -172,18 +168,10 @@ def build_2dmh(
     d = d_max and alpha = 180 land in the last bin of their axis.
     """
     _check_histogram_input(t)
-    _, _, dist, alpha = _pair_features(t)
-    iu, ju = np.triu_indices(len(t.minutiae), k=1)
-    d = dist[iu, ju]
-    a = alpha[iu, ju]
-    keep = d <= spec.d_max
-    d, a = d[keep], a[keep]
-
-    mass = np.zeros((spec.b_dist, spec.b_dir), dtype=float)
-    di = _bin_clamped(d, spec.dist_width, spec.b_dist)
-    ai = _bin_clamped(a, spec.dir_width, spec.b_dir)
-    np.add.at(mass, (di, ai), 1.0)
-    pair_count = int(keep.sum())
+    _, _, bins = _pair_bins(t, spec)
+    shape = _mass_shape(spec, 2)
+    mass = np.bincount(bins, minlength=shape[0] * shape[1]).astype(float).reshape(shape)
+    pair_count = len(bins)
     if normalize and pair_count > 0:
         mass /= pair_count
     return MinutiaeHistogram(
@@ -209,26 +197,25 @@ def build_4dmh(
     _check_histogram_input(t)
     if any(m.mtype == UNKNOWN for m in t.minutiae):
         raise ValueError("4D histogram requires all minutiae typed (E or B)")
-    xy, dirs, dist, alpha = _pair_features(t)
-    n = len(t.minutiae)
-    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    d = dist[ii, jj]
-    keep = d <= spec.d_max
-    ii, jj, d = ii[keep], jj[keep], d[keep]
-    a = alpha[ii, jj]
+    i, j, bins = _pair_bins(t, spec)
+    # (i, j) and (j, i) share distance and direction difference.
+    src, dst, bins = np.concatenate([i, j]), np.concatenate([j, i]), np.tile(bins, 2)
 
-    delta = xy[jj] - xy[ii]
+    xy = np.array([[m.x, m.y] for m in t.minutiae], dtype=float)
+    dirs = np.array([m.direction for m in t.minutiae], dtype=float)
+    delta = xy[dst] - xy[src]
     pos_angle = np.degrees(np.arctan2(delta[:, 1], delta[:, 0]))
-    relangle = (pos_angle - dirs[ii]) % 360.0
+    relangle = (pos_angle - dirs[src]) % 360.0
+    # The modulo can round up to exactly 360.
+    ri = np.minimum((relangle / spec.relangle_width).astype(np.intp), spec.b_relangle - 1)
 
     types = np.array([_TYPE_INDEX[m.mtype] for m in t.minutiae])
-    mass = np.zeros(_mass_shape(spec, 4), dtype=float)
-    di = _bin_clamped(d, spec.dist_width, spec.b_dist)
-    ai = _bin_clamped(a, spec.dir_width, spec.b_dir)
-    ri = _bin_clamped(relangle, spec.relangle_width, spec.b_relangle)
-    ti = 2 * types[ii] + types[jj]
-    np.add.at(mass, (di, ai, ri, ti), 1.0)
-    pair_count = int(keep.sum()) // 2
+    ti = 2 * types[src] + types[dst]
+    # Unlike a bincount, adding into fresh zeros touches only the occupied
+    # bins of the mostly empty array.
+    mass = np.zeros(_mass_shape(spec, 4))
+    np.add.at(mass.reshape(-1), (bins * spec.b_relangle + ri) * spec.b_type + ti, 1.0)
+    pair_count = len(i)
     if normalize and mass.sum() > 0:
         mass /= mass.sum()
     return MinutiaeHistogram(

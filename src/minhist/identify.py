@@ -11,13 +11,13 @@ true finger divided by the number of gallery fingers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import IDENTIFICATION_SPEC, BinSpec, MinutiaeHistogram, build_4dmh
+from .histogram import IDENTIFICATION_SPEC, BinSpec, MinutiaeHistogram, _mass_shape, build_4dmh
 from .template import MinutiaTemplate, rescale_to_500dpi
 
 
@@ -59,7 +59,7 @@ class GalleryIndex:
     def save(self, path: Path | str) -> None:
         # Raw 4D histograms are almost entirely zero; store nonzero bins only.
         payload = {
-            "spec": self.spec.to_dict(),
+            "spec": asdict(self.spec),
             "entries": [
                 {
                     "finger": e.finger_id,
@@ -76,8 +76,8 @@ class GalleryIndex:
     @classmethod
     def load(cls, path: Path | str) -> "GalleryIndex":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        spec = BinSpec.from_dict(payload["spec"])
-        shape = (spec.b_dist, spec.b_dir, spec.b_relangle, spec.b_type)
+        spec = BinSpec(**payload["spec"])
+        shape = _mass_shape(spec, 4)
         index = cls(spec=spec)
         for entry in payload["entries"]:
             mass = np.zeros(int(np.prod(shape)))

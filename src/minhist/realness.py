@@ -18,14 +18,14 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .histogram import BinSpec, MinutiaeHistogram, build_2dmh
-from .template import MinutiaTemplate, bifurcation_percentage, iter_typed, rescale_to_500dpi
+from .template import UNKNOWN, MinutiaTemplate, bifurcation_percentage, rescale_to_500dpi
 from .transport import CostParams, emd
 
 REAL = "real"
@@ -57,18 +57,14 @@ class ClassModel:
             if scale <= 0:
                 raise ValueError(f"feature scale for {name!r} must be strictly positive")
 
-    @property
-    def uses_side_features(self) -> bool:
-        return any(w != 0.0 for w in self.weights[2:])
-
     def to_dict(self) -> dict:
         return {
             "avg_real": self.avg_real.to_dict(),
             "avg_synth": self.avg_synth.to_dict(),
             "weights": list(self.weights),
             "feature_norms": {k: list(v) for k, v in self.feature_norms.items()},
-            "params": {"r": self.params.r, "s": self.params.s, "e": self.params.e},
-            "spec": self.spec.to_dict(),
+            "params": asdict(self.params),
+            "spec": asdict(self.spec),
         }
 
     @classmethod
@@ -79,7 +75,7 @@ class ClassModel:
             weights=tuple(d["weights"]),
             feature_norms={k: (float(v[0]), float(v[1])) for k, v in d["feature_norms"].items()},
             params=CostParams(**d["params"]),
-            spec=BinSpec.from_dict(d["spec"]),
+            spec=BinSpec(**d["spec"]),
         )
 
     def save(self, path: Path | str) -> None:
@@ -182,7 +178,7 @@ def template_side_features(
     t: MinutiaTemplate,
 ) -> Tuple[Optional[float], Optional[float], Optional[float]]:
     """(mean_ird, var_ird, pct_bif) of a 500-DPI template; None when absent."""
-    has_types = any(True for _ in iter_typed(t.minutiae))
+    has_types = any(m.mtype != UNKNOWN for m in t.minutiae)
     pct = bifurcation_percentage(t) if has_types else None
     return t.mean_ird, t.var_ird, pct
 
@@ -227,24 +223,11 @@ class TrainConfig:
     side_grid: Tuple[float, ...] = (-1.0, 0.0, 1.0)
     use_side_features: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "split": list(self.split),
-            "r_grid": list(self.r_grid),
-            "s_grid": list(self.s_grid),
-            "e_grid": list(self.e_grid),
-            "w0_grid": list(self.w0_grid),
-            "w1_grid": list(self.w1_grid),
-            "side_grid": list(self.side_grid),
-            "use_side_features": self.use_side_features,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         kwargs = dict(d)
         if "spec" in kwargs:
-            kwargs["spec"] = BinSpec.from_dict(kwargs["spec"])
+            kwargs["spec"] = BinSpec(**kwargs["spec"])
         if "split" in kwargs:
             kwargs["split"] = tuple(kwargs["split"])
         for key in ("r_grid", "s_grid", "e_grid", "w0_grid", "w1_grid", "side_grid"):
@@ -293,7 +276,10 @@ def _prepare(templates: Sequence[MinutiaTemplate], spec: BinSpec):
         t500 = rescale_to_500dpi(t)
         if len(t500) < 2:
             continue
-        prepared.append((t500, build_2dmh(t500, spec, normalize=True)))
+        h = build_2dmh(t500, spec, normalize=True)
+        if h.pair_count == 0:
+            continue  # all pairs beyond d_max: no mass to average or transport
+        prepared.append((t500, h))
     return prepared
 
 

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import MinutiaeHistogram, build_2dmh
+from .histogram import MinutiaeHistogram, _pair_bins, build_2dmh
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
 from .transport import CostParams, TransportPlan, build_cost_matrix, transport_plan
 
@@ -139,21 +139,10 @@ def _deletion_weights(
     for (i, j), mass in plan.flow.items():
         bin_cost[i] += mass * cost[i, j]
 
-    n = len(t.minutiae)
-    weights = np.zeros(n)
+    weights = np.zeros(len(t.minutiae))
     if bin_cost.sum() <= 0:
         return weights
-    xy = np.array([[m.x, m.y] for m in t.minutiae])
-    dirs = np.array([m.direction for m in t.minutiae])
-    iu, ju = np.triu_indices(n, k=1)
-    d = np.hypot(*(xy[iu] - xy[ju]).T)
-    diff = np.abs(dirs[iu] - dirs[ju])
-    a = np.minimum(diff, 360.0 - diff)
-    keep = d <= spec.d_max
-    iu, ju, d, a = iu[keep], ju[keep], d[keep], a[keep]
-    di = np.clip((d / spec.dist_width).astype(int), 0, spec.b_dist - 1)
-    ai = np.clip((a / spec.dir_width).astype(int), 0, spec.b_dir - 1)
-    flat = di * spec.b_dir + ai
+    iu, ju, flat = _pair_bins(t, spec)
     per_bin_pairs = np.bincount(flat, minlength=spec.b_dist * spec.b_dir)
     blame = bin_cost[flat] / per_bin_pairs[flat]
     np.add.at(weights, iu, blame)

@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 ENDING = "ending"
 BIFURCATION = "bifurcation"
@@ -272,7 +272,3 @@ def load_directory(directory: Path | str, pattern: str = "*.mnt") -> List[Minuti
     for path in sorted(directory.glob(pattern)):
         templates.append(load_template(path))
     return templates
-
-
-def iter_typed(minutiae: Iterable[Minutia]) -> Iterable[Minutia]:
-    return (m for m in minutiae if m.mtype != UNKNOWN)

@@ -73,14 +73,10 @@ class TransportPlan:
         }
 
 
+@lru_cache(maxsize=64)
 def build_cost_matrix(spec: BinSpec, params: CostParams) -> CostMatrix:
     """Ground cost between all pairs of 2D histogram bins, row-major
     (distance-major) flattening: bin (x, u) has flat index x * b_dir + u."""
-    return _cached_cost_matrix(spec, params)
-
-
-@lru_cache(maxsize=64)
-def _cached_cost_matrix(spec: BinSpec, params: CostParams) -> CostMatrix:
     dx = np.abs(np.subtract.outer(np.arange(spec.b_dist), np.arange(spec.b_dist)))
     du = np.abs(np.subtract.outer(np.arange(spec.b_dir), np.arange(spec.b_dir)))
     cost = (params.s * dx[:, None, :, None]) ** params.e + (

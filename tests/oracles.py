@@ -7,11 +7,15 @@ tree's basic flows are a fixed linear map of the marginals, so evaluating an
 instance is a batched matrix product over all trees followed by a
 feasibility mask and a cost minimum. This is deliberately independent of the
 LP solver used by the package.
+
+A plain per-pair loop builds 2D and 4D minutiae histograms as the reference
+for the vectorised histogram builders.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -72,3 +76,39 @@ def brute_force_transport_cost(supply, demand, cost) -> float:
     edge_costs = cost.ravel()[combos]  # (T, k)
     totals = (flows * edge_costs).sum(axis=1)
     return float(totals[feasible].min())
+
+
+def loop_histograms(t, spec):
+    """Raw 2D and 4D histograms of a typed template by a loop over pairs.
+
+    Every unordered pair i < j with distance <= d_max is binned once in 2D
+    and through both orderings (i, j) and (j, i) in 4D. Returns
+    (mass2, mass4, pairs) with pairs a list of (i, j, dist_bin, dir_bin).
+    Distance and angle use the same NumPy functions as the package, so the
+    bins must agree exactly, including values on bin edges.
+    """
+
+    def bin_of(value, width, count):
+        return min(math.floor(value / width), count - 1)
+
+    mass2 = np.zeros((spec.b_dist, spec.b_dir))
+    mass4 = np.zeros((spec.b_dist, spec.b_dir, spec.b_relangle, 4))
+    pairs = []
+    ms = t.minutiae
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            d = float(np.hypot(ms[i].x - ms[j].x, ms[i].y - ms[j].y))
+            if d > spec.d_max:
+                continue
+            diff = abs(ms[i].direction - ms[j].direction)
+            di = bin_of(d, spec.dist_width, spec.b_dist)
+            ai = bin_of(min(diff, 360.0 - diff), spec.dir_width, spec.b_dir)
+            pairs.append((i, j, di, ai))
+            mass2[di, ai] += 1.0
+            for p, q in ((ms[i], ms[j]), (ms[j], ms[i])):
+                angle = float(np.degrees(np.arctan2(q.y - p.y, q.x - p.x)))
+                ri = bin_of((angle - p.direction) % 360.0, spec.relangle_width,
+                            spec.b_relangle)
+                ti = 2 * (p.mtype == "bifurcation") + (q.mtype == "bifurcation")
+                mass4[di, ai, ri, ti] += 1.0
+    return mass2, mass4, pairs

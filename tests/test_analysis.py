@@ -200,6 +200,19 @@ class TestBootstrapNeighborhood:
         ).radius
         assert doubled == pytest.approx(2 * base, rel=1e-6)
 
+    def test_quantile_rank_is_exact(self):
+        # (1 - 0.41) * 100 rounds to 59.00000000000001 in floats; the rank is
+        # 59, shared with alpha 0.415, not 60 as for alpha 0.405.
+        spec = BinSpec(b_dist=5, b_dir=4)
+        pop = make_population(70, 1, 30, "broad", None, jitter=4.0)
+        hists = [build_2dmh(t, spec) for t in pop]
+        radius = {
+            a: bootstrap_neighborhood(hists, alpha=a, replicates=100, seed=1).radius
+            for a in (0.405, 0.41, 0.415)
+        }
+        assert radius[0.415] != radius[0.405]
+        assert radius[0.41] == radius[0.415]
+
     @pytest.mark.parametrize(
         "kwargs,fragment",
         [

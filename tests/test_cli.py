@@ -192,6 +192,15 @@ class TestIdentifyCommands:
         assert "queries: 12" in stdout
         assert "rank-1: 100.0%" in stdout
 
+    @pytest.mark.parametrize("identify_spec", [{"b_dist": 0}, {"bins": 20}, 5])
+    def test_bad_identify_spec_exits_usage(self, data, tmp_path, capsys, identify_spec):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"identify_spec": identify_spec}))
+        code = main(["--config", str(config), "identify", "enroll",
+                     str(data["gallery_dir"]), "--out", str(tmp_path / "g.json")])
+        assert code == 64
+        assert capsys.readouterr().err.startswith("error: bad bin specification: ")
+
     def test_corrupt_index_exits_5(self, data, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("[]")

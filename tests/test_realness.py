@@ -214,6 +214,17 @@ class TestTrain:
         assert result.model.weights[2:] == (0.0, 0.0, 0.0)
         assert result.model.feature_norms["mean_ird"] == (0.0, 1.0)
 
+    def test_template_without_pairs_in_range_is_skipped(self):
+        real = make_population(105, 6, 2, "broad", REAL)
+        # one pair, 300 px apart: beyond d_max, so its histogram has no mass
+        far = MinutiaTemplate(
+            minutiae=(Minutia(0.0, 0.0, 0.0, ENDING), Minutia(300.0, 0.0, 90.0, ENDING)),
+            dpi=500, label=REAL, finger_id=real[0].finger_id, impression_id="far",
+        )
+        synth = make_population(205, 6, 2, "cluster", SYNTHETIC)
+        result = train(real + [far], synth, TrainConfig(split=(2, 2, 2), **EMD_ONLY))
+        assert result.model.avg_real.total() == pytest.approx(1.0)
+
     def test_deterministic(self):
         real = make_population(103, 6, 2, "broad", REAL)
         synth = make_population(203, 6, 2, "cluster", SYNTHETIC)
