@@ -17,6 +17,7 @@ from .histogram import (
     IDENTIFICATION_SPEC,
     BinSpec,
     MinutiaeHistogram,
+    TooFewMinutiaeError,
     build_2dmh,
     build_4dmh,
     fold_direction_difference,
@@ -32,6 +33,7 @@ from .identify import (
 )
 from .realness import (
     ClassModel,
+    EmptyClassError,
     EvaluationReport,
     RealnessScore,
     TrainConfig,

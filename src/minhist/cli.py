@@ -4,8 +4,10 @@ Commands: histogram, train, classify, evaluate, identify {enroll,search,
 report}, refine, mds. Models and scores are JSON, tabular reports are CSV.
 
 Exit codes: 0 and 1 are reserved for classification outcomes (real /
-synthetic); errors use 2 (unreadable or malformed template), 3 (too few
-minutiae), 4 (empty class), 5 (corrupt model or index), 64 (usage).
+synthetic); errors use 2 (unreadable or malformed template, template
+directory or distance matrix), 3 (too few minutiae, or no minutiae pair
+within d_max), 4 (empty class), 5 (corrupt model or index), 64 (usage),
+70 (internal error; the traceback is printed) and 73 (cannot write output).
 
 A JSON config file may provide defaults for the bin spec and the training
 protocol; its path comes from --config or the MINHIST_CONFIG environment
@@ -18,18 +20,18 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
 from .analysis import DistanceMatrix, mds_embed
-from .histogram import IDENTIFICATION_SPEC, BinSpec, build_2dmh, build_4dmh
+from .histogram import IDENTIFICATION_SPEC, BinSpec, TooFewMinutiaeError, build_2dmh, build_4dmh
 from .identify import GalleryIndex, access_rate_report, build_index, search
-from .realness import ClassModel, TrainConfig, classify_template, evaluate, train
+from .realness import ClassModel, EmptyClassError, TrainConfig, classify_template, evaluate, train
 from .refine import OrientationField, RefineConfig, init_template, refine, write_trace_csv
 from .template import (
     MinutiaTemplate,
-    TemplateParseError,
     load_directory,
     load_template,
     rescale_to_500dpi,
@@ -43,6 +45,8 @@ EXIT_TOO_FEW = 3
 EXIT_EMPTY_CLASS = 4
 EXIT_BAD_MODEL = 5
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
+EXIT_CANT_WRITE = 73
 
 ENV_CONFIG = "MINHIST_CONFIG"
 
@@ -53,15 +57,25 @@ class CliError(Exception):
         self.code = code
 
 
+def _read(load, path: str, code: int):
+    """`load(path)`, with a missing, unreadable or malformed file turned into
+    exit `code`. JSON of the wrong shape fails in a loader with a LookupError,
+    TypeError or AttributeError, so those count as malformed too."""
+    try:
+        return load(path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise CliError(code, f"cannot read {path}: {exc}")
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         path = os.environ.get(ENV_CONFIG)
     if not path:
         return {}
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(EXIT_USAGE, f"cannot read config {path}: {exc}")
+    config = _read(lambda p: json.loads(Path(p).read_text(encoding="utf-8")), path, EXIT_USAGE)
+    if not isinstance(config, dict):
+        raise CliError(EXIT_USAGE, f"config {path} is not a JSON object")
+    return config
 
 
 def _spec_from(args, config: dict, key: str = "spec", base: BinSpec = BinSpec()) -> BinSpec:
@@ -82,27 +96,22 @@ def _spec_from(args, config: dict, key: str = "spec", base: BinSpec = BinSpec())
         raise CliError(EXIT_USAGE, f"bad bin specification: {exc}")
 
 
-def _read_template(path: str) -> MinutiaTemplate:
+def _train_config(args, config: dict) -> TrainConfig:
+    """The config's `train` section with the spec and the training flags
+    laid over it."""
+    fields = {"spec": _spec_from(args, config)}
+    if args.split is not None:
+        fields["split"] = tuple(int(x) for x in args.split.split("/"))
+    if args.no_side_features:
+        fields["use_side_features"] = False
     try:
-        return load_template(path)
-    except OSError as exc:
-        raise CliError(EXIT_PARSE, f"cannot read template {path}: {exc}")
-    except TemplateParseError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: {exc}")
-
-
-def _read_model(path: str) -> ClassModel:
-    try:
-        return ClassModel.load(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_BAD_MODEL, f"cannot load model {path}: {exc}")
+        return replace(TrainConfig.from_dict(config.get("train", {})), **fields)
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_USAGE, f"bad training configuration: {exc}")
 
 
 def _read_templates_dir(path: str, label: Optional[str] = None) -> List[MinutiaTemplate]:
-    try:
-        templates = load_directory(path)
-    except OSError as exc:
-        raise CliError(EXIT_PARSE, f"cannot read directory {path}: {exc}")
+    templates = _read(load_directory, path, EXIT_PARSE)
     if label is not None:
         templates = [replace(t, label=label) for t in templates]
     return templates
@@ -113,98 +122,59 @@ def _read_templates_dir(path: str, label: Optional[str] = None) -> List[MinutiaT
 
 def cmd_histogram(args, config: dict) -> int:
     spec = _spec_from(args, config)
-    t = rescale_to_500dpi(_read_template(args.template))
-    try:
-        if args.dims == 2:
-            h = build_2dmh(t, spec, normalize=args.normalize)
-        else:
-            h = build_4dmh(t, spec, normalize=args.normalize)
-    except ValueError as exc:
-        raise CliError(EXIT_TOO_FEW, str(exc))
+    t = rescale_to_500dpi(_read(load_template, args.template, EXIT_PARSE))
+    build = build_2dmh if args.dims == 2 else build_4dmh
+    h = build(t, spec, normalize=args.normalize)
     json.dump(h.to_dict(), sys.stdout)
     sys.stdout.write("\n")
     return 0
 
 
 def cmd_train(args, config: dict) -> int:
-    train_cfg = TrainConfig.from_dict(config.get("train", {}))
-    spec = _spec_from(args, config)
-    train_cfg.spec = spec
-    if args.split is not None:
-        parts = tuple(int(x) for x in args.split.split("/"))
-        if len(parts) != 3:
-            raise CliError(EXIT_USAGE, "--split expects N1/N2/N3")
-        train_cfg.split = parts
-    if args.no_side_features:
-        train_cfg.use_side_features = False
+    train_cfg = _train_config(args, config)
     real = _read_templates_dir(args.real_dir, label="real")
     synth = _read_templates_dir(args.synth_dir, label="synthetic")
-    try:
-        result = train(real, synth, train_cfg)
-    except ValueError as exc:
-        if "class empty" in str(exc):
-            raise CliError(EXIT_EMPTY_CLASS, str(exc))
-        raise CliError(EXIT_USAGE, str(exc))
+    result = train(real, synth, train_cfg)
     result.model.save(args.out)
     print(f"set II accuracy: {result.set2_accuracy:.1f}")
     return 0
 
 
 def cmd_classify(args, config: dict) -> int:
-    model = _read_model(args.model)
-    t = _read_template(args.template)
-    try:
-        score = classify_template(t, model)
-    except ValueError as exc:
-        raise CliError(EXIT_TOO_FEW, str(exc))
+    model = _read(ClassModel.load, args.model, EXIT_BAD_MODEL)
+    score = classify_template(_read(load_template, args.template, EXIT_PARSE), model)
     json.dump(score.to_dict(), sys.stdout)
     sys.stdout.write("\n")
     return EXIT_REAL if score.decision == "real" else EXIT_SYNTHETIC
 
 
 def cmd_evaluate(args, config: dict) -> int:
-    model = _read_model(args.model)
+    model = _read(ClassModel.load, args.model, EXIT_BAD_MODEL)
     templates: List[MinutiaTemplate] = []
     templates += _read_templates_dir(args.real_dir, label="real")
     templates += _read_templates_dir(args.synth_dir, label="synthetic")
-    try:
-        report = evaluate(model, templates)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
+    report = evaluate(model, templates)
     if args.out:
         report.write_csv(args.out)
     print(f"accuracy: {report.accuracy:.1f}")
     for label in ("real", "synthetic"):
         print(f"  {label}: {report.per_class[label]:.1f}")
+    if report.skipped:
+        print(f"skipped: {report.skipped}")
     return 0
 
 
 def cmd_identify_enroll(args, config: dict) -> int:
     spec = _spec_from(args, config, "identify_spec", IDENTIFICATION_SPEC)
-    templates = _read_templates_dir(args.directory)
-    try:
-        index = build_index(templates, spec)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
+    index = build_index(_read_templates_dir(args.directory), spec)
     index.save(args.out)
     print(f"enrolled {len(index.entries)} impressions of {len(index.finger_ids())} fingers")
     return 0
 
 
-def _read_index(path: str) -> GalleryIndex:
-    try:
-        return GalleryIndex.load(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_BAD_MODEL, f"cannot load index {path}: {exc}")
-
-
 def cmd_identify_search(args, config: dict) -> int:
-    index = _read_index(args.index)
-    query = _read_template(args.template)
-    try:
-        result = search(index, query)
-    except ValueError as exc:
-        raise CliError(EXIT_TOO_FEW, str(exc))
+    index = _read(GalleryIndex.load, args.index, EXIT_BAD_MODEL)
+    result = search(index, _read(load_template, args.template, EXIT_PARSE))
     payload = {
         "query": list(result.query_id),
         "true_rank": result.true_rank,
@@ -217,12 +187,8 @@ def cmd_identify_search(args, config: dict) -> int:
 
 
 def cmd_identify_report(args, config: dict) -> int:
-    index = _read_index(args.index)
-    queries = _read_templates_dir(args.directory)
-    try:
-        report = access_rate_report(index, queries)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
+    index = _read(GalleryIndex.load, args.index, EXIT_BAD_MODEL)
+    report = access_rate_report(index, _read_templates_dir(args.directory))
     print(f"queries: {report.n_queries}")
     print(f"mean accessed fraction: {report.mean_accessed_fraction:.4f}")
     print(f"rank-1: {report.rank1_percent:.1f}%")
@@ -235,7 +201,7 @@ def cmd_identify_report(args, config: dict) -> int:
 
 
 def cmd_refine(args, config: dict) -> int:
-    model = _read_model(args.target)
+    model = _read(ClassModel.load, args.target, EXIT_BAD_MODEL)
     field = OrientationField(kind=args.field, angle=args.field_angle)
     cfg = RefineConfig(
         target=model.avg_real,
@@ -257,10 +223,7 @@ def cmd_refine(args, config: dict) -> int:
 
 
 def cmd_mds(args, config: dict) -> int:
-    try:
-        dm = DistanceMatrix.from_csv(args.matrix)
-    except (OSError, ValueError) as exc:
-        raise CliError(EXIT_PARSE, f"cannot read distance matrix {args.matrix}: {exc}")
+    dm = _read(DistanceMatrix.from_csv, args.matrix, EXIT_PARSE)
     result = mds_embed(dm, dims=args.dims)
     result.write_csv(args.out)
     if result.flagged_dims:
@@ -355,15 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit status of any failure other than a CliError: the first matching
+# row wins. Every read goes through _read, so an OSError here is a write.
+# TypeError is absent on purpose: a programming bug is an internal error.
+_EXIT_STATUSES = (
+    (TooFewMinutiaeError, EXIT_TOO_FEW),
+    (EmptyClassError, EXIT_EMPTY_CLASS),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_CANT_WRITE),
+    (Exception, EXIT_INTERNAL),
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
-    except CliError as exc:
+        return args.func(args, _load_config(args.config))
+    except Exception as exc:
+        if isinstance(exc, CliError):
+            code = exc.code
+        else:
+            code = next(status for kind, status in _EXIT_STATUSES if isinstance(exc, kind))
+        if code == EXIT_INTERNAL:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return code
 
 
 if __name__ == "__main__":

@@ -131,9 +131,13 @@ def fold_direction_difference(a1: float, a2: float) -> float:
     return float(_fold(abs(a1 - a2)))
 
 
+class TooFewMinutiaeError(ValueError):
+    """A template has fewer than 2 minutiae, or no minutiae pair within d_max."""
+
+
 def _check_histogram_input(t: MinutiaTemplate) -> None:
     if len(t.minutiae) < 2:
-        raise ValueError("pair features undefined: template has fewer than 2 minutiae")
+        raise TooFewMinutiaeError("pair features undefined: template has fewer than 2 minutiae")
     if t.dpi != 500:
         raise ValueError("template must be rescaled to 500 DPI before histogramming")
 

@@ -78,10 +78,19 @@ class GalleryIndex:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         spec = BinSpec(**payload["spec"])
         shape = _mass_shape(spec, 4)
+        n_bins = int(np.prod(shape))
         index = cls(spec=spec)
-        for entry in payload["entries"]:
-            mass = np.zeros(int(np.prod(shape)))
-            mass[entry["mass_idx"]] = entry["mass_val"]
+        for k, entry in enumerate(payload["entries"]):
+            idx = np.asarray(entry["mass_idx"])
+            val = np.asarray(entry["mass_val"], dtype=float)
+            if idx.ndim != 1 or idx.shape != val.shape:
+                raise ValueError(f"entry {k}: mass_idx and mass_val differ in length")
+            if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n_bins):
+                raise ValueError(f"entry {k}: mass_idx outside [0, {n_bins})")
+            if not (np.isfinite(val).all() and (val >= 0).all()):
+                raise ValueError(f"entry {k}: mass_val must be finite and non-negative")
+            mass = np.zeros(n_bins)
+            mass[idx.astype(np.intp)] = val  # an empty list parses as float
             index.entries.append(
                 GalleryEntry(
                     finger_id=entry["finger"],

@@ -18,20 +18,25 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import BinSpec, MinutiaeHistogram, build_2dmh
+from .histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, build_2dmh
 from .template import UNKNOWN, MinutiaTemplate, bifurcation_percentage, rescale_to_500dpi
-from .transport import CostParams, emd
+from .transport import BALANCE_RTOL, CostParams, emd
 
 REAL = "real"
 SYNTHETIC = "synthetic"
 
 SIDE_FEATURES = ("mean_ird", "var_ird", "pct_bif")
+
+
+class EmptyClassError(ValueError):
+    """A class has no templates in a set that training needs."""
 
 
 @dataclass
@@ -46,10 +51,15 @@ class ClassModel:
     spec: BinSpec
 
     def __post_init__(self) -> None:
-        if self.avg_real.spec != self.avg_synth.spec:
-            raise ValueError("class averages must share one bin specification")
-        if not (self.avg_real.normalized and self.avg_synth.normalized):
-            raise ValueError("class averages must be normalized")
+        if not self.avg_real.spec == self.avg_synth.spec == self.spec:
+            raise ValueError("class averages must share the model's bin specification")
+        for avg in (self.avg_real, self.avg_synth):
+            if not avg.normalized or avg.dims != 2:
+                raise ValueError("class averages must be normalized 2D histograms")
+            if not np.isfinite(avg.mass).all() or (avg.mass < 0).any():
+                raise ValueError("class averages must have finite non-negative masses")
+            if abs(avg.total() - 1.0) > BALANCE_RTOL:
+                raise ValueError(f"class averages must sum to 1, got {avg.total()!r}")
         self.weights = tuple(float(w) for w in self.weights)
         if len(self.weights) != 5:
             raise ValueError("expected 5 fusion weights w0..w4")
@@ -188,6 +198,8 @@ def classify_template(t: MinutiaTemplate, model: ClassModel) -> RealnessScore:
     feature fusion with the model's trained weights."""
     t500 = rescale_to_500dpi(t)
     h = build_2dmh(t500, model.spec, normalize=True)
+    if h.pair_count == 0:
+        raise TooFewMinutiaeError("no minutiae pair within d_max")
     score = emd_difference_score(h, model)
     mean_ird, var_ird, pct_bif = template_side_features(t500)
     b, c, d, fused, decision = fuse_features(score.a, mean_ird, var_ird, pct_bif, model)
@@ -222,6 +234,15 @@ class TrainConfig:
     w1_grid: Tuple[float, ...] = (0.0, 1.0)
     side_grid: Tuple[float, ...] = (-1.0, 0.0, 1.0)
     use_side_features: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("r_grid", "s_grid", "e_grid", "w0_grid", "w1_grid", "side_grid"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} is empty")
+        if len(self.split) != 3 or not all(
+            isinstance(n, numbers.Integral) and n >= 0 for n in self.split
+        ):
+            raise ValueError(f"split must be three non-negative integers, got {self.split!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -299,7 +320,7 @@ def train(
     for name, subset in (("real Set I", real1), ("synthetic Set I", synth1),
                          ("real Set II", real2), ("synthetic Set II", synth2)):
         if not subset:
-            raise ValueError(f"class empty: no templates in {name}")
+            raise EmptyClassError(f"class empty: no templates in {name}")
 
     prep_r1 = _prepare(real1, config.spec)
     prep_s1 = _prepare(synth1, config.spec)
@@ -374,6 +395,7 @@ class EvaluationReport:
     accuracy: float  # percent correct overall
     per_class: Dict[str, float]  # label -> percent correct
     rows: List[Tuple[str, str, RealnessScore]]  # (template id, label, score)
+    skipped: int = 0  # templates without a minutiae pair within d_max
 
     def write_csv(self, path: Path | str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -390,16 +412,20 @@ class EvaluationReport:
 
 
 def evaluate(model: ClassModel, templates: Sequence[MinutiaTemplate]) -> EvaluationReport:
-    """Percent-correct report over a labeled test set."""
+    """Percent-correct report over a labeled test set; templates without a
+    minutiae pair within d_max are skipped and counted."""
     rows: List[Tuple[str, str, RealnessScore]] = []
     correct: Dict[str, int] = {REAL: 0, SYNTHETIC: 0}
     totals: Dict[str, int] = {REAL: 0, SYNTHETIC: 0}
+    skipped = 0
     for t in templates:
         if t.label is None:
             raise ValueError(f"template {t.template_id} has no label")
-        if len(t) < 2:
+        try:
+            score = classify_template(t, model)
+        except TooFewMinutiaeError:
+            skipped += 1
             continue
-        score = classify_template(t, model)
         rows.append((t.template_id, t.label, score))
         totals[t.label] += 1
         if score.decision == t.label:
@@ -412,4 +438,4 @@ def evaluate(model: ClassModel, templates: Sequence[MinutiaTemplate]) -> Evaluat
         for label in (REAL, SYNTHETIC)
     }
     accuracy = 100.0 * sum(correct.values()) / n
-    return EvaluationReport(accuracy=accuracy, per_class=per_class, rows=rows)
+    return EvaluationReport(accuracy=accuracy, per_class=per_class, rows=rows, skipped=skipped)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import MinutiaeHistogram, _pair_bins, build_2dmh
+from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _pair_bins, build_2dmh
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
 from .transport import CostParams, TransportPlan, build_cost_matrix, transport_plan
 
@@ -192,14 +192,14 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     decreasing after the first row.
     """
     if len(t) < 2:
-        raise ValueError("refinement needs a template with at least 2 minutiae")
+        raise TooFewMinutiaeError("refinement needs a template with at least 2 minutiae")
     rng = np.random.default_rng([cfg.rng_seed, 1])
     spec = cfg.target.spec
 
     current = t
     start = build_2dmh(current, spec)
     if start.pair_count == 0:
-        raise ValueError("initial template has no pair within d_max")
+        raise TooFewMinutiaeError("initial template has no minutiae pair within d_max")
     plan = transport_plan(start, cfg.target, cfg.params)
     current_emd = plan.total_cost
     trace = [TraceRow(iteration=0, emd=current_emd, move="init")]

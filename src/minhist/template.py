@@ -268,7 +268,12 @@ def save_template(t: MinutiaTemplate, path: Path | str) -> None:
 def load_directory(directory: Path | str, pattern: str = "*.mnt") -> List[MinutiaTemplate]:
     """Load all template files in a directory, sorted by filename."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"not a directory: {directory}")
     templates = []
     for path in sorted(directory.glob(pattern)):
-        templates.append(load_template(path))
+        try:
+            templates.append(load_template(path))
+        except TemplateParseError as exc:
+            raise TemplateParseError(f"{path.name}: {exc}") from exc
     return templates

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from minhist import cli
 from minhist.cli import main
 from minhist.template import load_template, save_template
 
@@ -275,3 +277,194 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code >= 2
+
+
+# --- the error contract -----------------------------------------------------
+
+MALFORMED = "dpi 500\n10 20 E\n"
+FAR_PAIR = "dpi 500\n0 0 0 E\n300 0 90 E\n"  # its one pair lies beyond d_max
+SINGLE = "dpi 500\n10 20 30 E\n"
+UNTYPED = "dpi 500\n10 10 0 U\n40 10 90 U\n60 50 30 U\n"
+NO_IRD = "dpi 500\n10 10 0 E\n40 10 90 B\n60 50 30 E\n"  # no interridge features
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _config(tmp_path, payload):
+    return ["--config", _file(tmp_path, "config.json", json.dumps(payload))]
+
+
+def _edited(path, tmp_path, edit):
+    """A copy of the JSON file at `path` with `edit` applied to its payload."""
+    payload = json.loads(path.read_text())
+    edit(payload)
+    return _file(tmp_path, "edited.json", json.dumps(payload))
+
+
+def _dir_plus(src, tmp_path, text):
+    """A copy of the template directory `src` with one more template."""
+    copy = tmp_path / f"{src.name}_plus"
+    shutil.copytree(src, copy)
+    (copy / "99_1.mnt").write_text(text)
+    return str(copy)
+
+
+def _avg_real(edit):
+    return lambda payload: edit(payload["avg_real"]["mass"])
+
+
+def _first_entry(key, edit):
+    return lambda payload: edit(payload["entries"][0][key])
+
+
+def _shift_mass(mass):
+    mass[0] -= 1.0
+    mass[1] += 1.0
+
+
+def _setitem(i, value):
+    def edit(values):
+        values[i] = value
+    return edit
+
+
+def _train(d, tmp, *extra):
+    return ["train", str(d["real_dir"]), str(d["synth_dir"]), "--out", str(tmp / "m.json"),
+            *extra]
+
+
+def _refine(d, tmp, *extra):
+    return ["refine", "--target", str(d["model"]), "--out", str(tmp / "r.mnt"), *extra]
+
+
+def _classify(tmp, model, text):
+    return ["classify", model, _file(tmp, "probe.mnt", text)]
+
+
+def _search(d, tmp, index):
+    return ["identify", "search", index, str(d["gallery_template"])]
+
+
+# (exit status, argv builder, a substring of stderr or None)
+ERROR_CASES = {
+    "config-not-object": (64, lambda d, tmp: [
+        *_config(tmp, [1]), "histogram", str(d["real_template"])], "is not a JSON object"),
+    "train-unknown-key": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"bogus": 1}}), *_train(d, tmp)], None),
+    "train-split-not-list": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"split": 5}}), *_train(d, tmp)], None),
+    "train-split-two": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"split": [1, 2]}}), *_train(d, tmp)],
+        "split"),
+    "train-split-negative": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"split": [2, -1, 2]}}), *_train(d, tmp)],
+        "split"),
+    "train-empty-r-grid": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"split": [2, 2, 2], "r_grid": []}}), *_train(d, tmp)],
+        "r_grid is empty"),
+    "train-empty-side-grid": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"split": [2, 2, 2], "side_grid": []}}), *_train(d, tmp)],
+        "side_grid is empty"),
+    "train-split-flag-not-integers": (64, lambda d, tmp: [
+        "--config", str(d["config"]), *_train(d, tmp, "--split", "a/b/c")],
+        None),
+    "train-out-unwritable": (73, lambda d, tmp: [
+        "--config", str(d["config"]), *_train(d, tmp, "--out", str(tmp / "no" / "m.json"))],
+        None),
+    "enroll-out-unwritable": (73, lambda d, tmp: [
+        "identify", "enroll", str(d["gallery_dir"]), "--out", str(tmp / "no" / "i.json")],
+        None),
+    "refine-threshold-zero": (64, lambda d, tmp: _refine(d, tmp, "--threshold", "0"), None),
+    "refine-one-minutia": (64, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "1", "--counts", "1"), None),
+    "refine-no-pair-within-d-max": (3, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "1", "--foreground", "0", "0", "1000", "1000", "--counts", "2"),
+        "no minutiae pair within d_max"),
+    "mds-dims-zero": (64, lambda d, tmp: [
+        "mds", _file(tmp, "d.csv", "p,0,1\nq,1,0\n"), "--dims", "0",
+        "--out", str(tmp / "c.csv")], None),
+    "evaluate-malformed-in-dir": (2, lambda d, tmp: [
+        "evaluate", str(d["model"]), _dir_plus(d["real_dir"], tmp, MALFORMED),
+        str(d["synth_dir"])], "99_1.mnt"),
+    "enroll-malformed-in-dir": (2, lambda d, tmp: [
+        "identify", "enroll", _dir_plus(d["gallery_dir"], tmp, MALFORMED),
+        "--out", str(tmp / "i.json")], "99_1.mnt"),
+    "report-malformed-in-dir": (2, lambda d, tmp: [
+        "identify", "report", str(d["index"]), _dir_plus(d["gallery_dir"], tmp, MALFORMED)],
+        "99_1.mnt"),
+    "train-missing-directory": (2, lambda d, tmp: [
+        "--config", str(d["config"]), "train", str(tmp / "none"), str(d["synth_dir"]),
+        "--out", str(tmp / "m.json")], "not a directory"),
+    "enroll-missing-directory": (2, lambda d, tmp: [
+        "identify", "enroll", str(tmp / "none"), "--out", str(tmp / "i.json")],
+        "not a directory"),
+    "classify-no-pair-within-d-max": (3, lambda d, tmp: _classify(
+        tmp, str(d["model"]), FAR_PAIR), "no minutiae pair within d_max"),
+    "classify-missing-side-feature": (64, lambda d, tmp: _classify(
+        tmp, _edited(d["model"], tmp, lambda p: p.update(weights=[0, 1, 1, 0, 0])),
+        NO_IRD), "mean_ird"),
+    "histogram-4d-untyped": (64, lambda d, tmp: [
+        "histogram", _file(tmp, "u.mnt", UNTYPED), "--dims", "4"], "typed"),
+    "search-untyped": (64, lambda d, tmp: [
+        "identify", "search", str(d["index"]), _file(tmp, "u.mnt", UNTYPED)], "typed"),
+    "enroll-single-minutia": (3, lambda d, tmp: [
+        "identify", "enroll", _dir_plus(d["gallery_dir"], tmp, SINGLE),
+        "--out", str(tmp / "i.json")], "fewer than 2 minutiae"),
+    "model-nan-average": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, _avg_real(_setitem(0, float("nan")))), NO_IRD), "finite"),
+    "model-negative-average": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, _avg_real(_shift_mass)), NO_IRD), "non-negative"),
+    "model-average-not-unit": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, _avg_real(_setitem(0, 0.5))), NO_IRD), "sum to 1"),
+    "model-spec-mismatch": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["spec"].update(b_dist=5)), NO_IRD), "bin specification"),
+    "index-mass-idx-too-large": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, _first_entry("mass_idx", _setitem(0, 10 ** 7)))), "mass_idx"),
+    "index-mass-idx-negative": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, _first_entry("mass_idx", _setitem(0, -1)))), "mass_idx"),
+    "index-mass-val-nan": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, _first_entry("mass_val", _setitem(0, float("nan"))))), "mass_val"),
+    "index-mass-val-negative": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, _first_entry("mass_val", _setitem(0, -1.0)))), "mass_val"),
+    "index-lengths-differ": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["entries"][0].update(mass_val=[1.0]))), "length"),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_error_exit_statuses(case, data, index, tmp_path, capsys):
+    status, argv, message = ERROR_CASES[case]
+    code = main(argv({**data, "index": index}, tmp_path))
+    err = capsys.readouterr().err
+    assert code == status
+    assert code not in (0, 1)
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    if message is not None:
+        assert message in err
+
+
+def test_internal_error_exits_70_with_traceback(data, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "build_2dmh", boom)
+    assert main(["histogram", str(data["real_template"])]) == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: boom" in err
+    assert err.endswith("error: boom\n")
+
+
+def test_evaluate_skips_template_without_pair_within_d_max(data, tmp_path, capsys):
+    real_dir = _dir_plus(data["real_dir"], tmp_path, FAR_PAIR)
+    out = tmp_path / "report.csv"
+    code = main(["evaluate", str(data["model"]), real_dir, str(data["synth_dir"]),
+                 "--out", str(out)])
+    assert code == 0
+    assert "skipped: 1" in capsys.readouterr().out
+    assert len(out.read_text().strip().splitlines()) == 1 + 24

@@ -9,7 +9,7 @@ from minhist.identify import (
     build_index,
     search,
 )
-from minhist.template import MinutiaTemplate
+from minhist.template import ENDING, Minutia, MinutiaTemplate
 
 from genpop import make_population
 
@@ -178,3 +178,16 @@ def test_index_save_load_round_trip(tmp_path):
     original = search(index, templates[0])
     reloaded = search(restored, templates[0])
     assert original.ranked == reloaded.ranked
+
+
+def test_entry_without_pair_within_d_max_round_trips(tmp_path):
+    far = MinutiaTemplate(
+        minutiae=(Minutia(0.0, 0.0, 0.0, ENDING), Minutia(300.0, 0.0, 90.0, ENDING)),
+        dpi=500, finger_id="9", impression_id="1",
+    )
+    index = build_index(duplicate_gallery(43, 2) + [far], SMALL_SPEC)
+    path = tmp_path / "gallery.json"
+    index.save(path)
+    restored = GalleryIndex.load(path)
+    assert restored.entries[-1].hist.mass.sum() == 0.0
+    np.testing.assert_array_equal(restored.entries[0].hist.mass, index.entries[0].hist.mass)

@@ -236,6 +236,17 @@ class TestTrain:
         np.testing.assert_array_equal(m1.avg_real.mass, m2.avg_real.mass)
 
 
+@pytest.mark.parametrize("kwargs", [
+    *({name: ()} for name in ("r_grid", "s_grid", "e_grid", "w0_grid", "w1_grid", "side_grid")),
+    {"split": (2, 2)},
+    {"split": (2, -1, 2)},
+    {"split": (2, 1.5, 2)},
+])
+def test_train_config_rejects_empty_grids_and_bad_splits(kwargs):
+    with pytest.raises(ValueError):
+        TrainConfig(**kwargs)
+
+
 class TestEvaluate:
     def _model(self):
         real = make_population(104, 6, 2, "broad", REAL)
