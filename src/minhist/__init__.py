@@ -66,7 +66,6 @@ from .template import (
     serialize_template,
 )
 from .transport import (
-    CostMatrix,
     CostParams,
     TransportPlan,
     build_cost_matrix,

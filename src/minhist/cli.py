@@ -6,8 +6,9 @@ report}, refine, mds. Models and scores are JSON, tabular reports are CSV.
 Exit codes: 0 and 1 are reserved for classification outcomes (real /
 synthetic); errors use 2 (unreadable or malformed template, template
 directory or distance matrix), 3 (too few minutiae, or no minutiae pair
-within d_max), 4 (empty class), 5 (corrupt model or index), 64 (usage),
-70 (internal error; the traceback is printed) and 73 (cannot write output).
+within d_max), 4 (empty class), 5 (corrupt model or index), 64 (usage: a
+bad command line, config or argument value), 70 (internal error; the
+traceback is printed) and 73 (cannot write output).
 
 A JSON config file may provide defaults for the bin spec and the training
 protocol; its path comes from --config or the MINHIST_CONFIG environment
@@ -137,6 +138,8 @@ def cmd_train(args, config: dict) -> int:
     result = train(real, synth, train_cfg)
     result.model.save(args.out)
     print(f"set II accuracy: {result.set2_accuracy:.1f}")
+    if result.skipped:
+        print(f"skipped: {result.skipped}")
     return 0
 
 
@@ -235,6 +238,15 @@ def cmd_mds(args, config: dict) -> int:
 # --- argument parsing ------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors exit 64 (usage), not argparse's 2, which is the
+    status of an unreadable template. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-max", dest="d_max", type=float, default=None)
     p.add_argument("--bins-dist", dest="bins_dist", type=int, default=None)
@@ -243,7 +255,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minhist",
         description="Minutiae histograms: realness testing, identification, refinement.",
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -33,6 +34,9 @@ REAL = "real"
 SYNTHETIC = "synthetic"
 
 SIDE_FEATURES = ("mean_ird", "var_ird", "pct_bif")
+
+_COST_GRIDS = ("r_grid", "s_grid", "e_grid")
+_WEIGHT_GRIDS = ("w0_grid", "w1_grid", "side_grid")
 
 
 class EmptyClassError(ValueError):
@@ -193,13 +197,23 @@ def template_side_features(
     return t.mean_ird, t.var_ird, pct
 
 
+def _histogram(
+    t: MinutiaTemplate, spec: BinSpec
+) -> Tuple[MinutiaTemplate, MinutiaeHistogram]:
+    """The 500-DPI template and its normalized 2D histogram. Raises
+    TooFewMinutiaeError for fewer than 2 minutiae or no pair within d_max,
+    which leaves no mass to average or transport."""
+    t500 = rescale_to_500dpi(t)
+    h = build_2dmh(t500, spec, normalize=True)
+    if h.pair_count == 0:
+        raise TooFewMinutiaeError("no minutiae pair within d_max")
+    return t500, h
+
+
 def classify_template(t: MinutiaTemplate, model: ClassModel) -> RealnessScore:
     """Full scoring path for one template: rescale, histogram, EMD difference,
     feature fusion with the model's trained weights."""
-    t500 = rescale_to_500dpi(t)
-    h = build_2dmh(t500, model.spec, normalize=True)
-    if h.pair_count == 0:
-        raise TooFewMinutiaeError("no minutiae pair within d_max")
+    t500, h = _histogram(t, model.spec)
     score = emd_difference_score(h, model)
     mean_ird, var_ird, pct_bif = template_side_features(t500)
     b, c, d, fused, decision = fuse_features(score.a, mean_ird, var_ird, pct_bif, model)
@@ -236,9 +250,15 @@ class TrainConfig:
     use_side_features: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("r_grid", "s_grid", "e_grid", "w0_grid", "w1_grid", "side_grid"):
-            if len(getattr(self, name)) == 0:
+        for name in _COST_GRIDS + _WEIGHT_GRIDS:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"{name} is empty")
+            for v in values:
+                if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                    raise ValueError(f"{name} values must be finite reals, got {v!r}")
+                if name in _COST_GRIDS and v <= 0:
+                    raise ValueError(f"{name} values must be > 0, got {v!r}")
         if len(self.split) != 3 or not all(
             isinstance(n, numbers.Integral) and n >= 0 for n in self.split
         ):
@@ -251,7 +271,7 @@ class TrainConfig:
             kwargs["spec"] = BinSpec(**kwargs["spec"])
         if "split" in kwargs:
             kwargs["split"] = tuple(kwargs["split"])
-        for key in ("r_grid", "s_grid", "e_grid", "w0_grid", "w1_grid", "side_grid"):
+        for key in _COST_GRIDS + _WEIGHT_GRIDS:
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
@@ -261,6 +281,7 @@ class TrainConfig:
 class TrainResult:
     model: ClassModel
     set2_accuracy: float
+    skipped: int = 0  # Set I/II templates without a minutiae pair within d_max
 
 
 def _finger_sort_key(finger_id: str):
@@ -291,17 +312,16 @@ def split_by_finger(
 
 
 def _prepare(templates: Sequence[MinutiaTemplate], spec: BinSpec):
-    """Rescale and histogram every usable template once."""
+    """Rescale and histogram every usable template once; returns the
+    (template, histogram) pairs and the number of templates skipped."""
     prepared = []
+    skipped = 0
     for t in templates:
-        t500 = rescale_to_500dpi(t)
-        if len(t500) < 2:
-            continue
-        h = build_2dmh(t500, spec, normalize=True)
-        if h.pair_count == 0:
-            continue  # all pairs beyond d_max: no mass to average or transport
-        prepared.append((t500, h))
-    return prepared
+        try:
+            prepared.append(_histogram(t, spec))
+        except TooFewMinutiaeError:
+            skipped += 1
+    return prepared, skipped
 
 
 def train(
@@ -317,19 +337,24 @@ def train(
     """
     real1, real2, _ = split_by_finger(real_templates, config.split)
     synth1, synth2, _ = split_by_finger(synth_templates, config.split)
-    for name, subset in (("real Set I", real1), ("synthetic Set I", synth1),
-                         ("real Set II", real2), ("synthetic Set II", synth2)):
+    subsets = {"real Set I": real1, "synthetic Set I": synth1,
+               "real Set II": real2, "synthetic Set II": synth2}
+    for name, subset in subsets.items():
         if not subset:
             raise EmptyClassError(f"class empty: no templates in {name}")
 
-    prep_r1 = _prepare(real1, config.spec)
-    prep_s1 = _prepare(synth1, config.spec)
+    prepared = [_prepare(subset, config.spec) for subset in subsets.values()]
+    for name, (pairs, skipped) in zip(subsets, prepared):
+        if not pairs:
+            raise EmptyClassError(
+                f"class empty: no template in {name} has a minutiae pair within d_max"
+                f" ({skipped} skipped)"
+            )
+    prep_r1, prep_s1, prep_r2, prep_s2 = (pairs for pairs, _ in prepared)
     avg_real = average_histogram([h for _, h in prep_r1])
     avg_synth = average_histogram([h for _, h in prep_s1])
 
-    prep2 = [(t, h, REAL) for t, h in _prepare(real2, config.spec)] + [
-        (t, h, SYNTHETIC) for t, h in _prepare(synth2, config.spec)
-    ]
+    prep2 = [(t, h, REAL) for t, h in prep_r2] + [(t, h, SYNTHETIC) for t, h in prep_s2]
     labels = np.array([1.0 if lab == REAL else -1.0 for _, _, lab in prep2])
 
     side_raw = np.array(
@@ -387,7 +412,8 @@ def train(
         params=params,
         spec=config.spec,
     )
-    return TrainResult(model=model, set2_accuracy=100.0 * accuracy)
+    skipped = sum(n for _, n in prepared)
+    return TrainResult(model=model, set2_accuracy=100.0 * accuracy, skipped=skipped)
 
 
 @dataclass

@@ -134,7 +134,7 @@ def _deletion_weights(
     evenly over the pairs inside it and credited to both pair members.
     """
     spec = cfg.target.spec
-    cost = build_cost_matrix(spec, cfg.params).cost
+    cost = build_cost_matrix(spec, cfg.params)
     bin_cost = np.zeros(spec.b_dist * spec.b_dir)
     for (i, j), mass in plan.flow.items():
         bin_cost[i] += mass * cost[i, j]

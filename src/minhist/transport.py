@@ -49,13 +49,6 @@ class CostParams:
 
 
 @dataclass
-class CostMatrix:
-    n_rows: int
-    n_cols: int
-    cost: np.ndarray  # (n_rows, n_cols), non-negative
-
-
-@dataclass
 class TransportPlan:
     """Optimal flow between two mass vectors.
 
@@ -66,36 +59,35 @@ class TransportPlan:
     flow: Dict[Tuple[int, int], float]
     total_cost: float
 
-    def to_dict(self) -> dict:
-        return {
-            "total_cost": self.total_cost,
-            "flow": [[i, j, m] for (i, j), m in sorted(self.flow.items())],
-        }
-
 
 @lru_cache(maxsize=64)
-def build_cost_matrix(spec: BinSpec, params: CostParams) -> CostMatrix:
+def build_cost_matrix(spec: BinSpec, params: CostParams) -> np.ndarray:
     """Ground cost between all pairs of 2D histogram bins, row-major
-    (distance-major) flattening: bin (x, u) has flat index x * b_dir + u."""
+    (distance-major) flattening: bin (x, u) has flat index x * b_dir + u.
+    The cached array is shared by every caller, so it is read-only."""
     dx = np.abs(np.subtract.outer(np.arange(spec.b_dist), np.arange(spec.b_dist)))
     du = np.abs(np.subtract.outer(np.arange(spec.b_dir), np.arange(spec.b_dir)))
     cost = (params.s * dx[:, None, :, None]) ** params.e + (
         params.r * du[None, :, None, :]
     ) ** params.e
     n = spec.b_dist * spec.b_dir
-    return CostMatrix(n_rows=n, n_cols=n, cost=cost.reshape(n, n))
+    cost = cost.reshape(n, n)
+    cost.flags.writeable = False
+    return cost
 
 
-def solve_transport(supply, demand, cost: CostMatrix) -> TransportPlan:
+def solve_transport(supply, demand, cost) -> TransportPlan:
     """Solve the balanced transportation problem to exact optimality.
 
-    Marginals must be non-negative and balanced within tolerance. The
-    returned plan is a basic optimal solution (at most n_rows + n_cols - 1
-    nonzero flows); its total cost is deterministic for fixed input.
+    `cost` is a 2D array-like of shape (len(supply), len(demand)). Marginals
+    must be non-negative and balanced within tolerance. The returned plan is
+    a basic optimal solution (at most len(supply) + len(demand) - 1 nonzero
+    flows); its total cost is deterministic for fixed input.
     """
     supply = np.asarray(supply, dtype=float).ravel()
     demand = np.asarray(demand, dtype=float).ravel()
-    if supply.shape[0] != cost.n_rows or demand.shape[0] != cost.n_cols:
+    cost = np.asarray(cost, dtype=float)
+    if cost.shape != (supply.shape[0], demand.shape[0]):
         raise ValueError("marginal lengths do not match the cost matrix")
     if (supply < 0).any() or (demand < 0).any():
         raise ValueError("masses must be non-negative")
@@ -118,22 +110,9 @@ def solve_transport(supply, demand, cost: CostMatrix) -> TransportPlan:
         d_int[int(np.argmax(d_int))] += diff
     elif diff < 0:
         s_int[int(np.argmax(s_int))] -= diff
-    sub_cost = cost.cost[np.ix_(rows, cols)]
+    sub_cost = cost[np.ix_(rows, cols)]
 
-    flow_int = _solve_lp(s_int, d_int, sub_cost)
-    flow: Dict[Tuple[int, int], float] = {}
-    total_cost = 0.0
-    fi, fj = np.nonzero(flow_int)
-    for a, b in zip(fi, fj):
-        mass = flow_int[a, b] / MASS_SCALE
-        flow[(int(rows[a]), int(cols[b]))] = mass
-        total_cost += mass * sub_cost[a, b]
-    return TransportPlan(flow=flow, total_cost=total_cost)
-
-
-def _solve_lp(s_int: np.ndarray, d_int: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """HiGHS simplex on the transportation LP; returns the integral flow matrix."""
-    m, n = len(s_int), len(d_int)
+    m, n = len(rows), len(cols)
     var = m * n
     row_idx = np.concatenate(
         [np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)]
@@ -143,11 +122,17 @@ def _solve_lp(s_int: np.ndarray, d_int: np.ndarray, cost: np.ndarray) -> np.ndar
         (np.ones(2 * var), (row_idx, col_idx)), shape=(m + n, var)
     )
     b_eq = np.concatenate([s_int, d_int]).astype(float)
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs")
+    res = linprog(sub_cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs")
     if res.status != 0:
         raise RuntimeError(f"transportation solve failed: {res.message}")
     # Integral marginals imply an integral optimal vertex; snap off float fuzz.
-    return np.rint(res.x.reshape(m, n)).astype(np.int64)
+    flow_int = np.rint(res.x.reshape(m, n)).astype(np.int64)
+    fi, fj = np.nonzero(flow_int)
+    mass = flow_int[fi, fj] / MASS_SCALE
+    flow = dict(zip(zip(rows[fi].tolist(), cols[fj].tolist()), mass.tolist()))
+    # A running sum in flow order: np.sum's pairwise order would change bits.
+    total_cost = np.cumsum(np.append(0.0, mass * sub_cost[fi, fj]))[-1]
+    return TransportPlan(flow=flow, total_cost=float(total_cost))
 
 
 def _check_emd_inputs(h1: MinutiaeHistogram, h2: MinutiaeHistogram) -> None:

@@ -27,7 +27,7 @@ from minhist.realness import (
 )
 from minhist.refine import OrientationField, RefineConfig, init_template, refine
 from minhist.template import Minutia, MinutiaTemplate
-from minhist.transport import CostMatrix, CostParams, emd, solve_transport
+from minhist.transport import CostParams, emd, solve_transport
 
 from genpop import make_population, make_template
 from oracles import brute_force_transport_cost
@@ -100,7 +100,7 @@ def test_criterion_01_solver_exactness():
             continue
         demand = rng.multinomial(total, np.full(n, 1.0 / n)).astype(float)
         cost = np.round(rng.uniform(0.0, 10.0, (m, n)), 3)
-        got = solve_transport(supply, demand, CostMatrix(m, n, cost)).total_cost
+        got = solve_transport(supply, demand, cost).total_cost
         want = brute_force_transport_cost(supply, demand, cost)
         worst = max(worst, abs(got - want))
         checked += 1

@@ -109,6 +109,16 @@ class TestTrainCommand:
                      "--split", "3/3/0", "--out", str(out)])
         assert code == 0
 
+    def test_reports_skipped_templates(self, data, tmp_path, capsys):
+        # finger 1 lies in Set I; the template's one pair lies beyond d_max
+        real_dir = _dir_plus(data["real_dir"], tmp_path, "finger 1\nimpression 9\n" + FAR_PAIR)
+        out = tmp_path / "m.json"
+        code = main(["--config", str(data["config"]), "train",
+                     real_dir, str(data["synth_dir"]), "--out", str(out)])
+        assert code == 0
+        assert "skipped: 1" in capsys.readouterr().out
+        assert out.read_text() == data["model"].read_text()
+
     def test_empty_class_exits_4(self, data, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -278,6 +288,19 @@ class TestConfigHandling:
             main(["frobnicate"])
         assert excinfo.value.code >= 2
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "m.json"],
+        ["frobnicate"],
+        ["histogram", "x.mnt", "--dims", "3"],
+    ])
+    def test_command_line_errors_exit_64(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 64
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: " in err
+
 
 # --- the error contract -----------------------------------------------------
 
@@ -369,6 +392,9 @@ ERROR_CASES = {
     "train-empty-side-grid": (64, lambda d, tmp: [
         *_config(tmp, {"train": {"split": [2, 2, 2], "side_grid": []}}), *_train(d, tmp)],
         "side_grid is empty"),
+    "train-grid-value-not-a-number": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"split": [2, 2, 2], "w0_grid": ["x"]}}), *_train(d, tmp)],
+        "w0_grid"),
     "train-split-flag-not-integers": (64, lambda d, tmp: [
         "--config", str(d["config"]), *_train(d, tmp, "--split", "a/b/c")],
         None),

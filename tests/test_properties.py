@@ -73,7 +73,7 @@ def test_builders_equal_pair_loop(t, spec):
     uniform = np.full((spec.b_dist, spec.b_dir), 1.0 / n_bins)
     target = MinutiaeHistogram(spec=spec, dims=2, mass=uniform, normalized=True, pair_count=1)
     cfg = RefineConfig(target=target, threshold=1.0)
-    cost = build_cost_matrix(spec, cfg.params).cost
+    cost = build_cost_matrix(spec, cfg.params)
     occupied = {di * spec.b_dir + ai for _, _, di, ai in pairs}
     for b in sorted(occupied) + [next(b for b in range(n_bins) if b not in occupied)]:
         sink = n_bins - 1 if b == 0 else 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from minhist.realness import (
     REAL,
     SYNTHETIC,
     ClassModel,
+    EmptyClassError,
     TrainConfig,
     average_histogram,
     classify_template,
@@ -199,6 +202,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="class empty"):
             train(real, synth, TrainConfig(split=(2, 2, 2), **EMD_ONLY))
 
+    @pytest.mark.parametrize("finger", [0, 1])  # Sets I and II
+    def test_class_of_unusable_templates_rejected(self, finger):
+        real = make_population(106, 2, 2, "broad", REAL)
+        synth = make_population(206, 2, 2, "cluster", SYNTHETIC)
+        # every template of one real finger keeps only its first minutia
+        real = [
+            replace(t, minutiae=t.minutiae[:1]) if t.finger_id == str(finger + 1) else t
+            for t in real
+        ]
+        with pytest.raises(EmptyClassError, match="class empty: no template in real Set I+ has a minutiae pair"):
+            train(real, synth, TrainConfig(split=(1, 1, 0), **EMD_ONLY))
+
     def test_side_features_skipped_when_absent(self):
         real = [
             MinutiaTemplate(minutiae=t.minutiae, dpi=500, finger_id=t.finger_id,
@@ -225,6 +240,27 @@ class TestTrain:
         result = train(real + [far], synth, TrainConfig(split=(2, 2, 2), **EMD_ONLY))
         assert result.model.avg_real.total() == pytest.approx(1.0)
 
+    def test_unusable_templates_are_counted(self):
+        real = make_population(105, 6, 2, "broad", REAL)
+        synth = make_population(205, 6, 2, "cluster", SYNTHETIC)
+        config = TrainConfig(split=(2, 2, 2), **EMD_ONLY)
+        baseline = train(real, synth, config)
+        assert baseline.skipped == 0
+        _, set2, _ = split_by_finger(synth, config.split)
+        # Set I: one pair, 300 px apart, beyond d_max; Set II: a single minutia
+        far = MinutiaTemplate(
+            minutiae=(Minutia(0.0, 0.0, 0.0, ENDING), Minutia(300.0, 0.0, 90.0, ENDING)),
+            dpi=500, label=REAL, finger_id=real[0].finger_id, impression_id="far",
+        )
+        single = MinutiaTemplate(
+            minutiae=(Minutia(10.0, 20.0, 30.0, ENDING),), dpi=500, label=SYNTHETIC,
+            finger_id=set2[0].finger_id, impression_id="single",
+        )
+        result = train(real + [far], synth + [single], config)
+        assert result.skipped == 2
+        assert result.model.to_dict() == baseline.model.to_dict()
+        assert result.set2_accuracy == baseline.set2_accuracy
+
     def test_deterministic(self):
         real = make_population(103, 6, 2, "broad", REAL)
         synth = make_population(203, 6, 2, "cluster", SYNTHETIC)
@@ -241,6 +277,14 @@ class TestTrain:
     {"split": (2, 2)},
     {"split": (2, -1, 2)},
     {"split": (2, 1.5, 2)},
+    {"r_grid": ("a",)},
+    {"r_grid": (1.0, float("inf"))},
+    {"s_grid": (0.0,)},
+    {"e_grid": (-1.0,)},
+    {"e_grid": (None,)},
+    {"w0_grid": ("x",)},
+    {"w1_grid": (float("nan"),)},
+    {"side_grid": (0.0, float("-inf"))},
 ])
 def test_train_config_rejects_empty_grids_and_bad_splits(kwargs):
     with pytest.raises(ValueError):

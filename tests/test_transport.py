@@ -3,12 +3,10 @@ import pytest
 
 from minhist.histogram import BinSpec, MinutiaeHistogram
 from minhist.transport import (
-    CostMatrix,
     CostParams,
     build_cost_matrix,
     emd,
     solve_transport,
-    transport_plan,
 )
 
 from oracles import brute_force_transport_cost
@@ -45,35 +43,52 @@ class TestBuildCostMatrix:
         spec = BinSpec(b_dist=3, b_dir=3)
         cm = build_cost_matrix(spec, CostParams(r=1, s=1, e=1))
         # flat index of bin (x, u) is x * b_dir + u
-        assert cm.cost[0, 1 * 3 + 0] == 1.0  # (0,0) -> (1,0)
-        assert cm.cost[0, 1 * 3 + 1] == 2.0  # (0,0) -> (1,1)
+        assert cm[0, 1 * 3 + 0] == 1.0  # (0,0) -> (1,0)
+        assert cm[0, 1 * 3 + 1] == 2.0  # (0,0) -> (1,1)
 
     def test_direct_substitution(self):
         spec = BinSpec(b_dist=3, b_dir=3)
         cm = build_cost_matrix(spec, CostParams(r=3, s=2, e=1))
-        assert cm.cost[0, 1 * 3 + 2] == 2.0 + 6.0  # (0,0) -> (1,2)
+        assert cm[0, 1 * 3 + 2] == 2.0 + 6.0  # (0,0) -> (1,2)
 
     def test_zero_diagonal_and_symmetry(self):
         spec = BinSpec(b_dist=4, b_dir=5)
         cm = build_cost_matrix(spec, CostParams(r=0.7, s=1.3, e=2.0))
-        assert np.all(np.diag(cm.cost) == 0.0)
-        assert (cm.cost[np.eye(20, dtype=bool) == 0] > 0).all()
-        np.testing.assert_allclose(cm.cost, cm.cost.T)
+        assert np.all(np.diag(cm) == 0.0)
+        assert (cm[np.eye(20, dtype=bool) == 0] > 0).all()
+        np.testing.assert_allclose(cm, cm.T)
 
     def test_direction_axis_is_linear_not_circular(self):
         spec = BinSpec(b_dist=1, b_dir=10)
         cm = build_cost_matrix(spec, CostParams())
-        assert cm.cost[0, 9] == 9.0  # ends of the folded axis are far apart
+        assert cm[0, 9] == 9.0  # ends of the folded axis are far apart
+
+    def test_cached_cost_is_read_only(self):
+        spec = BinSpec(b_dist=4, b_dir=4)
+        params = CostParams(r=1, s=2, e=1)
+        mass1 = np.zeros((4, 4))
+        mass2 = np.zeros((4, 4))
+        mass1[0, 0] = 1.0
+        mass2[1, 1] = 1.0
+        h1, h2 = make_hist(mass1), make_hist(mass2)
+        before = emd(h1, h2, params)
+        assert before == pytest.approx(3.0, abs=1e-9)
+        cost = build_cost_matrix(spec, params)
+        with pytest.raises(ValueError):
+            cost[0, 5] = 0.0
+        with pytest.raises(ValueError):
+            cost *= 0.0
+        assert emd(h1, h2, params) == before
 
 
 class TestSolveTransport:
     def test_identical_marginals_zero_cost(self):
-        cost = CostMatrix(3, 3, np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float))
+        cost = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
         plan = solve_transport([0.2, 0.3, 0.5], [0.2, 0.3, 0.5], cost)
         assert plan.total_cost == pytest.approx(0.0, abs=1e-12)
 
     def test_two_bin_single_move(self):
-        cost = CostMatrix(2, 2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         plan = solve_transport([1.0, 0.0], [0.0, 1.0], cost)
         assert plan.total_cost == pytest.approx(1.0, abs=1e-9)
         assert plan.flow[(0, 1)] == pytest.approx(1.0, abs=1e-9)
@@ -88,7 +103,7 @@ class TestSolveTransport:
             demand = rng.multinomial(total, [1 / 3] * 3).astype(float)
             cost = rng.integers(0, 9, (3, 3)).astype(float)
             np.fill_diagonal(cost, 0.0)
-            plan = solve_transport(supply, demand, CostMatrix(3, 3, cost))
+            plan = solve_transport(supply, demand, cost)
             expected = brute_force_transport_cost(supply, demand, cost)
             assert plan.total_cost == pytest.approx(expected, abs=1e-9)
 
@@ -99,7 +114,7 @@ class TestSolveTransport:
         demand = rng.random(9)
         demand /= demand.sum()
         cost = rng.random((9, 9)) * 5
-        plan = solve_transport(supply, demand, CostMatrix(9, 9, cost))
+        plan = solve_transport(supply, demand, cost)
         row = np.zeros(9)
         col = np.zeros(9)
         recomputed = 0.0
@@ -119,16 +134,16 @@ class TestSolveTransport:
         demand = rng.random(8)
         demand /= demand.sum()
         cost = rng.random((8, 8))
-        plan = solve_transport(supply, demand, CostMatrix(8, 8, cost))
+        plan = solve_transport(supply, demand, cost)
         assert len(plan.flow) <= 8 + 8 - 1
 
     def test_unbalanced_rejected(self):
-        cost = CostMatrix(2, 2, np.zeros((2, 2)))
+        cost = np.zeros((2, 2))
         with pytest.raises(ValueError, match="unbalanced"):
             solve_transport([1.0, 0.0], [0.0, 0.5], cost)
 
     def test_negative_mass_rejected(self):
-        cost = CostMatrix(2, 2, np.zeros((2, 2)))
+        cost = np.zeros((2, 2))
         with pytest.raises(ValueError, match="non-negative"):
             solve_transport([1.0, -1.0], [0.0, 0.0], cost)
 
@@ -138,13 +153,26 @@ class TestSolveTransport:
         demand = rng.random(6)
         demand *= supply.sum() / demand.sum()
         cost = rng.random((6, 6)) * 3
-        base = solve_transport(supply, demand, CostMatrix(6, 6, cost)).total_cost
+        base = solve_transport(supply, demand, cost).total_cost
         for lam in (0.25, 2.0, 7.5):
-            scaled = solve_transport(lam * supply, lam * demand, CostMatrix(6, 6, cost))
+            scaled = solve_transport(lam * supply, lam * demand, cost)
             assert scaled.total_cost == pytest.approx(lam * base, rel=1e-6, abs=1e-8)
 
+    def test_cost_shape_must_match_marginals(self):
+        with pytest.raises(ValueError, match="marginal lengths"):
+            solve_transport([0.5, 0.5], [0.5, 0.5], np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="marginal lengths"):
+            solve_transport([0.5, 0.5], [1.0], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="marginal lengths"):
+            solve_transport([0.5, 0.5], [0.5, 0.5], np.zeros(4))
+
+    def test_nested_list_cost(self):
+        plan = solve_transport([1.0, 0.0], [0.0, 1.0], [[0.0, 2.0], [2.0, 0.0]])
+        assert plan.total_cost == pytest.approx(2.0, abs=1e-9)
+        assert plan.flow == {(0, 1): 1.0}
+
     def test_zero_total_mass(self):
-        plan = solve_transport([0.0, 0.0], [0.0, 0.0], CostMatrix(2, 2, np.ones((2, 2))))
+        plan = solve_transport([0.0, 0.0], [0.0, 0.0], np.ones((2, 2)))
         assert plan.total_cost == 0.0
         assert plan.flow == {}
 
@@ -200,12 +228,3 @@ class TestEmd:
             a, b, c = (random_normalized_hist(rng, 5, 5) for _ in range(3))
             ab, bc, ac = emd(a, b, params), emd(b, c, params), emd(a, c, params)
             assert ac <= ab + bc + 1e-7
-
-    def test_plan_serialization(self):
-        rng = np.random.default_rng(18)
-        h1 = random_normalized_hist(rng, 4, 4)
-        h2 = random_normalized_hist(rng, 4, 4)
-        plan = transport_plan(h1, h2)
-        payload = plan.to_dict()
-        assert payload["total_cost"] == plan.total_cost
-        assert all(len(row) == 3 for row in payload["flow"])
