@@ -36,6 +36,8 @@ class DistanceMatrix:
         n = len(self.labels)
         if self.d.shape != (n, n):
             raise ValueError("distance matrix shape does not match the labels")
+        if not np.isfinite(self.d).all():
+            raise ValueError("distance matrix has non-finite entries")
         if (self.d < 0).any():
             raise ValueError("distance matrix has negative entries")
         if not np.allclose(self.d, self.d.T, atol=1e-9, rtol=0.0):

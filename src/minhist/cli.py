@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -146,7 +146,7 @@ def cmd_train(args, config: dict) -> int:
 def cmd_classify(args, config: dict) -> int:
     model = _read(ClassModel.load, args.model, EXIT_BAD_MODEL)
     score = classify_template(_read(load_template, args.template, EXIT_PARSE), model)
-    json.dump(score.to_dict(), sys.stdout)
+    json.dump(asdict(score), sys.stdout)
     sys.stdout.write("\n")
     return EXIT_REAL if score.decision == "real" else EXIT_SYNTHETIC
 
@@ -176,6 +176,8 @@ def cmd_identify_enroll(args, config: dict) -> int:
 
 
 def cmd_identify_search(args, config: dict) -> int:
+    if args.top < 1:
+        raise CliError(EXIT_USAGE, f"--top must be at least 1, got {args.top}")
     index = _read(GalleryIndex.load, args.index, EXIT_BAD_MODEL)
     result = search(index, _read(load_template, args.template, EXIT_PARSE))
     payload = {

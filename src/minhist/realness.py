@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,9 +67,15 @@ class ClassModel:
         self.weights = tuple(float(w) for w in self.weights)
         if len(self.weights) != 5:
             raise ValueError("expected 5 fusion weights w0..w4")
-        for name, (_, scale) in self.feature_norms.items():
-            if scale <= 0:
-                raise ValueError(f"feature scale for {name!r} must be strictly positive")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError(f"fusion weights must be finite, got {list(self.weights)!r}")
+        for name, (offset, scale) in self.feature_norms.items():
+            if name not in SIDE_FEATURES:
+                raise ValueError(f"unknown feature {name!r} in feature_norms")
+            if not (math.isfinite(offset) and math.isfinite(scale) and scale > 0):
+                raise ValueError(
+                    f"feature norm for {name!r} needs a finite offset and a finite scale > 0"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -102,28 +108,18 @@ class ClassModel:
 
 @dataclass
 class RealnessScore:
-    """Per-template score log; decision is "real" or "synthetic"."""
+    """Per-template score log; decision is "real" or "synthetic". The field
+    order is the key order of `classify`'s JSON and the column order of
+    `evaluate`'s CSV."""
 
     emd_real: float
     emd_synth: float
     a: float
+    b: Optional[float]
+    c: Optional[float]
+    d: Optional[float]
+    fused: Optional[float]
     decision: str
-    b: Optional[float] = None
-    c: Optional[float] = None
-    d: Optional[float] = None
-    fused: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "emd_real": self.emd_real,
-            "emd_synth": self.emd_synth,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "fused": self.fused,
-            "decision": self.decision,
-        }
 
 
 def average_histogram(hs: Sequence[MinutiaeHistogram]) -> MinutiaeHistogram:
@@ -155,7 +151,19 @@ def emd_difference_score(h: MinutiaeHistogram, model: ClassModel) -> RealnessSco
     emd_synth = emd(h, model.avg_synth, model.params)
     a = emd_synth - emd_real
     decision = REAL if emd_real < emd_synth else SYNTHETIC
-    return RealnessScore(emd_real=emd_real, emd_synth=emd_synth, a=a, decision=decision)
+    return RealnessScore(emd_real=emd_real, emd_synth=emd_synth, a=a,
+                         b=None, c=None, d=None, fused=None, decision=decision)
+
+
+def _fuse(weights, a, side):
+    """s = w0 + w1*a + w2*b + w3*c + w4*d, added left to right, leaving out
+    each side feature of `side` = (b, c, d) that is None. Works on scalars
+    and elementwise on arrays, so training and scoring round alike."""
+    fused = weights[0] + weights[1] * a
+    for w, value in zip(weights[2:], side):
+        if value is not None:
+            fused = fused + w * value
+    return fused
 
 
 def fuse_features(
@@ -167,25 +175,18 @@ def fuse_features(
 ) -> Tuple[Optional[float], Optional[float], Optional[float], float, str]:
     """Linear fusion s = w0 + w1*a + w2*b + w3*c + w4*d of the EMD difference
     with z-scored side features. Returns (b, c, d, fused, decision)."""
-    w0, w1, w2, w3, w4 = model.weights
-    raw = {"mean_ird": mean_ird, "var_ird": var_ird, "pct_bif": pct_bif}
-    side_weights = {"mean_ird": w2, "var_ird": w3, "pct_bif": w4}
-    normed: Dict[str, Optional[float]] = {}
-    for name in SIDE_FEATURES:
-        value = raw[name]
+    normed: List[Optional[float]] = []
+    for name, value, w in zip(SIDE_FEATURES, (mean_ird, var_ird, pct_bif), model.weights[2:]):
         if value is None:
-            if side_weights[name] != 0.0:
+            if w != 0.0:
                 raise ValueError(f"feature {name!r} is required by a nonzero weight")
-            normed[name] = None
+            normed.append(None)
         else:
             offset, scale = model.feature_norms.get(name, (0.0, 1.0))
-            normed[name] = (value - offset) / scale
-    fused = w0 + w1 * a
-    for name in SIDE_FEATURES:
-        if normed[name] is not None:
-            fused += side_weights[name] * normed[name]
+            normed.append((value - offset) / scale)
+    fused = _fuse(model.weights, a, normed)
     decision = REAL if fused > 0 else SYNTHETIC
-    return normed["mean_ird"], normed["var_ird"], normed["pct_bif"], fused, decision
+    return (*normed, fused, decision)
 
 
 def template_side_features(
@@ -217,16 +218,7 @@ def classify_template(t: MinutiaTemplate, model: ClassModel) -> RealnessScore:
     score = emd_difference_score(h, model)
     mean_ird, var_ird, pct_bif = template_side_features(t500)
     b, c, d, fused, decision = fuse_features(score.a, mean_ird, var_ird, pct_bif, model)
-    return RealnessScore(
-        emd_real=score.emd_real,
-        emd_synth=score.emd_synth,
-        a=score.a,
-        b=b,
-        c=c,
-        d=d,
-        fused=fused,
-        decision=decision,
-    )
+    return replace(score, b=b, c=c, d=d, fused=fused, decision=decision)
 
 
 @dataclass
@@ -354,54 +346,39 @@ def train(
     avg_real = average_histogram([h for _, h in prep_r1])
     avg_synth = average_histogram([h for _, h in prep_s1])
 
-    prep2 = [(t, h, REAL) for t, h in prep_r2] + [(t, h, SYNTHETIC) for t, h in prep_s2]
-    labels = np.array([1.0 if lab == REAL else -1.0 for _, _, lab in prep2])
+    prep2 = prep_r2 + prep_s2
+    is_real = np.arange(len(prep2)) < len(prep_r2)
 
-    side_raw = np.array(
-        [
-            [v if v is not None else np.nan for v in template_side_features(t)]
-            for t, _, _ in prep2
-        ]
-    )
+    # None (an absent feature) becomes NaN
+    side_raw = np.array([template_side_features(t) for t, _ in prep2], dtype=float)
     have_side = config.use_side_features and not np.isnan(side_raw).any()
     if have_side:
         offsets = side_raw.mean(axis=0)
         scales = side_raw.std(axis=0)
         scales[scales <= 0] = 1.0
-        side = (side_raw - offsets) / scales
+        side = tuple(((side_raw - offsets) / scales).T)  # columns b, c, d
         feature_norms = {
             name: (float(offsets[k]), float(scales[k]))
             for k, name in enumerate(SIDE_FEATURES)
         }
     else:
-        side = np.zeros_like(side_raw)
+        side = (None, None, None)
         feature_norms = {name: (0.0, 1.0) for name in SIDE_FEATURES}
 
     side_grid = config.side_grid if have_side else (0.0,)
-    weight_vectors = [
-        np.array(w)
-        for w in itertools.product(
-            config.w0_grid, config.w1_grid, side_grid, side_grid, side_grid
-        )
-    ]
-    design_tail = np.nan_to_num(side)  # columns b, c, d
+    weight_vectors = list(
+        itertools.product(config.w0_grid, config.w1_grid, side_grid, side_grid, side_grid)
+    )
 
     best = None  # (accuracy, params, weights)
     for r, s, e in itertools.product(config.r_grid, config.s_grid, config.e_grid):
         params = CostParams(r=r, s=s, e=e)
-        a = np.array(
-            [
-                emd(h, avg_synth, params) - emd(h, avg_real, params)
-                for _, h, _ in prep2
-            ]
-        )
-        design = np.column_stack([np.ones(len(prep2)), a, design_tail])
+        a = np.array([emd(h, avg_synth, params) - emd(h, avg_real, params) for _, h in prep2])
         for w in weight_vectors:
-            fused = design @ w
-            predicted = np.where(fused > 0, 1.0, -1.0)  # ties -> synthetic
-            accuracy = float((predicted == labels).mean())
+            # ties (fused == 0) count as synthetic
+            accuracy = float(((_fuse(w, a, side) > 0) == is_real).mean())
             if best is None or accuracy > best[0]:
-                best = (accuracy, params, tuple(float(x) for x in w))
+                best = (accuracy, params, w)
 
     accuracy, params, weights = best
     model = ClassModel(
@@ -426,15 +403,9 @@ class EvaluationReport:
     def write_csv(self, path: Path | str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["template", "emd_real", "emd_synth", "a", "b", "c", "d",
-                 "fused", "decision", "label"]
-            )
+            writer.writerow(["template", *(f.name for f in fields(RealnessScore)), "label"])
             for template_id, label, score in self.rows:
-                writer.writerow(
-                    [template_id, score.emd_real, score.emd_synth, score.a,
-                     score.b, score.c, score.d, score.fused, score.decision, label]
-                )
+                writer.writerow([template_id, *astuple(score), label])
 
 
 def evaluate(model: ClassModel, templates: Sequence[MinutiaTemplate]) -> EvaluationReport:

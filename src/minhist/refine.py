@@ -67,6 +67,10 @@ class RefineConfig:
     def __post_init__(self) -> None:
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if not self.moves:
             raise ValueError("at least one move must be enabled")
         for move in self.moves:

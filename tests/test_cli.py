@@ -148,6 +148,12 @@ class TestClassifyCommand:
         assert code == 1
         assert json.loads(capsys.readouterr().out)["decision"] == "synthetic"
 
+    def test_json_keys_in_order(self, data, capsys):
+        main(["classify", str(data["model"]), str(data["real_template"])])
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["emd_real", "emd_synth", "a", "b", "c", "d",
+                                 "fused", "decision"]
+
     def test_corrupt_model_exits_5(self, data, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
@@ -170,6 +176,13 @@ class TestEvaluateCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("template,")
         assert len(lines) == 1 + 24
+
+    def test_csv_header(self, data, tmp_path):
+        out = tmp_path / "report.csv"
+        main(["evaluate", str(data["model"]), str(data["real_dir"]),
+              str(data["synth_dir"]), "--out", str(out)])
+        header = out.read_text().splitlines()[0]
+        assert header == "template,emd_real,emd_synth,a,b,c,d,fused,decision,label"
 
 
 @pytest.fixture(scope="module")
@@ -368,8 +381,12 @@ def _classify(tmp, model, text):
     return ["classify", model, _file(tmp, "probe.mnt", text)]
 
 
-def _search(d, tmp, index):
-    return ["identify", "search", index, str(d["gallery_template"])]
+def _search(d, tmp, index, *extra):
+    return ["identify", "search", index, str(d["gallery_template"]), *extra]
+
+
+def _norm(name, offset, scale):
+    return lambda payload: payload["feature_norms"].update({name: [offset, scale]})
 
 
 # (exit status, argv builder, a substring of stderr or None)
@@ -448,6 +465,25 @@ ERROR_CASES = {
         d["model"], tmp, _avg_real(_setitem(0, 0.5))), NO_IRD), "sum to 1"),
     "model-spec-mismatch": (5, lambda d, tmp: _classify(tmp, _edited(
         d["model"], tmp, lambda p: p["spec"].update(b_dist=5)), NO_IRD), "bin specification"),
+    "model-nan-weight": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p.update(weights=[float("nan"), 1, 0, 0, 0])), NO_IRD),
+        "finite"),
+    "model-infinite-weight": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p.update(weights=[float("inf"), 1, 0, 0, 0])), NO_IRD),
+        "finite"),
+    "model-nan-feature-norm": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, _norm("mean_ird", float("nan"), 1.0)),
+        str(d["real_template"])], "finite"),
+    "model-unknown-feature-norm": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, _norm("pct_BIF", 35.0, 10.0)),
+        str(d["real_template"])], "pct_BIF"),
+    "mds-infinite-distance": (2, lambda d, tmp: [
+        "mds", _file(tmp, "d.csv", "a,0,inf\nb,inf,0\n"), "--out", str(tmp / "c.csv")],
+        "non-finite"),
+    "search-top-negative": (64, lambda d, tmp: _search(d, tmp, str(d["index"]), "--top", "-1"),
+        "--top"),
+    "refine-max-iters-negative": (64, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "1", "--max-iters", "-3"), "max_iters"),
     "index-mass-idx-too-large": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, _first_entry("mass_idx", _setitem(0, 10 ** 7)))), "mass_idx"),
     "index-mass-idx-negative": (5, lambda d, tmp: _search(d, tmp, _edited(

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from minhist import realness
 from minhist.histogram import BinSpec, MinutiaeHistogram
 from minhist.realness import (
     REAL,
@@ -150,6 +151,19 @@ class TestFuseFeatures:
         _, _, _, fused, _ = fuse_features(2.0, None, None, None, model)
         assert fused == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("rows", [2, 3, 8])
+    def test_training_rule_matches_scoring_rule(self, rows):
+        # a sum that is 2.2e-16 left to right; a BLAS dot product of the same
+        # terms rounds it to 0.0, a tie, and so to the other decision
+        weights = (0.5, 1.0, 1.0, -1.0, 1.0)
+        a, b, c, d = -2.0, -1.8, -2.0, 1.3
+        _, _, _, fused, decision = fuse_features(a, b, c, d, self._model(weights))
+        assert fused > 0 and decision == REAL
+        side = tuple(np.full(rows, v) for v in (b, c, d))
+        on_arrays = realness._fuse(weights, np.full(rows, a), side)
+        assert [x.hex() for x in on_arrays.tolist()] == [fused.hex()] * rows
+        assert (on_arrays > 0).all()
+
 
 def test_template_side_features():
     t = MinutiaTemplate(
@@ -260,6 +274,23 @@ class TestTrain:
         assert result.skipped == 2
         assert result.model.to_dict() == baseline.model.to_dict()
         assert result.set2_accuracy == baseline.set2_accuracy
+
+    @pytest.mark.parametrize("use_side_features", [True, False])
+    def test_set2_accuracy_is_the_accuracy_of_the_model(self, use_side_features):
+        # two broad populations: no rule on the grid separates their Set II,
+        # so the trained model gets some templates wrong
+        real = make_population(116, 5, 2, "broad", REAL)
+        synth = make_population(216, 5, 2, "broad", SYNTHETIC)
+        config = TrainConfig(split=(2, 3, 0), r_grid=(1.0,), s_grid=(1.0,), e_grid=(1.0,),
+                             use_side_features=use_side_features)
+        result = train(real, synth, config)
+        assert 0.0 < result.set2_accuracy < 100.0
+        assert result.model.weights[1] != 0.0  # the EMD difference takes part
+        _, real2, _ = split_by_finger(real, config.split)
+        _, synth2, _ = split_by_finger(synth, config.split)
+        right = [classify_template(t, result.model).decision == t.label
+                 for t in real2 + synth2]
+        assert result.set2_accuracy == 100.0 * sum(right) / len(right)
 
     def test_deterministic(self):
         real = make_population(103, 6, 2, "broad", REAL)

@@ -79,6 +79,14 @@ class TestRefineConfig:
         with pytest.raises(ValueError, match="normalized"):
             RefineConfig(target=raw, threshold=0.1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": -1}, "max_iters"),
+        ({"batch_size": 0}, "batch_size"),
+    ])
+    def test_counts_that_cannot_work_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RefineConfig(target=target_histogram(), threshold=0.1, **kwargs)
+
 
 class TestInitTemplate:
     def test_deterministic(self):
