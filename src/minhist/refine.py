@@ -6,14 +6,16 @@ by a coin flip. It is then refined by greedy hill climbing: per iteration a
 batch of candidate moves (add a minutia, delete one, flip a direction by
 180 degrees) is scored by the EMD of the candidate's 2D histogram to a
 target histogram, and the best strictly improving move is accepted. The
-optimal transport flow of the current histogram identifies the bins that
-contribute the most cost, and deletions are biased toward minutiae whose
-pairs populate those bins. Everything is seeded and fully deterministic.
+optimal transport flow of the current histogram, the only transport plan
+built per iteration, identifies the bins that contribute the most cost, and
+deletions are biased toward minutiae whose pairs populate those bins.
+Everything is seeded and fully deterministic.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -22,7 +24,7 @@ import numpy as np
 
 from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _pair_bins, build_2dmh
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
-from .transport import CostParams, TransportPlan, build_cost_matrix, transport_plan
+from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
 
 Move = str  # "add", "delete", "flip"
 
@@ -65,8 +67,8 @@ class RefineConfig:
     params: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
         if self.batch_size < 1:
@@ -201,19 +203,19 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     spec = cfg.target.spec
 
     current = t
-    start = build_2dmh(current, spec)
-    if start.pair_count == 0:
+    current_hist = build_2dmh(current, spec)
+    if current_hist.pair_count == 0:
         raise TooFewMinutiaeError("initial template has no minutiae pair within d_max")
-    plan = transport_plan(start, cfg.target, cfg.params)
-    current_emd = plan.total_cost
+    current_emd = emd(current_hist, cfg.target, cfg.params)
     trace = [TraceRow(iteration=0, emd=current_emd, move="init")]
     if current_emd <= cfg.threshold:
         return RefineResult(template=current, trace=trace, status="success",
                             final_emd=current_emd)
 
     for iteration in range(1, cfg.max_iters + 1):
+        plan = transport_plan(current_hist, cfg.target, cfg.params)
         delete_weights = _deletion_weights(current, plan, cfg)
-        best: Optional[Tuple[float, TransportPlan, MinutiaTemplate, str]] = None
+        best: Optional[Tuple[float, MinutiaeHistogram, MinutiaTemplate, str]] = None
         for _ in range(cfg.batch_size):
             candidate, desc = _propose(rng, current, cfg, delete_weights)
             if candidate is None:
@@ -221,15 +223,13 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
             cand_hist = build_2dmh(candidate, spec)
             if cand_hist.pair_count == 0:
                 continue  # all pairs beyond d_max; histogram undefined as a distribution
-            cand_plan = transport_plan(cand_hist, cfg.target, cfg.params)
-            if cand_plan.total_cost < current_emd and (
-                best is None or cand_plan.total_cost < best[0]
-            ):
-                best = (cand_plan.total_cost, cand_plan, candidate, desc)
+            cand_emd = emd(cand_hist, cfg.target, cfg.params)
+            if cand_emd < current_emd and (best is None or cand_emd < best[0]):
+                best = (cand_emd, cand_hist, candidate, desc)
         if best is None:
             return RefineResult(template=current, trace=trace, status="stall",
                                 final_emd=current_emd)
-        current_emd, plan, current, desc = best
+        current_emd, current_hist, current, desc = best
         trace.append(TraceRow(iteration=iteration, emd=current_emd, move=desc))
         if current_emd <= cfg.threshold:
             return RefineResult(template=current, trace=trace, status="success",

@@ -484,6 +484,8 @@ ERROR_CASES = {
         "--top"),
     "refine-max-iters-negative": (64, lambda d, tmp: _refine(
         d, tmp, "--threshold", "1", "--max-iters", "-3"), "max_iters"),
+    "refine-threshold-nan": (64, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "nan", "--max-iters", "3"), "threshold"),
     "index-mass-idx-too-large": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, _first_entry("mass_idx", _setitem(0, 10 ** 7)))), "mass_idx"),
     "index-mass-idx-negative": (5, lambda d, tmp: _search(d, tmp, _edited(

@@ -1,9 +1,11 @@
-"""Property tests of the histogram builders against the pair-loop oracle."""
+"""Property tests: the histogram builders against the pair-loop oracle, and
+the laws of the EMD against the dense transportation LP."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minhist.histogram import (
     IDENTIFICATION_SPEC,
@@ -14,7 +16,13 @@ from minhist.histogram import (
 )
 from minhist.refine import RefineConfig, _deletion_weights
 from minhist.template import BIFURCATION, ENDING, Minutia, MinutiaTemplate
-from minhist.transport import TransportPlan, build_cost_matrix
+from minhist.transport import (
+    CostParams,
+    TransportPlan,
+    build_cost_matrix,
+    emd,
+    solve_transport,
+)
 
 from oracles import loop_histograms
 
@@ -82,3 +90,69 @@ def test_builders_equal_pair_loop(t, spec):
         members = {m for i, j, di, ai in pairs if di * spec.b_dir + ai == b for m in (i, j)}
         assert set(np.flatnonzero(weights)) == members
         assert weights.sum() == pytest.approx(2 * plan.total_cost if members else 0.0)
+
+
+# Normalized 2D histograms on specs from 1x1 to 10x10, sparse (mostly empty
+# bins) or dense, and the cost parameters the training grid uses.
+SHAPES = st.tuples(st.integers(1, 10), st.integers(1, 10))
+UNIT_COSTS = st.sampled_from([0.5, 1.0, 2.0])
+PARAMS = st.builds(CostParams, UNIT_COSTS, UNIT_COSTS, st.sampled_from([1.0, 2.0]))
+
+
+def _masses(shape):
+    dense = st.floats(0.01, 1.0)
+    sparse = st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), dense)
+    return st.one_of(
+        hnp.arrays(float, shape, elements=dense),
+        hnp.arrays(float, shape, elements=sparse).filter(lambda m: m.sum() > 0),
+    )
+
+
+def _histograms(k):
+    def build(shape):
+        spec = BinSpec(b_dist=shape[0], b_dir=shape[1])
+        return st.tuples(*[_masses(shape) for _ in range(k)]).map(lambda masses: [
+            MinutiaeHistogram(spec=spec, dims=2, mass=m / m.sum(), normalized=True,
+                              pair_count=1)
+            for m in masses
+        ])
+    return SHAPES.flatmap(build)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want) + 1e-15
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hists=_histograms(2), params=PARAMS)
+def test_emd_equals_dense_lp(hists, params):
+    h1, h2 = hists
+    cost = build_cost_matrix(h1.spec, params)
+    want = solve_transport(h1.mass.ravel(), h2.mass.ravel(), cost).total_cost
+    assert _close(emd(h1, h2, params), want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hists=_histograms(2), params=PARAMS)
+def test_emd_symmetric_and_zero_on_itself(hists, params):
+    h1, h2 = hists
+    assert _close(emd(h2, h1, params), emd(h1, h2, params))
+    assert emd(h1, h1, params) == 0.0
+    assert emd(h2, h2, params) == 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hists=_histograms(3), r=UNIT_COSTS, s=UNIT_COSTS)
+def test_emd_triangle_inequality_at_e1(hists, r, s):
+    # At e = 2 the ground cost is not a metric, so the law is not asserted.
+    a, b, c = hists
+    params = CostParams(r, s, 1.0)
+    assert emd(a, c, params) <= emd(a, b, params) + emd(b, c, params) + 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hists=_histograms(2), params=PARAMS, c=st.sampled_from([0.5, 2.0]))
+def test_emd_homogeneous_in_unit_costs(hists, params, c):
+    h1, h2 = hists
+    scaled = CostParams(c * params.r, c * params.s, params.e)
+    assert _close(emd(h1, h2, scaled), c ** params.e * emd(h1, h2, params))

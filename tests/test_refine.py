@@ -1,3 +1,6 @@
+import importlib
+
+import numpy as np
 import pytest
 
 from minhist.histogram import BinSpec, build_2dmh
@@ -11,7 +14,7 @@ from minhist.refine import (
     write_trace_csv,
 )
 from minhist.template import BIFURCATION, ENDING, MinutiaTemplate
-from minhist.transport import emd
+from minhist.transport import emd, transport_plan
 
 from genpop import make_population
 
@@ -86,6 +89,11 @@ class TestRefineConfig:
     def test_counts_that_cannot_work_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RefineConfig(target=target_histogram(), threshold=0.1, **kwargs)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            RefineConfig(target=target_histogram(), threshold=threshold)
 
 
 class TestInitTemplate:
@@ -169,6 +177,29 @@ class TestRefine:
         result = refine(init_template(cfg), cfg)
         h = build_2dmh(result.template, SPEC)
         assert emd(h, cfg.target, cfg.params) == pytest.approx(result.final_emd, abs=1e-9)
+
+    # These runs end in a stall, a success and a timeout.
+    @pytest.mark.parametrize("seed, threshold", [(9, 1e-6), (0, 0.3), (4, 1e-6)])
+    def test_plans_only_for_the_current_template(self, seed, threshold, monkeypatch):
+        # Candidates are scored by emd alone; a transport plan, for the
+        # deletion blame, is built once per iteration for the current template.
+        module = importlib.import_module("minhist.refine")
+        planned = []
+
+        def counting_plan(h1, h2, params):
+            planned.append(h1.mass.copy())
+            return transport_plan(h1, h2, params)
+
+        monkeypatch.setattr(module, "transport_plan", counting_plan)
+        cfg = base_config(threshold=threshold, max_iters=6, rng_seed=seed)
+        t = init_template(cfg)
+        result = refine(t, cfg)
+        accepted = len(result.trace) - 1
+        # One plan per iteration run: each accepted move, plus the last
+        # iteration when it stalls.
+        assert len(planned) == accepted + (result.status == "stall")
+        assert len(planned) <= min(cfg.max_iters, 1 + accepted)
+        assert np.array_equal(planned[0], build_2dmh(t, SPEC).mass)
 
     def test_too_small_template_rejected(self):
         cfg = base_config()

@@ -221,6 +221,28 @@ class TestEmd:
             h2 = random_normalized_hist(rng, 6, 6)
             assert emd(h1, h2) == pytest.approx(emd(h2, h1), abs=1e-9)
 
+    @pytest.mark.parametrize("e", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1), (2, 2)],
+        ids=["1x1", "1x2", "2x1", "1x3", "3x1", "1x4", "4x1", "2x2"])
+    def test_matches_brute_force_oracle(self, shape, e):
+        # emd solves its own network LP, not solve_transport; check it
+        # against vertex enumeration on criterion 1's integer masses (exact
+        # under MASS_SCALE) with criterion 1's tolerance.
+        rng = np.random.default_rng([18, *shape, int(e)])
+        spec = BinSpec(b_dist=shape[0], b_dir=shape[1])
+        n = shape[0] * shape[1]
+        for _ in range(10):
+            params = CostParams(r=rng.uniform(0.1, 3.0), s=rng.uniform(0.1, 3.0), e=e)
+            supply = rng.integers(0, 101, n).astype(float)
+            supply[0] += 1.0
+            demand = rng.multinomial(int(supply.sum()), np.full(n, 1.0 / n)).astype(float)
+            h1 = make_hist(supply.reshape(shape), spec, normalized=False)
+            h2 = make_hist(demand.reshape(shape), spec, normalized=False)
+            cost = build_cost_matrix(spec, params)
+            want = brute_force_transport_cost(h1.mass.ravel(), h2.mass.ravel(), cost)
+            assert abs(emd(h1, h2, params) - want) <= 1e-9
+
     def test_triangle_inequality_e1(self):
         rng = np.random.default_rng(17)
         params = CostParams(e=1.0)
