@@ -21,14 +21,15 @@ import json
 import math
 import numbers
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, build_2dmh
 from .template import UNKNOWN, MinutiaTemplate, bifurcation_percentage, rescale_to_500dpi
-from .transport import BALANCE_RTOL, CostParams, emd
+from .transport import BALANCE_RTOL, CostParams, check_cost_range, emd
 
 REAL = "real"
 SYNTHETIC = "synthetic"
@@ -76,6 +77,7 @@ class ClassModel:
                 raise ValueError(
                     f"feature norm for {name!r} needs a finite offset and a finite scale > 0"
                 )
+        check_cost_range(self.spec, self.params)
 
     def to_dict(self) -> dict:
         return {
@@ -255,6 +257,8 @@ class TrainConfig:
             isinstance(n, numbers.Integral) and n >= 0 for n in self.split
         ):
             raise ValueError(f"split must be three non-negative integers, got {self.split!r}")
+        for r, s, e in itertools.product(self.r_grid, self.s_grid, self.e_grid):
+            check_cost_range(self.spec, CostParams(r=r, s=s, e=e))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -316,6 +320,36 @@ def _prepare(templates: Sequence[MinutiaTemplate], spec: BinSpec):
     return prepared, skipped
 
 
+def _set2_differences(
+    hists: Sequence[MinutiaeHistogram],
+    avg_real: MinutiaeHistogram,
+    avg_synth: MinutiaeHistogram,
+    config: TrainConfig,
+) -> Iterator[Tuple[CostParams, np.ndarray]]:
+    """(params, a) for each (r, s, e) of the cost grid in itertools.product
+    order, where a[i] = EMD(hists[i], avg_synth) - EMD(hists[i], avg_real).
+
+    The ground cost (s|dx|)^e + (r|du|)^e is homogeneous of degree e in
+    (r, s), so EMD(r, s, e) = (s/s0)^e * EMD(r0, s0, e) whenever r/s = r0/s0.
+    The EMDs are solved once per distinct (r/s, e), at the first grid point
+    (r0, s0, e) with that ratio, and scaled at the others. Ratios are
+    compared exactly, as fractions, so float rounding never joins or splits
+    a group; the first point of a group gets exactly the EMDs it would get
+    alone.
+    """
+    solved = {}  # (r/s, e) -> (s0, EMDs to avg_synth, EMDs to avg_real)
+    for r, s, e in itertools.product(config.r_grid, config.s_grid, config.e_grid):
+        params = CostParams(r=r, s=s, e=e)
+        key = (Fraction(r) / Fraction(s), e)
+        if key not in solved:
+            to_synth = np.array([emd(h, avg_synth, params) for h in hists])
+            to_real = np.array([emd(h, avg_real, params) for h in hists])
+            solved[key] = (s, to_synth, to_real)
+        s0, to_synth, to_real = solved[key]
+        scale = float(Fraction(s) / Fraction(s0)) ** e
+        yield params, scale * to_synth - scale * to_real
+
+
 def train(
     real_templates: Sequence[MinutiaTemplate],
     synth_templates: Sequence[MinutiaTemplate],
@@ -325,7 +359,8 @@ def train(
 
     The grid over (r, s, e) and the fusion weights is searched exhaustively
     for maximal Set II accuracy; ties keep the first grid point in the nested
-    iteration order. Set III templates are untouched.
+    iteration order. The Set II EMDs are solved once per distinct (r/s, e)
+    (see _set2_differences). Set III templates are untouched.
     """
     real1, real2, _ = split_by_finger(real_templates, config.split)
     synth1, synth2, _ = split_by_finger(synth_templates, config.split)
@@ -371,9 +406,8 @@ def train(
     )
 
     best = None  # (accuracy, params, weights)
-    for r, s, e in itertools.product(config.r_grid, config.s_grid, config.e_grid):
-        params = CostParams(r=r, s=s, e=e)
-        a = np.array([emd(h, avg_synth, params) - emd(h, avg_real, params) for _, h in prep2])
+    hists2 = [h for _, h in prep2]
+    for params, a in _set2_differences(hists2, avg_real, avg_synth, config):
         for w in weight_vectors:
             # ties (fused == 0) count as synthetic
             accuracy = float(((_fuse(w, a, side) > 0) == is_real).mean())

@@ -38,6 +38,9 @@ from .histogram import BinSpec, MinutiaeHistogram
 
 MASS_SCALE = 10 ** 9
 BALANCE_RTOL = 1e-9
+# Every nonzero arc cost must lie in this range (check_cost_range): beyond
+# it HiGHS can fail to solve, or stop short of the exact optimum.
+COST_RANGE = (1e-6, 1e6)
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,39 @@ class TransportPlan:
     total_cost: float
 
 
+def check_cost_range(spec: BinSpec, params: CostParams) -> None:
+    """Raise ValueError unless every nonzero arc cost of the flow network of
+    (spec, params) lies in COST_RANGE.
+
+    At e = 1 the arcs cost s (distance axis) and r (direction axis);
+    otherwise an axis with b bins has arcs costing (s * k)^e or (r * k)^e
+    for k = 1 .. b - 1. An axis with one bin has no arcs.
+    """
+    lo, hi = COST_RANGE
+    for name, unit, bins in (("s", params.s, spec.b_dist), ("r", params.r, spec.b_dir)):
+        if bins < 2:
+            continue
+        far = 1 if params.e == 1 else bins - 1
+        unit, e = float(unit), float(params.e)
+        try:
+            least, most = unit ** e, (unit * far) ** e
+        except OverflowError:
+            least = most = math.inf
+        if not lo <= least <= most <= hi:
+            bad = least if least < lo else most
+            raise ValueError(
+                f"cost parameter {name} = {unit!r} at e = {params.e!r} gives an arc cost"
+                f" of {bad:.3g} on {bins} bins, outside [{lo:g}, {hi:g}]"
+            )
+
+
 @lru_cache(maxsize=64)
 def build_cost_matrix(spec: BinSpec, params: CostParams) -> np.ndarray:
     """Ground cost between all pairs of 2D histogram bins, row-major
     (distance-major) flattening: bin (x, u) has flat index x * b_dir + u.
-    The cached array is shared by every caller, so it is read-only."""
+    The cached array is shared by every caller, so it is read-only.
+    Raises ValueError for parameters outside check_cost_range."""
+    check_cost_range(spec, params)
     dx = np.abs(np.subtract.outer(np.arange(spec.b_dist), np.arange(spec.b_dist)))
     du = np.abs(np.subtract.outer(np.arange(spec.b_dir), np.arange(spec.b_dir)))
     cost = (params.s * dx[:, None, :, None]) ** params.e + (
@@ -185,8 +216,10 @@ def _flow_network(spec: BinSpec, params: CostParams) -> Tuple[sparse.csc_matrix,
     distance axis and r along the direction axis. Otherwise there are three
     layers of n nodes: source (x, u) -> middle (y, u) costs (s|x-y|)^e and
     middle (y, u) -> sink (y, v) costs (r|u-v|)^e, so one path of the
-    ground cost joins each source to each sink.
+    ground cost joins each source to each sink. Raises ValueError for
+    parameters outside check_cost_range.
     """
+    check_cost_range(spec, params)
     b_dist, b_dir = spec.b_dist, spec.b_dir
     n = b_dist * b_dir
     if params.e == 1:
@@ -251,9 +284,12 @@ def emd(
     """Earth mover's distance between two equal-mass 2D histograms.
 
     The optimal value of the problem transport_plan solves, found on the
-    smaller network of _flow_network without building a plan.
+    smaller network of _flow_network without building a plan. Raises
+    ValueError for parameters outside check_cost_range, even where the
+    value would be 0.
     """
     _check_emd_inputs(h1, h2)
+    a_eq, arc_cost = _flow_network(h1.spec, params)
     supply, demand = h1.mass.ravel(), h2.mass.ravel()
     marginals = _integer_marginals(supply, demand)
     if marginals is None:
@@ -263,7 +299,6 @@ def emd(
     # neighbour grid has no arcs.
     if np.array_equal(rows, cols) and np.array_equal(s_int, d_int):
         return 0.0
-    a_eq, arc_cost = _flow_network(h1.spec, params)
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[rows] = s_int
     b_eq[b_eq.size - supply.size + cols] -= d_int  # the last n nodes are sinks

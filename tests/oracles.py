@@ -9,7 +9,9 @@ feasibility mask and a cost minimum. This is deliberately independent of the
 LP solver used by the package.
 
 A plain per-pair loop builds 2D and 4D minutiae histograms as the reference
-for the vectorised histogram builders.
+for the vectorised histogram builders, and a plain grid loop, which solves
+every EMD at every cost grid point, is the reference for the EMDs that
+training shares between grid points.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from minhist.transport import CostParams, emd
 
 
 @lru_cache(maxsize=8)
@@ -112,3 +116,14 @@ def loop_histograms(t, spec):
                 ti = 2 * (p.mtype == "bifurcation") + (q.mtype == "bifurcation")
                 mass4[di, ai, ri, ti] += 1.0
     return mass2, mass4, pairs
+
+
+def train_grid_oracle(hists, avg_real, avg_synth, config):
+    """(params, a) for each (r, s, e) of config's cost grid in
+    itertools.product order, with a[i] = EMD(hists[i], avg_synth) -
+    EMD(hists[i], avg_real) solved at that very point."""
+    for r, s, e in itertools.product(config.r_grid, config.s_grid, config.e_grid):
+        params = CostParams(r=r, s=s, e=e)
+        yield params, np.array(
+            [emd(h, avg_synth, params) - emd(h, avg_real, params) for h in hists]
+        )

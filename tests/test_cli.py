@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,19 @@ class TestConfigHandling:
         assert main(["--config", "/does/not/exist.json", "histogram",
                      str(data["real_template"])]) == 64
 
+    def test_cost_grid_checked_under_the_config_spec(self, data, tmp_path, capsys):
+        # (400 * 2)^2 = 640000 is a valid arc cost on 3 x 3 bins, but
+        # (400 * 9)^2 is not on the default 10 x 10
+        train = {"split": [2, 2, 2], "r_grid": [400], "e_grid": [2],
+                 "w0_grid": [0.0], "w1_grid": [1.0], "use_side_features": False}
+        out = tmp_path / "m.json"
+        argv = ["train", str(data["real_dir"]), str(data["synth_dir"]), "--out", str(out)]
+        config = {"spec": {"b_dist": 3, "b_dir": 3}, "train": train}
+        assert main(_config(tmp_path, config) + argv) == 0
+        assert json.loads(out.read_text())["params"]["r"] == 400
+        assert main(_config(tmp_path, {"train": train}) + argv) == 64
+        assert "cost parameter r " in capsys.readouterr().err
+
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -313,6 +330,17 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "error: " in err
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package under test, whether installed or not
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "minhist", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: minhist")
 
 
 # --- the error contract -----------------------------------------------------
@@ -412,6 +440,12 @@ ERROR_CASES = {
     "train-grid-value-not-a-number": (64, lambda d, tmp: [
         *_config(tmp, {"train": {"split": [2, 2, 2], "w0_grid": ["x"]}}), *_train(d, tmp)],
         "w0_grid"),
+    "train-cost-too-large": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"split": [2, 2, 2], "r_grid": [1e9], "e_grid": [2]}}),
+        *_train(d, tmp)], "cost parameter r "),
+    "train-cost-too-small": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {"split": [2, 2, 2], "s_grid": [1e-9], "e_grid": [2]}}),
+        *_train(d, tmp)], "cost parameter s "),
     "train-split-flag-not-integers": (64, lambda d, tmp: [
         "--config", str(d["config"]), *_train(d, tmp, "--split", "a/b/c")],
         None),
@@ -477,6 +511,8 @@ ERROR_CASES = {
     "model-unknown-feature-norm": (5, lambda d, tmp: [
         "classify", _edited(d["model"], tmp, _norm("pct_BIF", 35.0, 10.0)),
         str(d["real_template"])], "pct_BIF"),
+    "model-cost-out-of-range": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["params"].update(r=1e-9)), NO_IRD), "cost parameter r "),
     "mds-infinite-distance": (2, lambda d, tmp: [
         "mds", _file(tmp, "d.csv", "a,0,inf\nb,inf,0\n"), "--out", str(tmp / "c.csv")],
         "non-finite"),

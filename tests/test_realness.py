@@ -24,6 +24,7 @@ from minhist.template import BIFURCATION, ENDING, Minutia, MinutiaTemplate
 from minhist.transport import CostParams
 
 from genpop import make_population
+from oracles import train_grid_oracle
 
 EMD_ONLY = dict(r_grid=(1.0,), s_grid=(1.0,), e_grid=(1.0,),
                 w0_grid=(0.0,), w1_grid=(1.0,), use_side_features=False)
@@ -303,6 +304,87 @@ class TestTrain:
         np.testing.assert_array_equal(m1.avg_real.mass, m2.avg_real.mass)
 
 
+def _counted_emd(monkeypatch):
+    """Count the LPs train solves; every one goes through realness.emd."""
+    calls = []
+    solve = realness.emd
+
+    def counted(h1, h2, params):
+        calls.append(params)
+        return solve(h1, h2, params)
+
+    monkeypatch.setattr(realness, "emd", counted)
+    return calls
+
+
+def _recorded(grid_loop, log):
+    """grid_loop, logging each (params, a) it yields."""
+    def recording(*args):
+        for params, a in grid_loop(*args):
+            log.append((params, a))
+            yield params, a
+    return recording
+
+
+GRIDS = {
+    "default": {},
+    # exact ratios: only (0.3, 0.1) and (0.6, 0.2) share one, at scale 2
+    "tenths": dict(r_grid=(0.3, 0.6, 0.9), s_grid=(0.1, 0.2, 0.3)),
+    # r/s = 1/2 at (0.5, 1), (0.75, 1.5) and (1.5, 3): scales 1.5 and 3
+    "thirds": dict(r_grid=(0.5, 0.75, 1.5), s_grid=(1.0, 1.5, 3.0)),
+}
+
+
+class TestSharedGridEmds:
+    """train solves the Set II EMDs once per distinct (r/s, e) and scales
+    them to the other grid points of that ratio."""
+
+    @pytest.mark.parametrize("grid, distinct", [
+        ({}, 10),  # 3 x 3 x 2 points, 5 ratios r/s per exponent
+        (dict(r_grid=(1.0,), s_grid=(1.0, 3.0)), 4),  # no ratio shared
+        # 0.3 / 0.9 == 1.0 / 3.0 in float division, but not exactly
+        (dict(r_grid=(0.3, 1.0), s_grid=(0.9, 3.0)), 8),
+    ], ids=["default", "no-shared-ratio", "float-only-coincidence"])
+    def test_one_lp_set_per_distinct_ratio_and_exponent(self, monkeypatch, grid, distinct):
+        real = make_population(120, 3, 2, "broad", REAL)
+        synth = make_population(220, 3, 2, "cluster", SYNTHETIC)
+        calls = _counted_emd(monkeypatch)
+        train(real, synth, TrainConfig(split=(2, 1, 0), **grid))
+        set2 = 4  # one finger of two impressions per class
+        assert len(calls) == 2 * set2 * distinct
+        assert len(set(calls)) == distinct
+
+    @pytest.mark.parametrize("grid, kind, bins", [
+        ("default", "cluster", 10), ("default", "broad", 6),
+        ("tenths", "broad", 6), ("thirds", "cluster", 6),
+    ])
+    def test_matches_grid_oracle(self, monkeypatch, grid, kind, bins):
+        # broad against cluster is separable, broad against broad is not;
+        # 6 x 6 bins keep the oracle's LPs small
+        real = make_population(121, 3, 2, "broad", REAL)
+        synth = make_population(221, 3, 2, kind, SYNTHETIC)
+        spec = BinSpec(b_dist=bins, b_dir=bins)
+        config = TrainConfig(spec=spec, split=(2, 1, 0), **GRIDS[grid])
+        shared, oracle = [], []
+        monkeypatch.setattr(realness, "_set2_differences",
+                            _recorded(realness._set2_differences, shared))
+        calls = _counted_emd(monkeypatch)
+        result = train(real, synth, config)
+        solved = set(calls)
+        monkeypatch.setattr(realness, "_set2_differences", _recorded(train_grid_oracle, oracle))
+        expected = train(real, synth, config)
+
+        assert result.set2_accuracy == expected.set2_accuracy
+        assert result.model.params == expected.model.params
+        assert result.model.weights == expected.model.weights
+        assert [p for p, _ in shared] == [p for p, _ in oracle]
+        for (params, a), (_, want) in zip(shared, oracle):
+            np.testing.assert_allclose(a, want, rtol=1e-12, atol=0)
+            if params in solved:  # the first point of its (r/s, e) group
+                assert a.tobytes() == want.tobytes()
+        assert len(solved) < len(oracle)
+
+
 @pytest.mark.parametrize("kwargs", [
     *({name: ()} for name in ("r_grid", "s_grid", "e_grid", "w0_grid", "w1_grid", "side_grid")),
     {"split": (2, 2)},
@@ -320,6 +402,25 @@ class TestTrain:
 def test_train_config_rejects_empty_grids_and_bad_splits(kwargs):
     with pytest.raises(ValueError):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    # arc costs outside [1e-6, 1e6] on the default 10 x 10 bins
+    ({"r_grid": (1e9,), "e_grid": (2.0,)}, "r"),
+    ({"s_grid": (1e-9,), "e_grid": (2.0,)}, "s"),
+    ({"s_grid": (1e-7,)}, "s"),
+    ({"r_grid": (1.0, 400.0), "e_grid": (1.0, 2.0)}, "r"),  # (400 * 9)^2 at e = 2
+])
+def test_train_config_rejects_costs_out_of_range(kwargs, name):
+    with pytest.raises(ValueError, match=f"cost parameter {name} "):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_checks_costs_under_its_spec():
+    # (400 * 2)^2 = 640000 on 3 x 3 bins, (400 * 9)^2 on the default 10 x 10
+    TrainConfig(spec=BinSpec(b_dist=3, b_dir=3), r_grid=(400.0,), e_grid=(2.0,))
+    with pytest.raises(ValueError, match="cost parameter r "):
+        TrainConfig(r_grid=(400.0,), e_grid=(2.0,))
 
 
 class TestEvaluate:
@@ -381,3 +482,4 @@ def test_model_json_round_trip(tmp_path):
     assert restored.feature_norms == model.feature_norms
     np.testing.assert_array_equal(restored.avg_real.mass, model.avg_real.mass)
     np.testing.assert_array_equal(restored.avg_synth.mass, model.avg_synth.mass)
+

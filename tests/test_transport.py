@@ -7,6 +7,7 @@ from minhist.transport import (
     build_cost_matrix,
     emd,
     solve_transport,
+    transport_plan,
 )
 
 from oracles import brute_force_transport_cost
@@ -36,6 +37,45 @@ class TestCostParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             CostParams(**kwargs)
+
+
+class TestCostRange:
+    """Every nonzero arc cost of the flow network must lie in [1e-6, 1e6]."""
+
+    @pytest.mark.parametrize("params, name", [
+        (CostParams(r=1e-9, s=1, e=1), "r"),
+        (CostParams(r=1, s=2e6, e=1), "s"),
+        (CostParams(r=1e9, s=1, e=2), "r"),
+        (CostParams(r=1, s=1e-9, e=2), "s"),
+        (CostParams(r=1, s=1e300, e=2), "s"),  # the power overflows
+    ])
+    def test_out_of_range_rejected(self, params, name):
+        rng = np.random.default_rng(19)
+        h1, h2 = random_normalized_hist(rng), random_normalized_hist(rng)
+        match = f"cost parameter {name} "
+        for call in (lambda: emd(h1, h2, params), lambda: emd(h1, h1, params),
+                     lambda: transport_plan(h1, h2, params),
+                     lambda: build_cost_matrix(h1.spec, params)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    @pytest.mark.parametrize("r, s, e", [
+        (1e-6, 1e6, 1.0), (1e6, 1e-6, 1.0), (1e-3, 1e3 / 9, 2.0), (1e3 / 9, 1e-3, 2.0),
+    ], ids=["e1-r-low", "e1-s-low", "e2-r-low", "e2-s-low"])
+    def test_corners_match_dense_lp(self, r, s, e):
+        rng = np.random.default_rng(20)
+        params = CostParams(r=r, s=s, e=e)
+        for _ in range(3):
+            h1, h2 = random_normalized_hist(rng), random_normalized_hist(rng)
+            want = transport_plan(h1, h2, params).total_cost
+            assert abs(emd(h1, h2, params) - want) <= 1e-12 * want
+
+    def test_axis_of_one_bin_has_no_arcs(self):
+        # one distance bin: s prices no arc, so any s > 0 is accepted
+        rng = np.random.default_rng(21)
+        h1, h2 = random_normalized_hist(rng, 1, 10), random_normalized_hist(rng, 1, 10)
+        tiny_s = emd(h1, h2, CostParams(r=1.0, s=1e-9, e=2.0))
+        assert tiny_s == emd(h1, h2, CostParams(r=1.0, s=1.0, e=2.0))
 
 
 class TestBuildCostMatrix:
