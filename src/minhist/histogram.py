@@ -12,6 +12,8 @@ Templates must be at 500 DPI before histogramming; callers rescale first.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
@@ -40,10 +42,14 @@ class BinSpec:
     b_type: int = 4
 
     def __post_init__(self) -> None:
-        if self.d_max <= 0:
-            raise ValueError("d_max must be positive")
-        if min(self.b_dist, self.b_dir, self.b_relangle) < 1:
-            raise ValueError("bin counts must be at least 1")
+        if not (isinstance(self.d_max, numbers.Real) and not isinstance(self.d_max, bool)
+                and math.isfinite(self.d_max) and self.d_max > 0):
+            raise ValueError(f"d_max must be a finite real > 0, got {self.d_max!r}")
+        for name in ("b_dist", "b_dir", "b_relangle", "b_type"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.b_type != 4:
             raise ValueError("b_type is fixed at 4 (EE, EB, BE, BB)")
 

@@ -8,10 +8,12 @@ genuine extremes at both ends.
 Masses are scaled to integers (x 1e9, rounded) before solving, so every LP
 has integral supplies. Every LP here is a network flow problem whose
 node-arc incidence matrix is totally unimodular, so it has an integral
-optimal vertex; the HiGHS simplex solver ends on one, and the flows are
-snapped to those integers before the cost is summed in a fixed order, which
-keeps seeded runs bit-for-bit deterministic. The test suite checks the
-optima against a brute-force vertex-enumeration oracle.
+optimal vertex; the HiGHS dual simplex ends on one, and the flows are
+snapped to those integers. The cost is then summed exactly (the integer
+flows per distinct arc cost, the groups added as fractions) and rounded
+once, so a value is the correctly rounded optimum, whichever optimal vertex
+the solver ended on. The test suite checks the optima against a brute-force
+vertex-enumeration oracle and against `linprog`.
 
 `solve_transport` solves the dense transportation problem and returns an
 explicit plan. `emd` needs only the optimal value, and the separable ground
@@ -21,18 +23,43 @@ between neighbouring bins suffice (Ling & Okada, IEEE TPAMI 2007);
 otherwise every unit moves along the distance axis and then along the
 direction axis through a middle layer of nodes (Auricchio et al., NeurIPS
 2018).
+
+HiGHS is driven through the binding SciPy bundles for `linprog`
+(`scipy.optimize._highspy._core`), because no public SciPy API keeps a
+model alive between solves. `solve_transport` builds a fresh model per
+call. `emd` keeps one model, for the most recent (spec, params): successive
+calls differ only in their supplies, so the previous optimal basis stays
+dual feasible and the dual simplex restarts from it (Huangfu & Hall, Math.
+Prog. Comp. 2018). A lock serialises the calls that share that model, so
+threads calling `emd` do not solve in parallel.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+    )
+except ImportError as exc:
+    raise ImportError(
+        "minhist.transport needs the HiGHS binding scipy.optimize._highspy._core._Highs"
+        f" of SciPy 1.17.1, the version it is checked against; found SciPy {scipy.__version__}"
+    ) from exc
 
 from .histogram import BinSpec, MinutiaeHistogram
 
@@ -122,11 +149,13 @@ def build_cost_matrix(spec: BinSpec, params: CostParams) -> np.ndarray:
 def _integer_marginals(supply: np.ndarray, demand: np.ndarray):
     """Check two mass vectors and scale their nonzero entries to integers.
 
-    Masses must be non-negative and balanced within tolerance. Returns
+    Masses must be finite, non-negative and balanced within tolerance. Returns
     (rows, s_int, cols, d_int): the indices of the nonzero entries of each
     vector and their masses x MASS_SCALE, rounded, with equal sums. Returns
     None when the total mass is zero.
     """
+    if not (np.isfinite(supply).all() and np.isfinite(demand).all()):
+        raise ValueError("masses must be finite")
     if (supply < 0).any() or (demand < 0).any():
         raise ValueError("masses must be non-negative")
     total_s, total_d = supply.sum(), demand.sum()
@@ -150,38 +179,74 @@ def _integer_marginals(supply: np.ndarray, demand: np.ndarray):
     return rows, s_int, cols, d_int
 
 
-def _solve_flow(arc_cost: np.ndarray, a_eq: sparse.spmatrix, b_eq: np.ndarray):
-    """Minimise arc_cost @ x subject to a_eq @ x = b_eq and x >= 0.
+def _new_model(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray) -> _Highs:
+    """A HiGHS model of: minimise arc_cost @ x subject to a_eq @ x = b_eq and
+    x >= 0, with HiGHS's default options (those of linprog(method="highs"))
+    and its log off."""
+    lp = HighsLp()
+    lp.num_col_, lp.num_row_ = a_eq.shape[1], a_eq.shape[0]
+    lp.col_cost_ = arc_cost
+    lp.col_lower_ = np.zeros(arc_cost.size)
+    lp.col_upper_ = np.full(arc_cost.size, np.inf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    matrix = lp.a_matrix_
+    matrix.format_ = MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = lp.num_col_, lp.num_row_
+    matrix.start_, matrix.index_, matrix.value_ = a_eq.indptr, a_eq.indices, a_eq.data
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.passModel(lp) == HighsStatus.kError:
+        raise RuntimeError("transportation model rejected by HiGHS")
+    return highs
 
-    a_eq must be totally unimodular and b_eq integral, so an integral
-    optimal vertex exists. Returns (arcs, mass, total_cost): the arcs with
-    nonzero flow, their flows / MASS_SCALE, and the cost of the flow.
+
+def _exact_cost(costs: np.ndarray, flows: np.ndarray) -> float:
+    """costs @ flows / MASS_SCALE, rounded once to the nearest float.
+
+    The integer flows are summed per distinct cost and the groups added as
+    fractions, so every optimal vertex of one problem gives the same bits.
     """
-    res = linprog(arc_cost, A_eq=a_eq, b_eq=b_eq, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transportation solve failed: {res.message}")
+    unique, group = np.unique(costs, return_inverse=True)
+    per_cost = np.zeros(unique.size, dtype=np.int64)
+    np.add.at(per_cost, group, flows)
+    total = sum(Fraction(c) * f for c, f in zip(unique.tolist(), per_cost.tolist()))
+    return float(Fraction(total, MASS_SCALE))
+
+
+def _solve_flow(highs: _Highs, arc_cost: np.ndarray):
+    """Run HiGHS on a model from _new_model of a flow problem whose matrix
+    is totally unimodular and whose b_eq is integral, so an integral optimal
+    vertex exists. Returns (arcs, flow, total_cost): the arcs with nonzero
+    flow, their integral flows, and the exact optimum / MASS_SCALE.
+    """
+    run_status = highs.run()
+    model_status = highs.getModelStatus()
+    if run_status == HighsStatus.kError or model_status != HighsModelStatus.kOptimal:
+        raise RuntimeError(
+            f"transportation solve failed: {highs.modelStatusToString(model_status)}"
+        )
     # Integral supplies imply an integral optimal vertex; snap off float fuzz.
-    flow_int = np.rint(res.x).astype(np.int64)
+    flow_int = np.rint(np.asarray(highs.getSolution().col_value)).astype(np.int64)
     arcs = np.flatnonzero(flow_int)
-    mass = flow_int[arcs] / MASS_SCALE
-    # A running sum in arc order: np.sum's pairwise order would change bits.
-    total_cost = np.cumsum(np.append(0.0, mass * arc_cost[arcs]))[-1]
-    return arcs, mass, float(total_cost)
+    return arcs, flow_int[arcs], _exact_cost(arc_cost[arcs], flow_int[arcs])
 
 
 def solve_transport(supply, demand, cost) -> TransportPlan:
     """Solve the balanced transportation problem to exact optimality.
 
     `cost` is a 2D array-like of shape (len(supply), len(demand)). Marginals
-    must be non-negative and balanced within tolerance. The returned plan is
-    a basic optimal solution (at most len(supply) + len(demand) - 1 nonzero
-    flows); its total cost is deterministic for fixed input.
+    must be finite, non-negative and balanced within tolerance, and costs
+    finite; otherwise ValueError. The returned plan is a basic optimal
+    solution (at most len(supply) + len(demand) - 1 nonzero flows); its
+    total cost is the exact optimum, correctly rounded.
     """
     supply = np.asarray(supply, dtype=float).ravel()
     demand = np.asarray(demand, dtype=float).ravel()
     cost = np.asarray(cost, dtype=float)
     if cost.shape != (supply.shape[0], demand.shape[0]):
         raise ValueError("marginal lengths do not match the cost matrix")
+    if not np.isfinite(cost).all():
+        raise ValueError("costs must be finite")
     marginals = _integer_marginals(supply, demand)
     if marginals is None:
         return TransportPlan(flow={}, total_cost=0.0)
@@ -198,8 +263,10 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
         (np.ones(2 * var), (row_idx, col_idx)), shape=(m + n, var)
     )
     b_eq = np.concatenate([s_int, d_int]).astype(float)
-    arcs, mass, total_cost = _solve_flow(sub_cost.ravel(), a_eq, b_eq)
+    arc_cost = sub_cost.ravel()
+    arcs, flow_int, total_cost = _solve_flow(_new_model(arc_cost, a_eq, b_eq), arc_cost)
     fi, fj = np.divmod(arcs, n)
+    mass = flow_int / MASS_SCALE
     flow = dict(zip(zip(rows[fi].tolist(), cols[fj].tolist()), mass.tolist()))
     return TransportPlan(flow=flow, total_cost=total_cost)
 
@@ -257,6 +324,21 @@ def _flow_network(spec: BinSpec, params: CostParams) -> Tuple[sparse.csc_matrix,
     return a_eq, arc_cost
 
 
+@lru_cache(maxsize=1)
+def _warm_model(spec: BinSpec, params: CostParams) -> Tuple[_Highs, np.ndarray]:
+    """The one HiGHS model emd keeps, on the network of
+    _flow_network(spec, params), and a copy of the b_eq it holds. Only the
+    most recent (spec, params) is kept: an e = 2 model holds about 2 MB.
+    Use it only under _WARM_LOCK."""
+    a_eq, arc_cost = _flow_network(spec, params)
+    b_eq = np.zeros(a_eq.shape[0])
+    return _new_model(arc_cost, a_eq, b_eq), b_eq
+
+
+# Two threads driving one HiGHS model at once can crash the process.
+_WARM_LOCK = threading.Lock()
+
+
 def _check_emd_inputs(h1: MinutiaeHistogram, h2: MinutiaeHistogram) -> None:
     if h1.spec != h2.spec:
         raise ValueError("histograms have different bin specifications")
@@ -284,9 +366,11 @@ def emd(
     """Earth mover's distance between two equal-mass 2D histograms.
 
     The optimal value of the problem transport_plan solves, found on the
-    smaller network of _flow_network without building a plan. Raises
-    ValueError for parameters outside check_cost_range, even where the
-    value would be 0.
+    smaller network of _flow_network without building a plan. The solve
+    restarts from the basis of the previous call with the same (spec,
+    params); the value is the correctly rounded optimum whatever was solved
+    before. Raises ValueError for parameters outside check_cost_range, even
+    where the value would be 0.
     """
     _check_emd_inputs(h1, h2)
     a_eq, arc_cost = _flow_network(h1.spec, params)
@@ -302,4 +386,15 @@ def emd(
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[rows] = s_int
     b_eq[b_eq.size - supply.size + cols] -= d_int  # the last n nodes are sinks
-    return _solve_flow(arc_cost, a_eq, b_eq)[2]
+    with _WARM_LOCK:
+        highs, held = _warm_model(h1.spec, params)
+        try:
+            for row in np.flatnonzero(b_eq != held).tolist():
+                highs.changeRowBounds(row, b_eq[row], b_eq[row])
+            held[:] = b_eq
+            return _solve_flow(highs, arc_cost)[2]
+        except BaseException:
+            # A failed or interrupted solve leaves no trusted basis: the
+            # next call builds the model afresh.
+            _warm_model.cache_clear()
+            raise

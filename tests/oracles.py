@@ -8,6 +8,10 @@ instance is a batched matrix product over all trees followed by a
 feasibility mask and a cost minimum. This is deliberately independent of the
 LP solver used by the package.
 
+A dense `linprog` solve, which shares neither the package's HiGHS models
+nor its warm starts, is the reference for the exact optimum of any size:
+its integral optimal flows are summed arc by arc as exact fractions.
+
 A plain per-pair loop builds 2D and 4D minutiae histograms as the reference
 for the vectorised histogram builders, and a plain grid loop, which solves
 every EMD at every cost grid point, is the reference for the EMDs that
@@ -18,11 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
-from minhist.transport import CostParams, emd
+from minhist.transport import MASS_SCALE, CostParams, _integer_marginals, emd
 
 
 @lru_cache(maxsize=8)
@@ -80,6 +87,34 @@ def brute_force_transport_cost(supply, demand, cost) -> float:
     edge_costs = cost.ravel()[combos]  # (T, k)
     totals = (flows * edge_costs).sum(axis=1)
     return float(totals[feasible].min())
+
+
+def linprog_transport_cost(supply, demand, cost) -> float:
+    """The correctly rounded optimum of the dense transportation problem.
+
+    The masses are scaled to integers as the package scales them
+    (_integer_marginals), and the LP is solved by `linprog` on every
+    (source, sink) pair. Its optimal vertex is integral, so the flows are
+    snapped to integers and sum(cost * flow) / MASS_SCALE is taken in exact
+    fractions, one arc at a time, and rounded once.
+    """
+    supply = np.asarray(supply, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    marginals = _integer_marginals(supply, demand)
+    if marginals is None:
+        return 0.0
+    rows, s_int, cols, d_int = marginals
+    m, n = len(rows), len(cols)
+    # row i sums the flows out of source i, row m + j those into sink j
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(m), np.ones((1, n))),
+                          sparse.kron(np.ones((1, m)), sparse.eye(n))])
+    sub_cost = cost[np.ix_(rows, cols)].ravel()
+    res = linprog(sub_cost, A_eq=a_eq, b_eq=np.concatenate([s_int, d_int]), method="highs")
+    assert res.status == 0, res.message
+    flows = np.rint(res.x).astype(np.int64)
+    total = sum(Fraction(c) * f for c, f in zip(sub_cost.tolist(), flows.tolist()))
+    return float(total / MASS_SCALE)
 
 
 def loop_histograms(t, spec):

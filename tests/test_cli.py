@@ -484,6 +484,19 @@ ERROR_CASES = {
     "classify-missing-side-feature": (64, lambda d, tmp: _classify(
         tmp, _edited(d["model"], tmp, lambda p: p.update(weights=[0, 1, 1, 0, 0])),
         NO_IRD), "mean_ird"),
+    "histogram-d-max-nan": (64, lambda d, tmp: [
+        "histogram", str(d["real_template"]), "--d-max", "nan"], "d_max"),
+    "histogram-d-max-inf": (64, lambda d, tmp: [
+        "histogram", str(d["real_template"]), "--d-max", "inf"], "d_max"),
+    "config-spec-bins-not-integer": (64, lambda d, tmp: [
+        *_config(tmp, {"spec": {"b_dist": 10.5}}), "histogram", str(d["real_template"])],
+        "b_dist"),
+    "config-spec-bins-bool": (64, lambda d, tmp: [
+        *_config(tmp, {"spec": {"b_dir": True}}), "histogram", str(d["real_template"])],
+        "b_dir"),
+    "config-spec-d-max-not-a-number": (64, lambda d, tmp: [
+        *_config(tmp, {"spec": {"d_max": "200"}}), "histogram", str(d["real_template"])],
+        "d_max"),
     "histogram-4d-untyped": (64, lambda d, tmp: [
         "histogram", _file(tmp, "u.mnt", UNTYPED), "--dims", "4"], "typed"),
     "search-untyped": (64, lambda d, tmp: [
@@ -513,6 +526,10 @@ ERROR_CASES = {
         str(d["real_template"])], "pct_BIF"),
     "model-cost-out-of-range": (5, lambda d, tmp: _classify(tmp, _edited(
         d["model"], tmp, lambda p: p["params"].update(r=1e-9)), NO_IRD), "cost parameter r "),
+    "model-spec-bins-not-integer": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["spec"].update(b_relangle=20.5)), NO_IRD), "b_relangle"),
+    "model-spec-d-max-nan": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["spec"].update(d_max=float("nan"))), NO_IRD), "d_max"),
     "mds-infinite-distance": (2, lambda d, tmp: [
         "mds", _file(tmp, "d.csv", "a,0,inf\nb,inf,0\n"), "--out", str(tmp / "c.csv")],
         "non-finite"),
@@ -530,6 +547,10 @@ ERROR_CASES = {
         d["index"], tmp, _first_entry("mass_val", _setitem(0, float("nan"))))), "mass_val"),
     "index-mass-val-negative": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, _first_entry("mass_val", _setitem(0, -1.0)))), "mass_val"),
+    "index-spec-bins-bool": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["spec"].update(b_dist=True))), "b_dist"),
+    "index-spec-d-max-infinite": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["spec"].update(d_max=float("inf")))), "d_max"),
     "index-lengths-differ": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, lambda p: p["entries"][0].update(mass_val=[1.0]))), "length"),
 }

@@ -67,6 +67,21 @@ class TestBinSpec:
         with pytest.raises(ValueError):
             BinSpec(b_type=2)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"d_max": float("nan")}, "d_max"), ({"d_max": float("inf")}, "d_max"),
+        ({"d_max": "200"}, "d_max"), ({"d_max": True}, "d_max"),
+        ({"b_dist": 10.5}, "b_dist"), ({"b_dist": 10.0}, "b_dist"),
+        ({"b_dir": True}, "b_dir"), ({"b_relangle": "20"}, "b_relangle"),
+        ({"b_type": 4.0}, "b_type"),
+    ])
+    def test_rejects_non_numbers_and_fractional_bins(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            BinSpec(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        spec = BinSpec(d_max=np.float64(150.0), b_dist=np.int64(5))
+        assert spec.dist_width == 30.0
+
 
 class TestBuild2D:
     def test_single_pair_example(self):

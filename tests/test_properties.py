@@ -1,5 +1,5 @@
 """Property tests: the histogram builders against the pair-loop oracle, and
-the laws of the EMD against the dense transportation LP."""
+the laws of the EMD against the dense transportation LP and `linprog`."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from minhist.histogram import (
     build_2dmh,
     build_4dmh,
 )
+from minhist import transport
 from minhist.refine import RefineConfig, _deletion_weights
 from minhist.template import BIFURCATION, ENDING, Minutia, MinutiaTemplate
 from minhist.transport import (
@@ -24,7 +25,7 @@ from minhist.transport import (
     solve_transport,
 )
 
-from oracles import loop_histograms
+from oracles import linprog_transport_cost, loop_histograms
 
 # At most 55 pairs, so some bin of every spec stays empty.
 # Coordinates on a 10 px grid put pair distances on d_max (200 = 120-160-200)
@@ -123,13 +124,15 @@ def _close(got, want):
     return abs(got - want) <= 1e-12 * abs(want) + 1e-15
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+# Both paths return the correctly rounded exact optimum, so at the grid's
+# cost parameters they agree bit for bit (the 1e-12 law, made exact).
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(hists=_histograms(2), params=PARAMS)
 def test_emd_equals_dense_lp(hists, params):
     h1, h2 = hists
     cost = build_cost_matrix(h1.spec, params)
     want = solve_transport(h1.mass.ravel(), h2.mass.ravel(), cost).total_cost
-    assert _close(emd(h1, h2, params), want)
+    assert emd(h1, h2, params) == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -159,3 +162,46 @@ def test_emd_homogeneous_in_unit_costs(hists, r, s, e, c):
     h1, h2 = hists
     scaled = CostParams(c * r, c * s, e)
     assert _close(emd(h1, h2, scaled), c ** e * emd(h1, h2, CostParams(r, s, e)))
+
+
+# linprog's dense LP, summed exactly, gives the same bits as both paths.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hists=_histograms(2), params=PARAMS)
+def test_both_paths_equal_linprog(hists, params):
+    h1, h2 = hists
+    cost = build_cost_matrix(h1.spec, params)
+    want = linprog_transport_cost(h1.mass.ravel(), h2.mass.ravel(), cost)
+    assert emd(h1, h2, params) == want
+    assert solve_transport(h1.mass.ravel(), h2.mass.ravel(), cost).total_cost == want
+
+
+# emd restarts from the basis of whatever it solved last; the value must not
+# depend on that, whether the last solve had other masses, other params or
+# another spec, or there was none.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hists=_histograms(4), params=PARAMS, other_params=PARAMS, other_spec=_histograms(2))
+def test_emd_independent_of_earlier_solves(hists, params, other_params, other_spec):
+    a, b, c, d = hists
+    transport._warm_model.cache_clear()
+    cold = emd(a, b, params)
+    for before in ([(c, d, params)], [(c, d, other_params)],
+                   [(*other_spec, params), (c, d, params)], [(b, a, params)]):
+        for h1, h2, p in before:
+            emd(h1, h2, p)
+        assert emd(a, b, params) == cold
+
+
+def test_failed_solve_drops_the_kept_model():
+    rng = np.random.default_rng(22)
+    spec, params = BinSpec(b_dist=6, b_dir=6), CostParams(1.0, 2.0, 2.0)
+    h1, h2, h3 = (MinutiaeHistogram(spec=spec, dims=2, mass=m / m.sum(), normalized=True,
+                                    pair_count=1)
+                  for m in rng.random((3, 6, 6)))
+    emd(h1, h2, params)
+    highs, _ = transport._warm_model(spec, params)
+    highs.setOptionValue("simplex_iteration_limit", 0)
+    with pytest.raises(RuntimeError, match="transportation solve failed"):
+        emd(h3, h2, params)
+    assert transport._warm_model.cache_info().currsize == 0
+    want = linprog_transport_cost(h3.mass.ravel(), h2.mass.ravel(), build_cost_matrix(spec, params))
+    assert emd(h3, h2, params) == want

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from minhist import transport
 from minhist.histogram import BinSpec, MinutiaeHistogram
 from minhist.transport import (
     CostParams,
@@ -187,6 +194,22 @@ class TestSolveTransport:
         with pytest.raises(ValueError, match="non-negative"):
             solve_transport([1.0, -1.0], [0.0, 0.0], cost)
 
+    @pytest.mark.parametrize("supply, demand", [
+        ([np.nan, 1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [1.0, np.nan]),
+        ([np.inf, 1.0], [1.0, 1.0]),
+        ([np.inf, 1.0], [np.inf, 1.0]),
+        ([-np.inf, 1.0], [1.0, 1.0]),
+    ], ids=["nan-supply", "nan-demand", "inf-supply", "inf-both", "minus-inf"])
+    def test_non_finite_mass_rejected(self, supply, demand):
+        with pytest.raises(ValueError, match="masses must be finite"):
+            solve_transport(supply, demand, [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        with pytest.raises(ValueError, match="costs must be finite"):
+            solve_transport([0.5, 0.5], [0.5, 0.5], [[0.0, bad], [1.0, 0.0]])
+
     def test_scale_equivariance(self):
         rng = np.random.default_rng(14)
         supply = rng.random(6)
@@ -248,6 +271,16 @@ class TestEmd:
         with pytest.raises(ValueError, match="total mass"):
             emd(make_hist(mass1, normalized=False), make_hist(mass2, normalized=False))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bin_rejected(self, bad):
+        mass = np.full((2, 2), 0.25)
+        spoiled = mass.copy()
+        spoiled[0, 1] = bad
+        for h1, h2 in ((make_hist(spoiled), make_hist(mass)),
+                       (make_hist(mass), make_hist(spoiled))):
+            with pytest.raises(ValueError, match="finite"):
+                emd(h1, h2)
+
     def test_mixed_normalization_rejected(self):
         mass = np.zeros((10, 10))
         mass[0, 0] = 1.0
@@ -283,6 +316,41 @@ class TestEmd:
             want = brute_force_transport_cost(h1.mass.ravel(), h2.mass.ravel(), cost)
             assert abs(emd(h1, h2, params) - want) <= 1e-9
 
+    def test_threads_share_the_kept_model_safely(self):
+        # Four threads, more than the cores, switch between two (params,
+        # target) problems on the one kept model; each value must equal its
+        # cold solve.
+        rng = np.random.default_rng(23)
+        hists = [random_normalized_hist(rng, 6, 6) for _ in range(8)]
+        problems = [(h, hists[0], CostParams(e=e)) for h in hists[1:] for e in (1.0, 2.0)]
+        want = []
+        for h1, h2, params in problems:
+            transport._warm_model.cache_clear()
+            want.append(emd(h1, h2, params))
+        wrong = []
+
+        def work(offset):
+            try:
+                for k in range(3 * len(problems)):
+                    i = (offset + k) % len(problems)
+                    if emd(*problems[i]) != want[i]:
+                        wrong.append(i)
+            except Exception as exc:  # a thread's exception would be lost
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
     def test_triangle_inequality_e1(self):
         rng = np.random.default_rng(17)
         params = CostParams(e=1.0)
@@ -290,3 +358,22 @@ class TestEmd:
             a, b, c = (random_normalized_hist(rng, 5, 5) for _ in range(3))
             ab, bc, ac = emd(a, b, params), emd(b, c, params), emd(a, c, params)
             assert ac <= ab + bc + 1e-7
+
+
+def test_missing_highs_binding_names_the_scipy_version():
+    # A SciPy whose HiGHS binding lacks _Highs, in a fresh interpreter.
+    src = str(Path(transport.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, types, scipy.optimize\n"
+        "sys.modules['scipy.optimize._highspy._core'] = types.ModuleType('_core')\n"
+        "try:\n"
+        "    import minhist.transport\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "_Highs" in done.stdout
+    assert "SciPy 1.17.1" in done.stdout
