@@ -17,7 +17,7 @@ from minhist.transport import (
     transport_plan,
 )
 
-from oracles import brute_force_transport_cost
+from oracles import brute_force_transport_cost, linprog_transport_cost
 
 
 def make_hist(mass, spec=None, normalized=True):
@@ -350,6 +350,42 @@ class TestEmd:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+    def test_rejected_supply_change_drops_the_kept_model(self, monkeypatch):
+        # HiGHS reports a rejected bound change by status, not exception.
+        # Refuse the third change, after two have reached the model: the
+        # half-changed model must go, and later values match the oracle.
+        changes = []
+
+        class RefusesOnce(transport._Highs):
+            def changeRowBounds(self, row, lower, upper):
+                changes.append(row)
+                if len(changes) == 3:
+                    return transport.HighsStatus.kError
+                return super().changeRowBounds(row, lower, upper)
+
+        monkeypatch.setattr(transport, "_Highs", RefusesOnce)
+        transport._warm_model.cache_clear()
+        rng = np.random.default_rng(24)
+        params = CostParams(1.0, 2.0, 2.0)
+        h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
+        with pytest.raises(RuntimeError, match="rejected the supply"):
+            emd(h1, h2, params)
+        assert transport._warm_model.cache_info().currsize == 0
+        cost = build_cost_matrix(h1.spec, params)
+        for a, b in ((h3, h2), (h1, h2)):
+            want = linprog_transport_cost(a.mass.ravel(), b.mass.ravel(), cost)
+            assert emd(a, b, params) == want
+        transport._warm_model.cache_clear()
+
+    def test_rejected_option_raises(self, monkeypatch):
+        class NoOptions(transport._Highs):
+            def setOptionValue(self, name, value):
+                return transport.HighsStatus.kError
+
+        monkeypatch.setattr(transport, "_Highs", NoOptions)
+        with pytest.raises(RuntimeError, match="output_flag"):
+            solve_transport([1.0, 0.0], [0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
 
     def test_triangle_inequality_e1(self):
         rng = np.random.default_rng(17)
