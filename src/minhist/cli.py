@@ -23,6 +23,7 @@ import os
 import sys
 import traceback
 from dataclasses import asdict, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -32,6 +33,8 @@ from .identify import GalleryIndex, access_rate_report, build_index, search
 from .realness import ClassModel, EmptyClassError, TrainConfig, classify_template, evaluate, train
 from .refine import OrientationField, RefineConfig, init_template, refine, write_trace_csv
 from .template import (
+    REAL,
+    SYNTHETIC,
     MinutiaTemplate,
     load_directory,
     load_template,
@@ -134,8 +137,8 @@ def cmd_histogram(args, config: dict) -> int:
 
 def cmd_train(args, config: dict) -> int:
     train_cfg = _train_config(args, config)
-    real = _read_templates_dir(args.real_dir, label="real")
-    synth = _read_templates_dir(args.synth_dir, label="synthetic")
+    real = _read_templates_dir(args.real_dir, label=REAL)
+    synth = _read_templates_dir(args.synth_dir, label=SYNTHETIC)
     result = train(real, synth, train_cfg)
     result.model.save(args.out)
     print(f"set II accuracy: {result.set2_accuracy:.1f}")
@@ -149,19 +152,19 @@ def cmd_classify(args, config: dict) -> int:
     score = classify_template(_read(load_template, args.template, EXIT_PARSE), model)
     json.dump(asdict(score), sys.stdout)
     sys.stdout.write("\n")
-    return EXIT_REAL if score.decision == "real" else EXIT_SYNTHETIC
+    return EXIT_REAL if score.decision == REAL else EXIT_SYNTHETIC
 
 
 def cmd_evaluate(args, config: dict) -> int:
     model = _read(ClassModel.load, args.model, EXIT_BAD_MODEL)
     templates: List[MinutiaTemplate] = []
-    templates += _read_templates_dir(args.real_dir, label="real")
-    templates += _read_templates_dir(args.synth_dir, label="synthetic")
+    templates += _read_templates_dir(args.real_dir, label=REAL)
+    templates += _read_templates_dir(args.synth_dir, label=SYNTHETIC)
     report = evaluate(model, templates)
     if args.out:
         report.write_csv(args.out)
     print(f"accuracy: {report.accuracy:.1f}")
-    for label in ("real", "synthetic"):
+    for label in (REAL, SYNTHETIC):
         print(f"  {label}: {report.per_class[label]:.1f}")
     if report.skipped:
         print(f"skipped: {report.skipped}")
@@ -315,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None, help="per-iteration CSV trace")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--foreground", type=float, nargs=4, default=(0.0, 0.0, 200.0, 200.0),
+    library = {f.name: f.default for f in dataclass_fields(RefineConfig)}
+    p.add_argument("--max-iters", type=int, default=library["max_iters"])
+    p.add_argument("--foreground", type=float, nargs=4, default=library["foreground"],
                    metavar=("X0", "Y0", "X1", "Y1"))
-    p.add_argument("--counts", type=int, nargs="+", default=(30,),
+    p.add_argument("--counts", type=int, nargs="+", default=library["count_distribution"],
                    help="empirical minutiae count distribution")
     p.add_argument("--field", choices=("constant", "radial"), default="constant")
     p.add_argument("--field-angle", type=float, default=0.0)

@@ -89,18 +89,23 @@ class GalleryIndex:
                 raise ValueError(f"entry {k}: mass_idx outside [0, {n_bins})")
             if not (np.isfinite(val).all() and (val >= 0).all()):
                 raise ValueError(f"entry {k}: mass_val must be finite and non-negative")
+            finger, impression, pairs = entry["finger"], entry["impression"], entry["pair_count"]
+            if not (isinstance(finger, str) and isinstance(impression, str)):
+                raise ValueError(f"entry {k}: finger and impression must be strings")
+            if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 0:
+                raise ValueError(f"entry {k}: pair_count must be a non-negative integer")
             mass = np.zeros(n_bins)
             mass[idx.astype(np.intp)] = val  # an empty list parses as float
             index.entries.append(
                 GalleryEntry(
-                    finger_id=entry["finger"],
-                    impression_id=entry["impression"],
+                    finger_id=finger,
+                    impression_id=impression,
                     hist=MinutiaeHistogram(
                         spec=spec,
                         dims=4,
                         mass=mass.reshape(shape),
                         normalized=False,
-                        pair_count=int(entry["pair_count"]),
+                        pair_count=pairs,
                     ),
                 )
             )

@@ -28,11 +28,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, build_2dmh
-from .template import UNKNOWN, MinutiaTemplate, bifurcation_percentage, rescale_to_500dpi
+from .template import (
+    REAL,
+    SYNTHETIC,
+    UNKNOWN,
+    MinutiaTemplate,
+    bifurcation_percentage,
+    rescale_to_500dpi,
+)
 from .transport import BALANCE_RTOL, CostParams, check_cost_range, emd
-
-REAL = "real"
-SYNTHETIC = "synthetic"
 
 SIDE_FEATURES = ("mean_ird", "var_ird", "pct_bif")
 

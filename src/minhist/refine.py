@@ -26,8 +26,6 @@ from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _pair_bins, build
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
 from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
 
-Move = str  # "add", "delete", "flip"
-
 
 @dataclass(frozen=True)
 class OrientationField:
@@ -58,7 +56,6 @@ class RefineConfig:
     target: MinutiaeHistogram  # normalized 2D reference, e.g. a class average
     threshold: float
     max_iters: int = 200
-    moves: Tuple[Move, ...] = ("add", "delete", "flip")
     rng_seed: int = 0
     foreground: Tuple[float, float, float, float] = (0.0, 0.0, 200.0, 200.0)
     count_distribution: Tuple[int, ...] = (30,)
@@ -73,11 +70,6 @@ class RefineConfig:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not self.moves:
-            raise ValueError("at least one move must be enabled")
-        for move in self.moves:
-            if move not in ("add", "delete", "flip"):
-                raise ValueError(f"unknown move {move!r}")
         x0, y0, x1, y1 = self.foreground
         if x1 <= x0 or y1 <= y0:
             raise ValueError("foreground rectangle is empty")
@@ -161,12 +153,9 @@ def _propose(
     t: MinutiaTemplate,
     cfg: RefineConfig,
     delete_weights: np.ndarray,
-) -> Tuple[Optional[MinutiaTemplate], str]:
-    moves = list(cfg.moves)
-    if len(t) <= 2 and "delete" in moves:
-        moves.remove("delete")  # never shrink below 2 minutiae
-        if not moves:
-            return None, "none"
+) -> Tuple[MinutiaTemplate, str]:
+    # Never shrink below 2 minutiae.
+    moves = ("add", "flip") if len(t) <= 2 else ("add", "delete", "flip")
     move = moves[rng.integers(0, len(moves))]
     minutiae = list(t.minutiae)
     if move == "add":
@@ -218,8 +207,6 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
         best: Optional[Tuple[float, MinutiaeHistogram, MinutiaTemplate, str]] = None
         for _ in range(cfg.batch_size):
             candidate, desc = _propose(rng, current, cfg, delete_weights)
-            if candidate is None:
-                continue
             cand_hist = build_2dmh(candidate, spec)
             if cand_hist.pair_count == 0:
                 continue  # all pairs beyond d_max; histogram undefined as a distribution

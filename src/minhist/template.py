@@ -32,6 +32,10 @@ ENDING = "ending"
 BIFURCATION = "bifurcation"
 UNKNOWN = "unknown"
 
+# Provenance labels: the two classes of the test of realness.
+REAL = "real"
+SYNTHETIC = "synthetic"
+
 _TYPE_LETTERS = {"E": ENDING, "B": BIFURCATION, "U": UNKNOWN}
 _LETTER_OF_TYPE = {v: k for k, v in _TYPE_LETTERS.items()}
 
@@ -85,8 +89,8 @@ class MinutiaTemplate:
             raise ValueError("mean_ird must be positive")
         if self.var_ird is not None and self.var_ird < 0:
             raise ValueError("var_ird must be non-negative")
-        if self.label is not None and self.label not in ("real", "synthetic"):
-            raise ValueError(f"label must be 'real' or 'synthetic', got {self.label!r}")
+        if self.label is not None and self.label not in (REAL, SYNTHETIC):
+            raise ValueError(f"label must be {REAL!r} or {SYNTHETIC!r}, got {self.label!r}")
 
     def __len__(self) -> int:
         return len(self.minutiae)

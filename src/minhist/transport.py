@@ -6,14 +6,16 @@ The direction axis is linear, not circular: the folded range [0, 180] has
 genuine extremes at both ends.
 
 Masses are scaled to integers (x 1e9, rounded) before solving, so every LP
-has integral supplies. Every LP here is a network flow problem whose
-node-arc incidence matrix is totally unimodular, so it has an integral
-optimal vertex; the HiGHS dual simplex ends on one, and the flows are
-snapped to those integers. The cost is then summed exactly (the integer
-flows per distinct arc cost, the groups added as fractions) and rounded
-once, so a value is the correctly rounded optimum, whichever optimal vertex
-the solver ended on. The test suite checks the optima against a brute-force
-vertex-enumeration oracle and against `linprog`.
+has integral supplies; float64 holds every integer only up to 2**53, so a
+total mass above 2**53 / 1e9 (about 9.0e6) raises ValueError. Every LP here
+is a network flow problem whose node-arc incidence matrix is totally
+unimodular, so it has an integral optimal vertex; the HiGHS dual simplex
+ends on one, and the flows are snapped to those integers. The cost is then
+summed exactly (the integer flows per distinct arc cost, the groups added
+as fractions) and rounded once, so a value is the correctly rounded
+optimum, whichever optimal vertex the solver ended on. The test suite
+checks the optima against a brute-force vertex-enumeration oracle and
+against `linprog`.
 
 `solve_transport` solves the dense transportation problem and returns an
 explicit plan. `emd` needs only the optimal value, and the separable ground
@@ -106,6 +108,24 @@ class TransportPlan:
     total_cost: float
 
 
+def _axis_costs(spec: BinSpec, params: CostParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The ground cost of a move by k = 0 .. b - 1 bins along each axis:
+    (s * k)^e over the b_dist distance bins and (r * k)^e over the b_dir
+    direction bins. A power that overflows is inf."""
+    e = float(params.e)
+    with np.errstate(over="ignore"):
+        return tuple((float(unit) * np.arange(bins)) ** e
+                     for unit, bins in ((params.s, spec.b_dist), (params.r, spec.b_dir)))
+
+
+def _ground_cost(spec: BinSpec, params: CostParams, src, dst) -> np.ndarray:
+    """Ground cost between the flat bin indices src and dst (broadcast)."""
+    dist, dirn = _axis_costs(spec, params)
+    src_x, src_u = np.divmod(src, spec.b_dir)
+    dst_x, dst_u = np.divmod(dst, spec.b_dir)
+    return dist[np.abs(src_x - dst_x)] + dirn[np.abs(src_u - dst_u)]
+
+
 def check_cost_range(spec: BinSpec, params: CostParams) -> None:
     """Raise ValueError unless every nonzero arc cost of the flow network of
     (spec, params) lies in COST_RANGE.
@@ -115,20 +135,13 @@ def check_cost_range(spec: BinSpec, params: CostParams) -> None:
     for k = 1 .. b - 1. An axis with one bin has no arcs.
     """
     lo, hi = COST_RANGE
-    for name, unit, bins in (("s", params.s, spec.b_dist), ("r", params.r, spec.b_dir)):
-        if bins < 2:
-            continue
-        far = 1 if params.e == 1 else bins - 1
-        unit, e = float(unit), float(params.e)
-        try:
-            least, most = unit ** e, (unit * far) ** e
-        except OverflowError:
-            least = most = math.inf
-        if not lo <= least <= most <= hi:
-            bad = least if least < lo else most
+    for name, costs in zip(("s", "r"), _axis_costs(spec, params)):
+        arcs = costs[1:2] if params.e == 1 else costs[1:]
+        if arcs.size and not lo <= arcs[0] <= arcs[-1] <= hi:
+            bad = arcs[0] if arcs[0] < lo else arcs[-1]
             raise ValueError(
-                f"cost parameter {name} = {unit!r} at e = {params.e!r} gives an arc cost"
-                f" of {bad:.3g} on {bins} bins, outside [{lo:g}, {hi:g}]"
+                f"cost parameter {name} = {float(getattr(params, name))!r} at e = {params.e!r}"
+                f" gives an arc cost of {bad:.3g} on {costs.size} bins, outside [{lo:g}, {hi:g}]"
             )
 
 
@@ -139,13 +152,8 @@ def build_cost_matrix(spec: BinSpec, params: CostParams) -> np.ndarray:
     The cached array is shared by every caller, so it is read-only.
     Raises ValueError for parameters outside check_cost_range."""
     check_cost_range(spec, params)
-    dx = np.abs(np.subtract.outer(np.arange(spec.b_dist), np.arange(spec.b_dist)))
-    du = np.abs(np.subtract.outer(np.arange(spec.b_dir), np.arange(spec.b_dir)))
-    cost = (params.s * dx[:, None, :, None]) ** params.e + (
-        params.r * du[None, :, None, :]
-    ) ** params.e
-    n = spec.b_dist * spec.b_dir
-    cost = cost.reshape(n, n)
+    bins = np.arange(spec.b_dist * spec.b_dir)
+    cost = _ground_cost(spec, params, bins[:, None], bins[None, :])
     cost.flags.writeable = False
     return cost
 
@@ -153,20 +161,22 @@ def build_cost_matrix(spec: BinSpec, params: CostParams) -> np.ndarray:
 def _integer_marginals(supply: np.ndarray, demand: np.ndarray):
     """Check two mass vectors and scale their nonzero entries to integers.
 
-    Masses must be finite, non-negative and balanced within tolerance. Returns
-    (rows, s_int, cols, d_int): the indices of the nonzero entries of each
-    vector and their masses x MASS_SCALE, rounded, with equal sums. Returns
-    None when the total mass is zero.
+    Masses must be finite, non-negative and balanced within tolerance, with
+    a scaled total of at most 2**53. Returns (rows, s_int, cols, d_int): the
+    indices of the nonzero entries of each vector and their masses x
+    MASS_SCALE, rounded, with equal sums. Returns None when the total mass
+    is zero.
     """
     if not (np.isfinite(supply).all() and np.isfinite(demand).all()):
         raise ValueError("masses must be finite")
     if (supply < 0).any() or (demand < 0).any():
         raise ValueError("masses must be non-negative")
-    total_s, total_d = supply.sum(), demand.sum()
+    total_s, total_d = float(supply.sum()), float(demand.sum())
     if abs(total_s - total_d) > BALANCE_RTOL * max(1.0, total_s, total_d):
-        raise ValueError(
-            f"unbalanced marginals: supply {total_s!r} vs demand {total_d!r}"
-        )
+        raise ValueError(f"unbalanced marginals: unequal total mass {total_s!r} vs {total_d!r}")
+    # Above 2**53 float64 skips integers: HiGHS would not see integral supplies.
+    if max(total_s, total_d) * MASS_SCALE > 2 ** 53:
+        raise ValueError(f"total mass {max(total_s, total_d)!r} exceeds 2**53 / MASS_SCALE")
     if total_s == 0.0:
         return None
     rows = np.nonzero(supply > 0)[0]
@@ -237,6 +247,16 @@ def _solve_flow(highs: _Highs, arc_cost: np.ndarray):
     return arcs, flow_int[arcs], _exact_cost(arc_cost[arcs], flow_int[arcs])
 
 
+def _incidence(tails: np.ndarray, heads: np.ndarray, n_nodes: int) -> sparse.csc_matrix:
+    """Node-arc incidence matrix: +1 at each arc's tail, -1 at its head."""
+    arcs = np.arange(tails.size)
+    return sparse.csc_matrix(
+        (np.repeat([1.0, -1.0], tails.size),
+         (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
+        shape=(n_nodes, tails.size),
+    )
+
+
 def solve_transport(supply, demand, cost) -> TransportPlan:
     """Solve the balanced transportation problem to exact optimality.
 
@@ -259,16 +279,10 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
     rows, s_int, cols, d_int = marginals
     sub_cost = cost[np.ix_(rows, cols)]
 
+    # One arc from each source i to each sink m + j, in row-major order.
     m, n = len(rows), len(cols)
-    var = m * n
-    row_idx = np.concatenate(
-        [np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)]
-    )
-    col_idx = np.concatenate([np.arange(var), np.arange(var)])
-    a_eq = sparse.csc_matrix(
-        (np.ones(2 * var), (row_idx, col_idx)), shape=(m + n, var)
-    )
-    b_eq = np.concatenate([s_int, d_int]).astype(float)
+    a_eq = _incidence(np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m), m + n)
+    b_eq = np.concatenate([s_int, -d_int]).astype(float)
     arc_cost = sub_cost.ravel()
     arcs, flow_int, total_cost = _solve_flow(_new_model(arc_cost, a_eq, b_eq), arc_cost)
     fi, fj = np.divmod(arcs, n)
@@ -279,18 +293,17 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
 
 @lru_cache(maxsize=64)
 def _flow_network(spec: BinSpec, params: CostParams) -> Tuple[sparse.csc_matrix, np.ndarray]:
-    """Node-arc incidence matrix (+1 at the tail, -1 at the head) and arc
-    costs of a min-cost-flow network with the optimum of the transport
-    problem on build_cost_matrix(spec, params).
+    """Node-arc _incidence matrix and arc costs of a min-cost-flow network
+    with the optimum of the transport problem on build_cost_matrix(spec,
+    params).
 
-    The first n nodes are the sources and the last n the sinks, one per bin
-    in the flat order of build_cost_matrix. At e = 1 they are the same n
-    nodes, and arcs join neighbouring bins both ways at cost s along the
-    distance axis and r along the direction axis. Otherwise there are three
-    layers of n nodes: source (x, u) -> middle (y, u) costs (s|x-y|)^e and
-    middle (y, u) -> sink (y, v) costs (r|u-v|)^e, so one path of the
-    ground cost joins each source to each sink. Raises ValueError for
-    parameters outside check_cost_range.
+    Node k stands for bin k % n in the flat order of build_cost_matrix, and
+    each arc costs the ground cost between the bins of its ends. The first n
+    nodes are the sources and the last n the sinks. At e = 1 they are the
+    same n nodes, and arcs join neighbouring bins both ways. Otherwise there
+    are three layers of n nodes, source (x, u) -> middle (y, u) -> sink
+    (y, v), so one path of the ground cost joins each source to each sink.
+    Raises ValueError for parameters outside check_cost_range.
     """
     check_cost_range(spec, params)
     b_dist, b_dir = spec.b_dist, spec.b_dir
@@ -302,10 +315,6 @@ def _flow_network(spec: BinSpec, params: CostParams) -> Tuple[sparse.csc_matrix,
         near_u = (grid[:, :-1].ravel(), grid[:, 1:].ravel())  # (x, u), (x, u+1)
         tails = np.concatenate([*near_x, *near_u])
         heads = np.concatenate([*near_x[::-1], *near_u[::-1]])
-        arc_cost = np.repeat(
-            np.array([params.s, params.r], dtype=float),
-            [2 * near_x[0].size, 2 * near_u[0].size],
-        )
     else:
         n_nodes = 3 * n
         x, y, u = (a.ravel() for a in np.meshgrid(
@@ -314,16 +323,8 @@ def _flow_network(spec: BinSpec, params: CostParams) -> Tuple[sparse.csc_matrix,
             np.arange(b_dist), np.arange(b_dir), np.arange(b_dir), indexing="ij"))
         tails = np.concatenate([x * b_dir + u, n + y2 * b_dir + u2])
         heads = np.concatenate([n + y * b_dir + u, 2 * n + y2 * b_dir + v])
-        arc_cost = np.concatenate([
-            (params.s * np.abs(x - y)) ** params.e,
-            (params.r * np.abs(u2 - v)) ** params.e,
-        ]).astype(float)
-    arcs = np.arange(tails.size)
-    a_eq = sparse.csc_matrix(
-        (np.repeat([1.0, -1.0], tails.size),
-         (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
-        shape=(n_nodes, tails.size),
-    )
+    arc_cost = _ground_cost(spec, params, tails % n, heads % n)
+    a_eq = _incidence(tails, heads, n_nodes)
     # Shared by every caller through the cache, so read-only.
     for buf in (a_eq.data, a_eq.indices, a_eq.indptr, arc_cost):
         buf.flags.writeable = False
@@ -352,9 +353,6 @@ def _check_emd_inputs(h1: MinutiaeHistogram, h2: MinutiaeHistogram) -> None:
         raise ValueError("the transport cost model is defined for 2D histograms")
     if h1.normalized != h2.normalized:
         raise ValueError("histograms must both be normalized or both raw")
-    t1, t2 = h1.total(), h2.total()
-    if abs(t1 - t2) > BALANCE_RTOL * max(1.0, t1, t2):
-        raise ValueError(f"histograms have unequal total mass: {t1!r} vs {t2!r}")
 
 
 def transport_plan(

@@ -10,6 +10,7 @@ import pytest
 
 from minhist import cli
 from minhist.cli import main
+from minhist.refine import RefineConfig
 from minhist.template import load_template, save_template
 
 from genpop import make_population
@@ -270,6 +271,16 @@ class TestRefineCommand:
         assert code == 0
         t = load_template(out)
         assert all(10 <= m.x <= 90 and 20 <= m.y <= 120 for m in t.minutiae)
+
+    def test_defaults_are_the_library_defaults(self, data, tmp_path, monkeypatch):
+        configs = []
+        init = cli.init_template
+        monkeypatch.setattr(cli, "init_template", lambda cfg: configs.append(cfg) or init(cfg))
+        assert main(["refine", "--target", str(data["model"]), "--threshold", "100.0",
+                     "--out", str(tmp_path / "r.mnt")]) == 0
+        (cfg,) = configs
+        library = RefineConfig(target=cfg.target, threshold=cfg.threshold, params=cfg.params)
+        assert cfg == library
 
 
 class TestMdsCommand:
@@ -553,6 +564,17 @@ ERROR_CASES = {
         d["index"], tmp, lambda p: p["spec"].update(d_max=float("inf")))), "d_max"),
     "index-lengths-differ": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, lambda p: p["entries"][0].update(mass_val=[1.0]))), "length"),
+    "index-finger-not-string": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["entries"][0].update(finger=5))), "finger"),
+    "index-impression-not-string": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["entries"][0].update(impression=1))), "impression"),
+    "report-index-finger-not-string": (5, lambda d, tmp: [
+        "identify", "report", _edited(d["index"], tmp, lambda p: p["entries"][0].update(finger=5)),
+        str(d["gallery_dir"])], "finger"),
+    "index-pair-count-negative": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["entries"][0].update(pair_count=-3))), "pair_count"),
+    "index-pair-count-bool": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["entries"][0].update(pair_count=True))), "pair_count"),
 }
 
 

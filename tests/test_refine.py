@@ -74,8 +74,6 @@ class TestRefineConfig:
         target = target_histogram()
         with pytest.raises(ValueError, match="threshold"):
             RefineConfig(target=target, threshold=0.0)
-        with pytest.raises(ValueError, match="move"):
-            RefineConfig(target=target, threshold=0.1, moves=())
         with pytest.raises(ValueError, match="foreground"):
             RefineConfig(target=target, threshold=0.1, foreground=(0, 0, 0, 10))
         raw = build_2dmh(make_population(51, 1, 1, "broad", None)[0], SPEC, normalize=False)

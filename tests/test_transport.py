@@ -1,11 +1,15 @@
 import os
+import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import shortest_path
 
 from minhist import transport
 from minhist.histogram import BinSpec, MinutiaeHistogram
@@ -55,6 +59,7 @@ class TestCostRange:
         (CostParams(r=1e9, s=1, e=2), "r"),
         (CostParams(r=1, s=1e-9, e=2), "s"),
         (CostParams(r=1, s=1e300, e=2), "s"),  # the power overflows
+        (CostParams(r=1, s=200, e=2), "s"),  # only the farthest arc is above 1e6
     ])
     def test_out_of_range_rejected(self, params, name):
         rng = np.random.default_rng(19)
@@ -76,6 +81,14 @@ class TestCostRange:
             h1, h2 = random_normalized_hist(rng), random_normalized_hist(rng)
             want = transport_plan(h1, h2, params).total_cost
             assert abs(emd(h1, h2, params) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("e", [1.5, 2.0])
+    def test_overflowing_power_rejected_without_warning(self, e):
+        message = f"cost parameter s = 1e+300 at e = {e!r} gives an arc cost of inf on 10 bins"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                transport.check_cost_range(BinSpec(), CostParams(s=1e300, e=e))
 
     def test_axis_of_one_bin_has_no_arcs(self):
         # one distance bin: s prices no arc, so any s > 0 is accepted
@@ -126,6 +139,27 @@ class TestBuildCostMatrix:
         with pytest.raises(ValueError):
             cost *= 0.0
         assert emd(h1, h2, params) == before
+
+
+class TestFlowNetwork:
+    @pytest.mark.parametrize("e", [1.0, 1.5, 2.0])
+    def test_shortest_paths_are_the_ground_cost(self, e):
+        params = CostParams(r=0.7, s=1.3, e=e)
+        for b_dist in range(1, 6):
+            for b_dir in range(1, 6):
+                spec = BinSpec(b_dist=b_dist, b_dir=b_dir)
+                a_eq, arc_cost = transport._flow_network(spec, params)
+                n_nodes, n_arcs = a_eq.shape
+                arcs = a_eq.tocoo()
+                tails, heads = np.empty(n_arcs, int), np.empty(n_arcs, int)
+                tails[arcs.col[arcs.data == 1]] = arcs.row[arcs.data == 1]
+                heads[arcs.col[arcs.data == -1]] = arcs.row[arcs.data == -1]
+                # Explicit zeros stay arcs: a distance move by 0 bins is free.
+                graph = sparse.csr_matrix((arc_cost, (tails, heads)), shape=(n_nodes, n_nodes))
+                n = b_dist * b_dir
+                paths = shortest_path(graph, indices=np.arange(n))[:, n_nodes - n:]
+                np.testing.assert_allclose(
+                    paths, build_cost_matrix(spec, params), rtol=1e-12, atol=0)
 
 
 class TestSolveTransport:
@@ -238,6 +272,30 @@ class TestSolveTransport:
         plan = solve_transport([0.0, 0.0], [0.0, 0.0], np.ones((2, 2)))
         assert plan.total_cost == 0.0
         assert plan.flow == {}
+
+    @pytest.mark.parametrize("mass1, mass2", [
+        ([[1e10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1e10]]),
+        ([[5e9, 5e9], [0.0, 0.0]], [[5e9, 0.0], [5e9, 0.0]]),
+    ], ids=["corners", "row-to-column"])
+    def test_mass_beyond_exact_scaling_rejected(self, mass1, mass2):
+        # A total of 1e10 x MASS_SCALE is above 2**53 and wraps in int64:
+        # unchecked, emd returned 0.0 on "corners" and a negative value on
+        # "row-to-column".
+        h1, h2 = make_hist(mass1, normalized=False), make_hist(mass2, normalized=False)
+        cost = build_cost_matrix(h1.spec, CostParams())
+        for call in (lambda: emd(h1, h2), lambda: transport_plan(h1, h2),
+                     lambda: solve_transport(np.ravel(mass1), np.ravel(mass2), cost)):
+            with pytest.raises(ValueError, match=re.escape("exceeds 2**53")):
+                call()
+
+    def test_large_mass_within_exact_scaling_solved_exactly(self):
+        mass1, mass2 = np.zeros((2, 2)), np.zeros((2, 2))
+        mass1[0, 0] = mass2[1, 1] = 1e6
+        h1, h2 = make_hist(mass1, normalized=False), make_hist(mass2, normalized=False)
+        assert emd(h1, h2) == 2e6
+        plan = transport_plan(h1, h2)
+        assert plan.total_cost == 2e6
+        assert plan.flow == {(0, 3): 1e6}
 
 
 class TestEmd:
