@@ -318,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None, help="per-iteration CSV trace")
-    library = {f.name: f.default for f in dataclass_fields(RefineConfig)}
-    p.add_argument("--max-iters", type=int, default=library["max_iters"])
-    p.add_argument("--foreground", type=float, nargs=4, default=library["foreground"],
+    defaults = {f.name: f.default for f in dataclass_fields(RefineConfig)}
+    p.add_argument("--max-iters", type=int, default=defaults["max_iters"])
+    p.add_argument("--foreground", type=float, nargs=4, default=defaults["foreground"],
                    metavar=("X0", "Y0", "X1", "Y1"))
-    p.add_argument("--counts", type=int, nargs="+", default=library["count_distribution"],
+    p.add_argument("--counts", type=int, nargs="+", default=defaults["count_distribution"],
                    help="empirical minutiae count distribution")
     p.add_argument("--field", choices=("constant", "radial"), default="constant")
     p.add_argument("--field-angle", type=float, default=0.0)
