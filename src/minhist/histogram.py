@@ -24,6 +24,16 @@ from .template import BIFURCATION, ENDING, UNKNOWN, MinutiaTemplate
 TYPE_COMBINATIONS = ("EE", "EB", "BE", "BB")
 
 
+def _is_int(value) -> bool:
+    """An integer, bools excluded (JSON true is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number, bools excluded; strings are not numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BinSpec:
     """Bin layout for minutiae histograms.
@@ -42,13 +52,11 @@ class BinSpec:
     b_type: int = 4
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d_max, numbers.Real) and not isinstance(self.d_max, bool)
-                and math.isfinite(self.d_max) and self.d_max > 0):
+        if not (_is_real(self.d_max) and math.isfinite(self.d_max) and self.d_max > 0):
             raise ValueError(f"d_max must be a finite real > 0, got {self.d_max!r}")
         for name in ("b_dist", "b_dir", "b_relangle", "b_type"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                    and value >= 1):
+            if not (_is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.b_type != 4:
             raise ValueError("b_type is fixed at 4 (EE, EB, BE, BB)")
@@ -100,17 +108,22 @@ class MinutiaeHistogram:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "MinutiaeHistogram":
+        """The histogram of a to_dict payload. Values are checked, not
+        coerced: a wrong type raises ValueError."""
         spec = BinSpec(**d["spec"])
-        dims = int(d["dims"])
+        dims, normalized, pair_count = d["dims"], d["normalized"], d["pair_count"]
+        if not _is_int(dims):
+            raise ValueError(f"dims must be 2 or 4, got {dims!r}")
         shape = _mass_shape(spec, dims)
-        mass = np.asarray(d["mass"], dtype=float).reshape(shape)
-        return cls(
-            spec=spec,
-            dims=dims,
-            mass=mass,
-            normalized=bool(d["normalized"]),
-            pair_count=int(d["pair_count"]),
-        )
+        if not isinstance(normalized, bool):
+            raise ValueError(f"normalized must be true or false, got {normalized!r}")
+        if not (_is_int(pair_count) and pair_count >= 0):
+            raise ValueError(f"pair_count must be an integer >= 0, got {pair_count!r}")
+        mass = np.asarray(d["mass"])
+        if mass.dtype.kind not in "iuf":
+            raise ValueError("mass must be a list of numbers")
+        return cls(spec=spec, dims=dims, mass=mass.astype(float).reshape(shape),
+                   normalized=normalized, pair_count=pair_count)
 
 
 def _mass_shape(spec: BinSpec, dims: int):

@@ -17,7 +17,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import IDENTIFICATION_SPEC, BinSpec, MinutiaeHistogram, _mass_shape, build_4dmh
+from .histogram import (
+    IDENTIFICATION_SPEC,
+    BinSpec,
+    MinutiaeHistogram,
+    _is_int,
+    _mass_shape,
+    build_4dmh,
+)
 from .template import MinutiaTemplate, rescale_to_500dpi
 
 
@@ -92,7 +99,7 @@ class GalleryIndex:
             finger, impression, pairs = entry["finger"], entry["impression"], entry["pair_count"]
             if not (isinstance(finger, str) and isinstance(impression, str)):
                 raise ValueError(f"entry {k}: finger and impression must be strings")
-            if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 0:
+            if not (_is_int(pairs) and pairs >= 0):
                 raise ValueError(f"entry {k}: pair_count must be a non-negative integer")
             mass = np.zeros(n_bins)
             mass[idx.astype(np.intp)] = val  # an empty list parses as float

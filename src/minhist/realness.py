@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, build_2dmh
+from .histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, _is_real, build_2dmh
 from .template import (
     REAL,
     SYNTHETIC,
@@ -69,18 +69,21 @@ class ClassModel:
                 raise ValueError("class averages must have finite non-negative masses")
             if abs(avg.total() - 1.0) > BALANCE_RTOL:
                 raise ValueError(f"class averages must sum to 1, got {avg.total()!r}")
-        self.weights = tuple(float(w) for w in self.weights)
         if len(self.weights) != 5:
             raise ValueError("expected 5 fusion weights w0..w4")
-        if not all(math.isfinite(w) for w in self.weights):
-            raise ValueError(f"fusion weights must be finite, got {list(self.weights)!r}")
+        if not all(_is_real(w) and math.isfinite(w) for w in self.weights):
+            raise ValueError(f"fusion weights must be finite numbers, got {list(self.weights)!r}")
+        self.weights = tuple(float(w) for w in self.weights)
         for name, (offset, scale) in self.feature_norms.items():
             if name not in SIDE_FEATURES:
                 raise ValueError(f"unknown feature {name!r} in feature_norms")
-            if not (math.isfinite(offset) and math.isfinite(scale) and scale > 0):
+            if not (_is_real(offset) and _is_real(scale) and math.isfinite(offset)
+                    and math.isfinite(scale) and scale > 0):
                 raise ValueError(
-                    f"feature norm for {name!r} needs a finite offset and a finite scale > 0"
+                    f"feature norm for {name!r} needs a finite offset and a finite scale > 0,"
+                    f" got {[offset, scale]!r}"
                 )
+        self.feature_norms = {k: tuple(map(float, v)) for k, v in self.feature_norms.items()}
         check_cost_range(self.spec, self.params)
 
     def to_dict(self) -> dict:
@@ -99,7 +102,7 @@ class ClassModel:
             avg_real=MinutiaeHistogram.from_dict(d["avg_real"]),
             avg_synth=MinutiaeHistogram.from_dict(d["avg_synth"]),
             weights=tuple(d["weights"]),
-            feature_norms={k: (float(v[0]), float(v[1])) for k, v in d["feature_norms"].items()},
+            feature_norms={k: tuple(v) for k, v in d["feature_norms"].items()},
             params=CostParams(**d["params"]),
             spec=BinSpec(**d["spec"]),
         )

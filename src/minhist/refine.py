@@ -5,11 +5,15 @@ foreground, with each direction set to the local orientation or its opposite
 by a coin flip. It is then refined by greedy hill climbing: per iteration a
 batch of candidate moves (add a minutia, delete one, flip a direction by
 180 degrees) is scored by the EMD of the candidate's 2D histogram to a
-target histogram, and the best strictly improving move is accepted. The
-optimal transport flow of the current histogram, the only transport plan
-built per iteration, identifies the bins that contribute the most cost, and
-deletions are biased toward minutiae whose pairs populate those bins.
-Everything is seeded and fully deterministic.
+target histogram, and the best strictly improving move is accepted. An
+optimal transport plan of the current histogram, the only plan built per
+iteration, identifies the bins that contribute the most cost, and
+deletions are biased toward minutiae whose pairs populate those bins. The
+plan comes from `transport_plan`, which decomposes an optimal flow on the
+network `emd` solves, on a fresh model, so it depends only on the current
+histogram and the target. Where several plans are optimal, the one returned
+sets the deletion blame. Everything is seeded and fully deterministic: a
+run does not depend on what was solved before it.
 """
 
 from __future__ import annotations

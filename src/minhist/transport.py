@@ -17,19 +17,27 @@ optimum, whichever optimal vertex the solver ended on. The test suite
 checks the optima against a brute-force vertex-enumeration oracle and
 against `linprog`.
 
-`solve_transport` solves the dense transportation problem and returns an
-explicit plan. `emd` needs only the optimal value, and the separable ground
-cost lets it solve a far smaller network with the same optimum: at e = 1
-the ground cost is the shortest-path length on the bin grid, so arcs
-between neighbouring bins suffice (Ling & Okada, IEEE TPAMI 2007);
-otherwise every unit moves along the distance axis and then along the
-direction axis through a middle layer of nodes (Auricchio et al., NeurIPS
-2018).
+`solve_transport` solves the dense transportation problem for any cost
+matrix and returns an explicit plan. On histograms, the separable ground
+cost allows a far smaller network with the same optimum: at e = 1 the
+ground cost is the shortest-path length on the bin grid, so arcs between
+neighbouring bins suffice (Ling & Okada, IEEE TPAMI 2007); otherwise every
+unit moves along the distance axis and then along the direction axis
+through a middle layer of nodes (Auricchio et al., NeurIPS 2018). `emd`
+solves it for the value. `transport_plan` solves it on a fresh model and
+splits the optimal flow into source-to-sink paths. Every arc costs more
+than 0 at e = 1, and the three-layer network has no cycle, so an optimal
+flow has no cycle either. Every path of an optimal flow is a shortest
+path, so it costs the ground cost of its ends, and the paths form an
+optimal plan of the dense problem. The plan need not be a basic solution
+of the dense problem, so it has no size bound.
 
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
-model alive between solves. `solve_transport` builds a fresh model per
-call. `emd` keeps one model, for the most recent (spec, params): successive
+model alive between solves. `solve_transport` and `transport_plan` build a
+fresh model per call, so a plan depends only on its inputs: the optimal
+vertex a warm model ends on depends on what it solved before. `emd` keeps
+one model, for the most recent (spec, params): successive
 calls differ only in their supplies, so the previous optimal basis stays
 dual feasible and the dual simplex restarts from it (Huangfu & Hall, Math.
 Prog. Comp. 2018). Against a fresh model per call this cuts the
@@ -101,7 +109,7 @@ class TransportPlan:
     """Optimal flow between two mass vectors.
 
     flow maps (source bin, sink bin) to transported mass; only nonzero
-    entries are stored. total_cost is the flow-weighted sum of ground costs.
+    entries are stored. total_cost is the exact optimum, correctly rounded.
     """
 
     flow: Dict[Tuple[int, int], float]
@@ -292,10 +300,10 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
 
 
 @lru_cache(maxsize=64)
-def _flow_network(spec: BinSpec, params: CostParams) -> Tuple[sparse.csc_matrix, np.ndarray]:
-    """Node-arc _incidence matrix and arc costs of a min-cost-flow network
-    with the optimum of the transport problem on build_cost_matrix(spec,
-    params).
+def _flow_network(spec: BinSpec, params: CostParams):
+    """Node-arc _incidence matrix, arc costs, arc tails and arc heads of a
+    min-cost-flow network with the optimum of the transport problem on
+    build_cost_matrix(spec, params).
 
     Node k stands for bin k % n in the flat order of build_cost_matrix, and
     each arc costs the ground cost between the bins of its ends. The first n
@@ -326,9 +334,9 @@ def _flow_network(spec: BinSpec, params: CostParams) -> Tuple[sparse.csc_matrix,
     arc_cost = _ground_cost(spec, params, tails % n, heads % n)
     a_eq = _incidence(tails, heads, n_nodes)
     # Shared by every caller through the cache, so read-only.
-    for buf in (a_eq.data, a_eq.indices, a_eq.indptr, arc_cost):
+    for buf in (a_eq.data, a_eq.indices, a_eq.indptr, arc_cost, tails, heads):
         buf.flags.writeable = False
-    return a_eq, arc_cost
+    return a_eq, arc_cost, tails, heads
 
 
 @lru_cache(maxsize=1)
@@ -337,7 +345,7 @@ def _warm_model(spec: BinSpec, params: CostParams) -> Tuple[_Highs, np.ndarray]:
     _flow_network(spec, params), and a copy of the b_eq it holds. Only the
     most recent (spec, params) is kept: an e = 2 model holds about 2 MB.
     Use it only under _WARM_LOCK."""
-    a_eq, arc_cost = _flow_network(spec, params)
+    a_eq, arc_cost, _, _ = _flow_network(spec, params)
     b_eq = np.zeros(a_eq.shape[0])
     return _new_model(arc_cost, a_eq, b_eq), b_eq
 
@@ -346,22 +354,131 @@ def _warm_model(spec: BinSpec, params: CostParams) -> Tuple[_Highs, np.ndarray]:
 _WARM_LOCK = threading.Lock()
 
 
-def _check_emd_inputs(h1: MinutiaeHistogram, h2: MinutiaeHistogram) -> None:
+def _node_supplies(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams):
+    """Check the inputs of emd and transport_plan and put the scaled
+    marginals on the nodes of the network of (h1.spec, params).
+
+    Returns (network, marginals, b_eq): the tuple of _flow_network, the
+    result of _integer_marginals (None for zero mass) and the node supplies,
+    or b_eq None where the optimum is 0 without a solve. Raises ValueError
+    for parameters outside check_cost_range, even where the optimum is 0.
+    """
     if h1.spec != h2.spec:
         raise ValueError("histograms have different bin specifications")
     if h1.dims != 2 or h2.dims != 2:
         raise ValueError("the transport cost model is defined for 2D histograms")
     if h1.normalized != h2.normalized:
         raise ValueError("histograms must both be normalized or both raw")
+    network = _flow_network(h1.spec, params)
+    marginals = _integer_marginals(h1.mass.ravel(), h2.mass.ravel())
+    if marginals is None:
+        return network, None, None
+    rows, s_int, cols, d_int = marginals
+    # Equal marginals cost nothing; this also covers the 1x1 spec, whose
+    # neighbour grid has no arcs.
+    if np.array_equal(rows, cols) and np.array_equal(s_int, d_int):
+        return network, marginals, None
+    b_eq = np.zeros(network[0].shape[0])
+    b_eq[rows] = s_int
+    b_eq[b_eq.size - h1.mass.size + cols] -= d_int  # the last n nodes are sinks
+    return network, marginals, b_eq
+
+
+def _paths(tails: np.ndarray, heads: np.ndarray, units: np.ndarray, supply: np.ndarray):
+    """Decompose an acyclic integral flow into paths.
+
+    tails, heads and units are the arcs that carry flow and their flows;
+    supply[k] is the net supply of node k (negative for a demand). Returns
+    {(first node, last node): units}, summed over the paths between them.
+    Nodes are taken in topological order. Each pools the units its own
+    supply and its in-arcs bring, by first node, and hands them out in
+    first-node order, to its own demand and then to its out-arcs in the
+    given arc order, so the result depends on the flow alone. Raises
+    RuntimeError for a flow that does not conserve mass or has a cycle.
+    """
+    n_nodes = supply.size
+    balance = supply.copy()
+    np.subtract.at(balance, tails, units)
+    np.add.at(balance, heads, units)
+    if balance.any():
+        raise RuntimeError("transport flow does not conserve mass")
+    out_arcs = [[] for _ in range(n_nodes)]
+    waiting = np.bincount(heads, minlength=n_nodes).tolist()
+    for tail, head, flow in zip(tails.tolist(), heads.tolist(), units.tolist()):
+        out_arcs[tail].append((head, flow))
+    pools = [{} for _ in range(n_nodes)]
+    supply = supply.tolist()
+    for node in range(n_nodes):
+        if supply[node] > 0:
+            pools[node][node] = supply[node]
+    ready = [node for node in range(n_nodes) if waiting[node] == 0]
+    done = 0
+    paths = {}
+    while ready:
+        node = ready.pop()
+        done += 1
+        lots = sorted(pools[node].items())
+        k = 0
+        for head, need in [(None, max(-supply[node], 0)), *out_arcs[node]]:
+            while need:
+                first, have = lots[k]
+                moved = min(have, need)
+                if head is None:
+                    paths[first, node] = moved
+                else:
+                    pools[head][first] = pools[head].get(first, 0) + moved
+                need -= moved
+                if moved == have:
+                    k += 1
+                else:
+                    lots[k] = (first, have - moved)
+            if head is not None:
+                waiting[head] -= 1
+                if waiting[head] == 0:
+                    ready.append(head)
+    if done != n_nodes:
+        raise RuntimeError("transport flow has a cycle")
+    return paths
 
 
 def transport_plan(
     h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams = CostParams()
 ) -> TransportPlan:
-    """Optimal transport plan from h1 to h2 under the bin-index ground cost."""
-    _check_emd_inputs(h1, h2)
-    cost = build_cost_matrix(h1.spec, params)
-    return solve_transport(h1.mass.ravel(), h2.mass.ravel(), cost)
+    """Optimal transport plan from h1 to h2 under the bin-index ground cost.
+
+    The flow is solved on the network of _flow_network, on a fresh HiGHS
+    model, so the plan does not depend on earlier solves, and decomposed
+    into paths (_paths); each path from node i to node j moves its units
+    from bin i % n to bin j % n. At e = 1 the network sees only the net
+    supply, so min(supply, demand) of each bin stays in place. Every path
+    of an optimal flow is a shortest path, whose length is the ground cost
+    of its ends, so the plan is optimal for the dense problem on
+    build_cost_matrix. Masses are exact multiples of 1 / MASS_SCALE with
+    the scaled marginals of _integer_marginals as their sums; the plan need
+    not be a basic solution of the dense problem. total_cost is the
+    network's exact optimum, the same value as emd. Raises ValueError as
+    emd does.
+    """
+    (a_eq, arc_cost, tails, heads), marginals, b_eq = _node_supplies(h1, h2, params)
+    if marginals is None:
+        return TransportPlan(flow={}, total_cost=0.0)
+    units, total_cost = {}, 0.0
+    if b_eq is None or params.e == 1:
+        # The e = 1 network sees only the net supply: min(supply, demand) of
+        # each bin stays in place, as all of it does for equal marginals.
+        rows, s_int, cols, d_int = marginals
+        both, i, j = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
+        units = dict(zip(zip(both.tolist(), both.tolist()),
+                         np.minimum(s_int[i], d_int[j]).tolist()))
+    if b_eq is not None:
+        arcs, arc_flow, total_cost = _solve_flow(_new_model(arc_cost, a_eq, b_eq), arc_cost)
+        n = h1.mass.size
+        paths = _paths(tails[arcs], heads[arcs], arc_flow, b_eq.astype(np.int64))
+        for (first, last), moved in paths.items():
+            key = (first % n, last % n)
+            units[key] = units.get(key, 0) + moved
+    flow = {key: moved / MASS_SCALE for key, moved in sorted(units.items()) if moved}
+    return TransportPlan(flow=flow, total_cost=total_cost)
 
 
 def emd(
@@ -376,20 +493,9 @@ def emd(
     before. Raises ValueError for parameters outside check_cost_range, even
     where the value would be 0.
     """
-    _check_emd_inputs(h1, h2)
-    a_eq, arc_cost = _flow_network(h1.spec, params)
-    supply, demand = h1.mass.ravel(), h2.mass.ravel()
-    marginals = _integer_marginals(supply, demand)
-    if marginals is None:
+    (a_eq, arc_cost, _, _), _, b_eq = _node_supplies(h1, h2, params)
+    if b_eq is None:
         return 0.0
-    rows, s_int, cols, d_int = marginals
-    # Equal marginals cost nothing; this also covers the 1x1 spec, whose
-    # neighbour grid has no arcs.
-    if np.array_equal(rows, cols) and np.array_equal(s_int, d_int):
-        return 0.0
-    b_eq = np.zeros(a_eq.shape[0])
-    b_eq[rows] = s_int
-    b_eq[b_eq.size - supply.size + cols] -= d_int  # the last n nodes are sinks
     with _WARM_LOCK:
         highs, held = _warm_model(h1.spec, params)
         try:

@@ -10,7 +10,8 @@ LP solver used by the package.
 
 A dense `linprog` solve, which shares neither the package's HiGHS models
 nor its warm starts, is the reference for the exact optimum of any size:
-its integral optimal flows are summed arc by arc as exact fractions.
+its integral optimal flows are summed arc by arc as exact fractions, and
+any plan's cost is summed the same way.
 
 A plain per-pair loop builds 2D and 4D minutiae histograms as the reference
 for the vectorised histogram builders, and a plain grid loop, which solves
@@ -115,6 +116,16 @@ def linprog_transport_cost(supply, demand, cost) -> float:
     flows = np.rint(res.x).astype(np.int64)
     total = sum(Fraction(c) * f for c, f in zip(sub_cost.tolist(), flows.tolist()))
     return float(total / MASS_SCALE)
+
+
+def exact_plan_cost(plan, cost) -> float:
+    """The cost of a transport plan whose masses are whole multiples of
+    1 / MASS_SCALE: sum(cost[i, j] * mass) in exact fractions over the
+    plan's flows, each mass taken as its integer number of units, rounded
+    once. Two optimal plans of one problem give the same bits."""
+    total = sum(Fraction(float(cost[i, j])) * round(mass * MASS_SCALE)
+                for (i, j), mass in plan.flow.items())
+    return float(Fraction(total, MASS_SCALE))
 
 
 def loop_histograms(t, spec):

@@ -401,6 +401,10 @@ def _shift_mass(mass):
     mass[1] += 1.0
 
 
+def _as_strings(values):
+    values[:] = [str(v) for v in values]
+
+
 def _setitem(i, value):
     def edit(values):
         values[i] = value
@@ -541,6 +545,30 @@ ERROR_CASES = {
         d["model"], tmp, lambda p: p["spec"].update(b_relangle=20.5)), NO_IRD), "b_relangle"),
     "model-spec-d-max-nan": (5, lambda d, tmp: _classify(tmp, _edited(
         d["model"], tmp, lambda p: p["spec"].update(d_max=float("nan"))), NO_IRD), "d_max"),
+    # Model values are checked, not coerced: each of these used to load and
+    # exit with a decision, 0 or 1.
+    "model-average-pair-count-negative": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["avg_real"].update(pair_count=-3)), NO_IRD), "pair_count"),
+    "model-average-pair-count-bool": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["avg_real"].update(pair_count=True)), NO_IRD), "pair_count"),
+    "model-average-normalized-string": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["avg_real"].update(normalized="no")), NO_IRD), "normalized"),
+    "model-average-dims-fraction": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["avg_real"].update(dims=2.9)), NO_IRD), "dims"),
+    "model-average-mass-strings": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, _avg_real(_as_strings)), NO_IRD), "mass"),
+    "model-weights-strings": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p.update(weights=["0", "1", "0", "0", "0"])), NO_IRD),
+        "fusion weights"),
+    "model-weights-bool": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p.update(weights=[False, True, False, False, False])), NO_IRD),
+        "fusion weights"),
+    "model-feature-norm-string": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, _norm("mean_ird", "35", 10.0)),
+        str(d["real_template"])], "mean_ird"),
+    "model-feature-norm-bool": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, _norm("mean_ird", 35.0, True)),
+        str(d["real_template"])], "mean_ird"),
     "mds-infinite-distance": (2, lambda d, tmp: [
         "mds", _file(tmp, "d.csv", "a,0,inf\nb,inf,0\n"), "--out", str(tmp / "c.csv")],
         "non-finite"),

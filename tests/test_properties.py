@@ -1,5 +1,6 @@
-"""Property tests: the histogram builders against the pair-loop oracle, and
-the laws of the EMD against the dense transportation LP and `linprog`."""
+"""Property tests: the histogram builders against the pair-loop oracle, the
+laws of the EMD against the dense transportation LP and `linprog`, and the
+transport plan built from the EMD's flow network."""
 
 import numpy as np
 import pytest
@@ -18,14 +19,16 @@ from minhist import transport
 from minhist.refine import RefineConfig, _deletion_weights
 from minhist.template import BIFURCATION, ENDING, Minutia, MinutiaTemplate
 from minhist.transport import (
+    MASS_SCALE,
     CostParams,
     TransportPlan,
     build_cost_matrix,
     emd,
     solve_transport,
+    transport_plan,
 )
 
-from oracles import linprog_transport_cost, loop_histograms
+from oracles import exact_plan_cost, linprog_transport_cost, loop_histograms
 
 # At most 55 pairs, so some bin of every spec stays empty.
 # Coordinates on a 10 px grid put pair distances on d_max (200 = 120-160-200)
@@ -189,6 +192,60 @@ def test_emd_independent_of_earlier_solves(hists, params, other_params, other_sp
         for h1, h2, p in before:
             emd(h1, h2, p)
         assert emd(a, b, params) == cold
+
+
+def _normalized(mass):
+    mass = np.asarray(mass, dtype=float)
+    spec = BinSpec(b_dist=mass.shape[0], b_dir=mass.shape[1])
+    return MinutiaeHistogram(spec=spec, dims=2, mass=mass / mass.sum(), normalized=True,
+                             pair_count=1)
+
+
+# transport_plan decomposes an optimal flow on emd's network: its masses are
+# whole units of 1 / MASS_SCALE with the scaled marginals as sums, its cost
+# is the dense optimum, and it does not depend on what was solved before.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hists=_histograms(2), params=PARAMS, other=_histograms(2), other_params=PARAMS)
+@example(hists=[_normalized([[1.0]])] * 2, params=CostParams(1.0, 1.0, 1.0),
+         other=[_normalized([[1.0, 2.0]]), _normalized([[2.0, 1.0]])],
+         other_params=CostParams(0.5, 2.0, 2.0))
+@example(hists=[_normalized([[1.0]])] * 2, params=CostParams(2.0, 0.5, 2.0),
+         other=[_normalized([[1.0, 2.0]]), _normalized([[2.0, 1.0]])],
+         other_params=CostParams(1.0, 1.0, 1.0))
+@example(hists=[_normalized([[3.0, 0.0, 1.0, 0.0, 2.0, 5.0, 0.0]]),
+                _normalized([[0.0, 4.0, 0.0, 2.0, 0.0, 1.0, 4.0]])],
+         params=CostParams(0.5, 2.0, 1.0),
+         other=[_normalized([[1.0], [2.0]]), _normalized([[2.0], [1.0]])],
+         other_params=CostParams(0.5, 2.0, 1.0))
+@example(hists=[_normalized([[3.0, 0.0, 1.0, 0.0, 2.0, 5.0, 0.0]]),
+                _normalized([[0.0, 4.0, 0.0, 2.0, 0.0, 1.0, 4.0]])],
+         params=CostParams(2.0, 1.0, 2.0),
+         other=[_normalized([[1.0], [2.0]]), _normalized([[2.0], [1.0]])],
+         other_params=CostParams(2.0, 1.0, 2.0))
+def test_transport_plan_is_exact_optimal_and_history_free(hists, params, other, other_params):
+    h1, h2 = hists
+    supply, demand = h1.mass.ravel(), h2.mass.ravel()
+    plan = transport_plan(h1, h2, params)
+
+    units = {key: round(mass * MASS_SCALE) for key, mass in plan.flow.items()}
+    assert all(mass > 0 and mass == units[key] / MASS_SCALE for key, mass in plan.flow.items())
+    rows, s_int, cols, d_int = transport._integer_marginals(supply, demand)
+    want_out, want_in = np.zeros(supply.size, np.int64), np.zeros(demand.size, np.int64)
+    want_out[rows], want_in[cols] = s_int, d_int
+    out, into = np.zeros_like(want_out), np.zeros_like(want_in)
+    for (i, j), u in units.items():
+        out[i] += u
+        into[j] += u
+    assert np.array_equal(out, want_out) and np.array_equal(into, want_in)
+
+    cost = build_cost_matrix(h1.spec, params)
+    dense = solve_transport(supply, demand, cost).total_cost
+    assert exact_plan_cost(plan, cost) == dense == plan.total_cost == emd(h1, h2, params)
+
+    for a, b, p in ((*other, other_params), (*other, params), (h2, h1, params)):
+        emd(a, b, p)
+        transport_plan(a, b, p)
+    assert list(transport_plan(h1, h2, params).flow.items()) == list(plan.flow.items())
 
 
 def test_failed_solve_drops_the_kept_model():

@@ -1,20 +1,23 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from minhist.histogram import BinSpec, build_2dmh
+from minhist import transport
+from minhist.histogram import BinSpec, MinutiaeHistogram, build_2dmh
 from minhist.realness import average_histogram
 from minhist.refine import (
     OrientationField,
     RefineConfig,
+    _deletion_weights,
     assign_types,
     init_template,
     refine,
     write_trace_csv,
 )
 from minhist.template import BIFURCATION, ENDING, MinutiaTemplate
-from minhist.transport import emd, transport_plan
+from minhist.transport import CostParams, emd, transport_plan
 
 from genpop import make_population
 
@@ -198,6 +201,41 @@ class TestRefine:
         assert len(planned) == accepted + (result.status == "stall")
         assert len(planned) <= min(cfg.max_iters, 1 + accepted)
         assert np.array_equal(planned[0], build_2dmh(t, SPEC).mass)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_independent_of_earlier_solves(self, seed):
+        # emd keeps a warm model and restarts from its last basis; the plan
+        # behind the deletion blame must not, or the trajectory would follow
+        # whatever was solved before. The first run starts on no kept model.
+        cfg = base_config(threshold=1e-6, max_iters=12, rng_seed=seed)
+        transport._warm_model.cache_clear()
+        first = refine(init_template(cfg), cfg)
+        rng = np.random.default_rng(52)
+        other_spec = BinSpec(b_dist=6, b_dir=7)
+        for spec, params in ((SPEC, cfg.params), (SPEC, CostParams(0.5, 2.0, 1.0)),
+                             (other_spec, CostParams(1.0, 2.0, 2.0))):
+            h1, h2 = (MinutiaeHistogram(spec=spec, dims=2, mass=m / m.sum(), normalized=True,
+                                        pair_count=1)
+                      for m in rng.random((2, spec.b_dist, spec.b_dir)))
+            emd(h1, h2, params)
+        other = replace(cfg, rng_seed=seed + 100)
+        refine(init_template(other), other)
+        again = refine(init_template(cfg), cfg)
+        assert again.template == first.template
+        assert again.trace == first.trace
+        assert any(row.move.startswith("delete") for row in first.trace)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deletion_blame_is_twice_the_plan_cost(self, seed):
+        # Every source bin of the plan holds pairs of the current template,
+        # and each pair's blame goes to both members: blame that sums to
+        # anything else means the plan lost or invented mass.
+        cfg = base_config(rng_seed=seed, count_distribution=(12, 30))
+        current = init_template(cfg)
+        plan = transport_plan(build_2dmh(current, SPEC), cfg.target, cfg.params)
+        weights = _deletion_weights(current, plan, cfg)
+        assert plan.total_cost > 0
+        assert weights.sum() == pytest.approx(2 * plan.total_cost, rel=1e-12, abs=0)
 
     def test_too_small_template_rejected(self):
         cfg = base_config()

@@ -21,7 +21,7 @@ from minhist.transport import (
     transport_plan,
 )
 
-from oracles import brute_force_transport_cost, linprog_transport_cost
+from oracles import brute_force_transport_cost, exact_plan_cost, linprog_transport_cost
 
 
 def make_hist(mass, spec=None, normalized=True):
@@ -79,7 +79,8 @@ class TestCostRange:
         params = CostParams(r=r, s=s, e=e)
         for _ in range(3):
             h1, h2 = random_normalized_hist(rng), random_normalized_hist(rng)
-            want = transport_plan(h1, h2, params).total_cost
+            cost = build_cost_matrix(h1.spec, params)
+            want = solve_transport(h1.mass.ravel(), h2.mass.ravel(), cost).total_cost
             assert abs(emd(h1, h2, params) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("e", [1.5, 2.0])
@@ -148,12 +149,13 @@ class TestFlowNetwork:
         for b_dist in range(1, 6):
             for b_dir in range(1, 6):
                 spec = BinSpec(b_dist=b_dist, b_dir=b_dir)
-                a_eq, arc_cost = transport._flow_network(spec, params)
+                a_eq, arc_cost, tails, heads = transport._flow_network(spec, params)
                 n_nodes, n_arcs = a_eq.shape
+                # The matrix has +1 at each arc's tail and -1 at its head.
                 arcs = a_eq.tocoo()
-                tails, heads = np.empty(n_arcs, int), np.empty(n_arcs, int)
-                tails[arcs.col[arcs.data == 1]] = arcs.row[arcs.data == 1]
-                heads[arcs.col[arcs.data == -1]] = arcs.row[arcs.data == -1]
+                assert np.array_equal(arcs.row[arcs.data == 1], tails[arcs.col[arcs.data == 1]])
+                assert np.array_equal(arcs.row[arcs.data == -1], heads[arcs.col[arcs.data == -1]])
+                assert arcs.nnz == 2 * n_arcs == 2 * tails.size
                 # Explicit zeros stay arcs: a distance move by 0 bins is free.
                 graph = sparse.csr_matrix((arc_cost, (tails, heads)), shape=(n_nodes, n_nodes))
                 n = b_dist * b_dir
@@ -357,9 +359,10 @@ class TestEmd:
         "shape", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1), (2, 2)],
         ids=["1x1", "1x2", "2x1", "1x3", "3x1", "1x4", "4x1", "2x2"])
     def test_matches_brute_force_oracle(self, shape, e):
-        # emd solves its own network LP, not solve_transport; check it
-        # against vertex enumeration on criterion 1's integer masses (exact
-        # under MASS_SCALE) with criterion 1's tolerance.
+        # emd and transport_plan solve their own network LP, not
+        # solve_transport; check both against vertex enumeration on criterion
+        # 1's integer masses (exact under MASS_SCALE) with criterion 1's
+        # tolerance.
         rng = np.random.default_rng([18, *shape, int(e)])
         spec = BinSpec(b_dist=shape[0], b_dir=shape[1])
         n = shape[0] * shape[1]
@@ -373,6 +376,7 @@ class TestEmd:
             cost = build_cost_matrix(spec, params)
             want = brute_force_transport_cost(h1.mass.ravel(), h2.mass.ravel(), cost)
             assert abs(emd(h1, h2, params) - want) <= 1e-9
+            assert abs(exact_plan_cost(transport_plan(h1, h2, params), cost) - want) <= 1e-9
 
     def test_threads_share_the_kept_model_safely(self):
         # Four threads, more than the cores, switch between two (params,
