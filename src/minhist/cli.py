@@ -104,13 +104,16 @@ def _train_config(args, config: dict) -> TrainConfig:
     """The config's `train` section with the spec and the training flags
     laid over it. It is built once, under the spec it trains with, because
     the cost grid is checked against that spec."""
-    fields = {"spec": asdict(_spec_from(args, config))}
+    fields = {"spec": _spec_from(args, config)}
     if args.split is not None:
         fields["split"] = tuple(int(x) for x in args.split.split("/"))
     if args.no_side_features:
         fields["use_side_features"] = False
     try:
-        return TrainConfig.from_dict({**config.get("train", {}), **fields})
+        section = {**config.get("train", {})}
+        if "spec" in section:
+            raise ValueError('the bin spec is the top-level "spec" of the config, not train.spec')
+        return TrainConfig(**{**section, **fields})
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"bad training configuration: {exc}")
 

@@ -24,14 +24,44 @@ from .template import BIFURCATION, ENDING, UNKNOWN, MinutiaTemplate
 TYPE_COMBINATIONS = ("EE", "EB", "BE", "BB")
 
 
-def _is_int(value) -> bool:
-    """An integer, bools excluded (JSON true is not a count)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# The checks every payload and config value goes through. Each returns the
+# value it accepts and raises ValueError naming `name` otherwise. JSON true
+# and false are not numbers, and strings are never parsed.
 
 
-def _is_real(value) -> bool:
-    """A real number, bools excluded; strings are not numbers."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _real(value, name: str, positive: bool = False):
+    """A finite real number, > 0 if `positive`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or (positive and value <= 0)):
+        raise ValueError(f"{name} must be a finite number{' > 0' if positive else ''},"
+                         f" got {value!r}")
+    return value
+
+
+def _int(value, name: str, minimum: int):
+    """An integer >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _flag(value, name: str) -> bool:
+    """JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _numbers(values, name: str, integer: bool = False) -> np.ndarray:
+    """A list of JSON numbers (integers only, if `integer`) as an int64 or
+    float array. One pass over the element types, so no element is upcast."""
+    kinds = {int} if integer else {int, float}
+    if isinstance(values, list) and set(map(type, values)) <= kinds:
+        try:
+            return np.array(values, dtype=np.int64 if integer else float)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a list of {'integers' if integer else 'numbers'}")
 
 
 @dataclass(frozen=True)
@@ -52,12 +82,9 @@ class BinSpec:
     b_type: int = 4
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.d_max) and math.isfinite(self.d_max) and self.d_max > 0):
-            raise ValueError(f"d_max must be a finite real > 0, got {self.d_max!r}")
+        _real(self.d_max, "d_max", positive=True)
         for name in ("b_dist", "b_dir", "b_relangle", "b_type"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _int(getattr(self, name), name, 1)
         if self.b_type != 4:
             raise ValueError("b_type is fixed at 4 (EE, EB, BE, BB)")
 
@@ -111,19 +138,11 @@ class MinutiaeHistogram:
         """The histogram of a to_dict payload. Values are checked, not
         coerced: a wrong type raises ValueError."""
         spec = BinSpec(**d["spec"])
-        dims, normalized, pair_count = d["dims"], d["normalized"], d["pair_count"]
-        if not _is_int(dims):
-            raise ValueError(f"dims must be 2 or 4, got {dims!r}")
-        shape = _mass_shape(spec, dims)
-        if not isinstance(normalized, bool):
-            raise ValueError(f"normalized must be true or false, got {normalized!r}")
-        if not (_is_int(pair_count) and pair_count >= 0):
-            raise ValueError(f"pair_count must be an integer >= 0, got {pair_count!r}")
-        mass = np.asarray(d["mass"])
-        if mass.dtype.kind not in "iuf":
-            raise ValueError("mass must be a list of numbers")
-        return cls(spec=spec, dims=dims, mass=mass.astype(float).reshape(shape),
-                   normalized=normalized, pair_count=pair_count)
+        dims = _int(d["dims"], "dims", 2)
+        return cls(spec=spec, dims=dims,
+                   mass=_numbers(d["mass"], "mass").reshape(_mass_shape(spec, dims)),
+                   normalized=_flag(d["normalized"], "normalized"),
+                   pair_count=_int(d["pair_count"], "pair_count", 0))
 
 
 def _mass_shape(spec: BinSpec, dims: int):

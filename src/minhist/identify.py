@@ -21,8 +21,9 @@ from .histogram import (
     IDENTIFICATION_SPEC,
     BinSpec,
     MinutiaeHistogram,
-    _is_int,
+    _int,
     _mass_shape,
+    _numbers,
     build_4dmh,
 )
 from .template import MinutiaTemplate, rescale_to_500dpi
@@ -88,21 +89,20 @@ class GalleryIndex:
         n_bins = int(np.prod(shape))
         index = cls(spec=spec)
         for k, entry in enumerate(payload["entries"]):
-            idx = np.asarray(entry["mass_idx"])
-            val = np.asarray(entry["mass_val"], dtype=float)
-            if idx.ndim != 1 or idx.shape != val.shape:
+            idx = _numbers(entry["mass_idx"], f"entry {k}: mass_idx", integer=True)
+            val = _numbers(entry["mass_val"], f"entry {k}: mass_val")
+            if idx.shape != val.shape:
                 raise ValueError(f"entry {k}: mass_idx and mass_val differ in length")
-            if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n_bins):
+            if idx.size and (idx.min() < 0 or idx.max() >= n_bins):
                 raise ValueError(f"entry {k}: mass_idx outside [0, {n_bins})")
             if not (np.isfinite(val).all() and (val >= 0).all()):
                 raise ValueError(f"entry {k}: mass_val must be finite and non-negative")
-            finger, impression, pairs = entry["finger"], entry["impression"], entry["pair_count"]
+            finger, impression = entry["finger"], entry["impression"]
             if not (isinstance(finger, str) and isinstance(impression, str)):
                 raise ValueError(f"entry {k}: finger and impression must be strings")
-            if not (_is_int(pairs) and pairs >= 0):
-                raise ValueError(f"entry {k}: pair_count must be a non-negative integer")
+            pairs = _int(entry["pair_count"], f"entry {k}: pair_count", 0)
             mass = np.zeros(n_bins)
-            mass[idx.astype(np.intp)] = val  # an empty list parses as float
+            mass[idx] = val
             index.entries.append(
                 GalleryEntry(
                     finger_id=finger,

@@ -18,8 +18,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
-import numbers
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +25,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, _is_real, build_2dmh
+from .histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, build_2dmh
+from .histogram import _flag, _int, _real
 from .template import (
     REAL,
     SYNTHETIC,
@@ -71,19 +70,14 @@ class ClassModel:
                 raise ValueError(f"class averages must sum to 1, got {avg.total()!r}")
         if len(self.weights) != 5:
             raise ValueError("expected 5 fusion weights w0..w4")
-        if not all(_is_real(w) and math.isfinite(w) for w in self.weights):
-            raise ValueError(f"fusion weights must be finite numbers, got {list(self.weights)!r}")
-        self.weights = tuple(float(w) for w in self.weights)
+        self.weights = tuple(float(_real(w, "each of the fusion weights")) for w in self.weights)
+        norms = {}
         for name, (offset, scale) in self.feature_norms.items():
             if name not in SIDE_FEATURES:
                 raise ValueError(f"unknown feature {name!r} in feature_norms")
-            if not (_is_real(offset) and _is_real(scale) and math.isfinite(offset)
-                    and math.isfinite(scale) and scale > 0):
-                raise ValueError(
-                    f"feature norm for {name!r} needs a finite offset and a finite scale > 0,"
-                    f" got {[offset, scale]!r}"
-                )
-        self.feature_norms = {k: tuple(map(float, v)) for k, v in self.feature_norms.items()}
+            norms[name] = (float(_real(offset, f"feature norm offset of {name!r}")),
+                           float(_real(scale, f"feature norm scale of {name!r}", positive=True)))
+        self.feature_norms = norms
         check_cost_range(self.spec, self.params)
 
     def to_dict(self) -> dict:
@@ -101,8 +95,8 @@ class ClassModel:
         return cls(
             avg_real=MinutiaeHistogram.from_dict(d["avg_real"]),
             avg_synth=MinutiaeHistogram.from_dict(d["avg_synth"]),
-            weights=tuple(d["weights"]),
-            feature_norms={k: tuple(v) for k, v in d["feature_norms"].items()},
+            weights=d["weights"],
+            feature_norms=d["feature_norms"],
             params=CostParams(**d["params"]),
             spec=BinSpec(**d["spec"]),
         )
@@ -252,32 +246,18 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in _COST_GRIDS + _WEIGHT_GRIDS:
-            values = getattr(self, name)
-            if len(values) == 0:
+            values = tuple(getattr(self, name))
+            if not values:
                 raise ValueError(f"{name} is empty")
             for v in values:
-                if not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                    raise ValueError(f"{name} values must be finite reals, got {v!r}")
-                if name in _COST_GRIDS and v <= 0:
-                    raise ValueError(f"{name} values must be > 0, got {v!r}")
-        if len(self.split) != 3 or not all(
-            isinstance(n, numbers.Integral) and n >= 0 for n in self.split
-        ):
-            raise ValueError(f"split must be three non-negative integers, got {self.split!r}")
+                _real(v, f"each {name} value", positive=name in _COST_GRIDS)
+            setattr(self, name, values)
+        self.split = tuple(_int(n, "each split value", 0) for n in self.split)
+        if len(self.split) != 3:
+            raise ValueError(f"split must be three integers, got {self.split!r}")
+        _flag(self.use_side_features, "use_side_features")
         for r, s, e in itertools.product(self.r_grid, self.s_grid, self.e_grid):
             check_cost_range(self.spec, CostParams(r=r, s=s, e=e))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        kwargs = dict(d)
-        if "spec" in kwargs:
-            kwargs["spec"] = BinSpec(**kwargs["spec"])
-        if "split" in kwargs:
-            kwargs["split"] = tuple(kwargs["split"])
-        for key in _COST_GRIDS + _WEIGHT_GRIDS:
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 @dataclass

@@ -19,14 +19,13 @@ run does not depend on what was solved before it.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _pair_bins, build_2dmh
+from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _int, _pair_bins, _real, build_2dmh
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
 from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
 
@@ -68,12 +67,9 @@ class RefineConfig:
     params: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.threshold) and self.threshold > 0):
-            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        _real(self.threshold, "threshold", positive=True)
+        _int(self.max_iters, "max_iters", 0)
+        _int(self.batch_size, "batch_size", 1)
         x0, y0, x1, y1 = self.foreground
         if x1 <= x0 or y1 <= y0:
             raise ValueError("foreground rectangle is empty")

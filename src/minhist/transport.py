@@ -50,7 +50,6 @@ failures by status, not by exception, so every status is checked.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,7 +74,7 @@ except ImportError as exc:
         f" of SciPy 1.17.1, the version it is checked against; found SciPy {scipy.__version__}"
     ) from exc
 
-from .histogram import BinSpec, MinutiaeHistogram
+from .histogram import BinSpec, MinutiaeHistogram, _real
 
 MASS_SCALE = 10 ** 9
 BALANCE_RTOL = 1e-9
@@ -99,9 +98,7 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for name in ("r", "s", "e"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"cost parameter {name} must be strictly positive and finite")
+            _real(getattr(self, name), f"cost parameter {name}", positive=True)
 
 
 @dataclass

@@ -3,6 +3,9 @@ import os
 import shutil
 import subprocess
 import sys
+from copy import deepcopy
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,15 @@ from minhist.refine import RefineConfig
 from minhist.template import load_template, save_template
 
 from genpop import make_population
+
+
+# A one-point training grid, so that a training run takes a fraction of a second.
+TRAIN = {
+    "split": [2, 2, 2],
+    "r_grid": [1.0], "s_grid": [1.0], "e_grid": [1.0],
+    "w0_grid": [0.0], "w1_grid": [1.0],
+    "use_side_features": False,
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +51,7 @@ def data(tmp_path_factory):
 
     config = root / "config.json"
     config.write_text(json.dumps({
-        "train": {
-            "split": [2, 2, 2],
-            "r_grid": [1.0], "s_grid": [1.0], "e_grid": [1.0],
-            "w0_grid": [0.0], "w1_grid": [1.0],
-            "use_side_features": False,
-        },
+        "train": TRAIN,
         "identify_spec": {"b_dist": 10, "b_dir": 10, "b_relangle": 12},
     }))
 
@@ -405,6 +412,10 @@ def _as_strings(values):
     values[:] = [str(v) for v in values]
 
 
+def _set_first_zero(values, value):
+    values[values.index(0)] = value
+
+
 def _setitem(i, value):
     def edit(values):
         values[i] = value
@@ -603,6 +614,39 @@ ERROR_CASES = {
         d["index"], tmp, lambda p: p["entries"][0].update(pair_count=-3))), "pair_count"),
     "index-pair-count-bool": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, lambda p: p["entries"][0].update(pair_count=True))), "pair_count"),
+    # Numbers are never true, false or strings, and a flag is only true or
+    # false. Each of these used to load or train and exit 0 or 1.
+    "model-cost-param-bool": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["params"].update(r=True)), NO_IRD), "cost parameter r "),
+    "model-average-mass-false": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: _set_first_zero(p["avg_synth"]["mass"], False)), NO_IRD),
+        "mass"),
+    "index-mass-val-string": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, _first_entry("mass_val", _setitem(0, "1.5")))), "mass_val"),
+    "index-mass-val-bool": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, _first_entry("mass_val", _setitem(0, True)))), "mass_val"),
+    "train-r-grid-bool": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {**TRAIN, "r_grid": [True]}}), *_train(d, tmp)], "r_grid"),
+    "train-e-grid-bool": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {**TRAIN, "e_grid": [True]}}), *_train(d, tmp)], "e_grid"),
+    "train-split-bool": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {**TRAIN, "split": [True, 2, 2]}}), *_train(d, tmp)], "split"),
+    "train-side-features-string": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {**TRAIN, "use_side_features": "no"}}), *_train(d, tmp)],
+        "use_side_features"),
+    "train-side-features-number": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {**TRAIN, "use_side_features": 1}}), *_train(d, tmp)],
+        "use_side_features"),
+    # The config is checked before any template is read (this used to exit
+    # 2 for the missing directory).
+    "train-weight-grid-bool-checked-first": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {**TRAIN, "w0_grid": [False]}}), "train", str(tmp / "none"),
+        str(d["synth_dir"]), "--out", str(tmp / "m.json")], "w0_grid"),
+    # The bin spec has one config key, the top-level "spec"; a spec in the
+    # train section used to be dropped without a word.
+    "train-spec-in-train-section": (64, lambda d, tmp: [
+        *_config(tmp, {"train": {**TRAIN, "spec": {"b_dist": 5, "b_dir": 5}}}),
+        *_train(d, tmp)], "train.spec"),
 }
 
 
@@ -617,6 +661,83 @@ def test_error_exit_statuses(case, data, index, tmp_path, capsys):
     assert err.startswith("error: ")
     if message is not None:
         assert message in err
+
+
+# --- type swaps --------------------------------------------------------------
+
+# One or two values of each JSON type; each leaf gets those of the other types.
+SWAP_VALUES = (False, True, 0, 1, "1.5", None, [1], {})
+
+
+def _json_type(value):
+    """The JSON type of a parsed value: true and false are not numbers."""
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _sample(values):
+    """Every position of a short list; the ends of a long one, and its first
+    zero and first nonzero entry (a mass list has both)."""
+    if len(values) <= 5:
+        return range(len(values))
+    zero = [i for i, v in enumerate(values) if v == 0][:1]
+    nonzero = [i for i, v in enumerate(values) if v != 0][:1]
+    return sorted({0, len(values) - 1, *zero, *nonzero})
+
+
+def _leaves(node, path=()):
+    """The paths of a payload's leaves: scalars, lists of scalars and sampled
+    entries of those lists. Objects and lists of objects are walked."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        for i in _sample(node):
+            yield from _leaves(node[i], (*path, i))
+    else:
+        yield path
+        if isinstance(node, list):
+            yield from ((*path, i) for i in _sample(node))
+
+
+def _leaks(payload, argv, status, tmp_path, capsys):
+    """Every (path, value) type swap of `payload` for which the command
+    `argv(file, path)` does not fail with `status` and without a traceback."""
+    leaks = []
+    for path in _leaves(payload):
+        for value in SWAP_VALUES:
+            if _json_type(value) == _json_type(reduce(getitem, path, payload)):
+                continue
+            swapped = deepcopy(payload)
+            reduce(getitem, path[:-1], swapped)[path[-1]] = value
+            code = main(argv(_file(tmp_path, "swapped.json", json.dumps(swapped)), path))
+            if code != status or "Traceback" in capsys.readouterr().err:
+                leaks.append((path, value, code))
+    return leaks
+
+
+def test_type_swaps_in_a_model_are_corrupt(data, tmp_path, capsys):
+    model = json.loads(data["model"].read_text())
+    assert _leaks(model, lambda file, path: ["classify", file, str(data["real_template"])],
+                  5, tmp_path, capsys) == []
+
+
+def test_type_swaps_in_an_index_are_corrupt(data, index, tmp_path, capsys):
+    payload = json.loads(index.read_text())
+    assert _leaks(payload, lambda file, path: _search(data, tmp_path, file),
+                  5, tmp_path, capsys) == []
+
+
+def test_type_swaps_in_a_config_are_usage_errors(data, tmp_path, capsys):
+    config = {"spec": {"d_max": 200.0, "b_dist": 10, "b_dir": 10}, "train": TRAIN,
+              "identify_spec": {"b_dist": 10, "b_dir": 10, "b_relangle": 12}}
+
+    def argv(file, path):
+        if path[0] == "identify_spec":
+            return ["--config", file, "identify", "enroll", str(data["gallery_dir"]),
+                    "--out", str(tmp_path / "i.json")]
+        return ["--config", file, *_train(data, tmp_path)]
+
+    assert _leaks(config, argv, 64, tmp_path, capsys) == []
 
 
 def test_internal_error_exits_70_with_traceback(data, monkeypatch, capsys):
