@@ -85,7 +85,7 @@ def _load_config(path: Optional[str]) -> dict:
 def _spec_from(args, config: dict, key: str = "spec", base: BinSpec = BinSpec()) -> BinSpec:
     """The config's `key` section and the spec flags laid over `base`."""
     try:
-        fields = dict(config.get(key, {}))
+        fields = {**config.get(key, {})}
         for field, flag in (
             ("d_max", "d_max"),
             ("b_dist", "bins_dist"),

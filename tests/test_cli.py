@@ -520,6 +520,9 @@ ERROR_CASES = {
     "config-spec-bins-bool": (64, lambda d, tmp: [
         *_config(tmp, {"spec": {"b_dir": True}}), "histogram", str(d["real_template"])],
         "b_dir"),
+    "config-spec-list-of-pairs": (64, lambda d, tmp: [
+        *_config(tmp, {"spec": [["b_dist", 5]]}), "histogram", str(d["real_template"])],
+        "bin specification"),
     "config-spec-d-max-not-a-number": (64, lambda d, tmp: [
         *_config(tmp, {"spec": {"d_max": "200"}}), "histogram", str(d["real_template"])],
         "d_max"),
