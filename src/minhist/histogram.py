@@ -12,56 +12,15 @@ Templates must be at 500 DPI before histogramming; callers rescale first.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Any, Dict
 
 import numpy as np
 
 from .template import BIFURCATION, ENDING, UNKNOWN, MinutiaTemplate
+from .template import _flag, _int, _numbers, _real
 
 TYPE_COMBINATIONS = ("EE", "EB", "BE", "BB")
-
-
-# The checks every payload and config value goes through. Each returns the
-# value it accepts and raises ValueError naming `name` otherwise. JSON true
-# and false are not numbers, and strings are never parsed.
-
-
-def _real(value, name: str, positive: bool = False):
-    """A finite real number, > 0 if `positive`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or (positive and value <= 0)):
-        raise ValueError(f"{name} must be a finite number{' > 0' if positive else ''},"
-                         f" got {value!r}")
-    return value
-
-
-def _int(value, name: str, minimum: int):
-    """An integer >= `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _flag(value, name: str) -> bool:
-    """JSON true or false."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _numbers(values, name: str, integer: bool = False) -> np.ndarray:
-    """A list of JSON numbers (integers only, if `integer`) as an int64 or
-    float array. One pass over the element types, so no element is upcast."""
-    kinds = {int} if integer else {int, float}
-    if isinstance(values, list) and set(map(type, values)) <= kinds:
-        try:
-            return np.array(values, dtype=np.int64 if integer else float)
-        except OverflowError:
-            pass
-    raise ValueError(f"{name} must be a list of {'integers' if integer else 'numbers'}")
 
 
 @dataclass(frozen=True)

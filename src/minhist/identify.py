@@ -17,16 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import (
-    IDENTIFICATION_SPEC,
-    BinSpec,
-    MinutiaeHistogram,
-    _int,
-    _mass_shape,
-    _numbers,
-    build_4dmh,
-)
-from .template import MinutiaTemplate, rescale_to_500dpi
+from .histogram import IDENTIFICATION_SPEC, BinSpec, MinutiaeHistogram, _mass_shape, build_4dmh
+from .template import MinutiaTemplate, _int, _numbers, rescale_to_500dpi
 
 
 def bis(h1: MinutiaeHistogram, h2: MinutiaeHistogram) -> float:

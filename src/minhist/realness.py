@@ -26,7 +26,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, build_2dmh
-from .histogram import _flag, _int, _real
 from .template import (
     REAL,
     SYNTHETIC,
@@ -35,6 +34,7 @@ from .template import (
     bifurcation_percentage,
     rescale_to_500dpi,
 )
+from .template import _flag, _int, _real
 from .transport import BALANCE_RTOL, CostParams, check_cost_range, emd
 
 SIDE_FEATURES = ("mean_ird", "var_ird", "pct_bif")

@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _int, _pair_bins, _real, build_2dmh
-from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
+from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _pair_bins, build_2dmh
+from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate, _int, _real
 from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
 
 

@@ -22,11 +22,13 @@ reduced modulo 360 into [0, 360) on parse. Datasets on disk follow the
 
 from __future__ import annotations
 
-import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 ENDING = "ending"
 BIFURCATION = "bifurcation"
@@ -48,6 +50,51 @@ class TemplateParseError(ValueError):
     """Malformed template text; message names the offending line."""
 
 
+# The checks every template field, payload and config value goes through.
+# Each returns the value it accepts and raises ValueError naming `name`
+# otherwise. JSON true and false are not numbers, and strings are never
+# parsed.
+
+_INF = float("inf")
+
+
+def _real(value, name: str, minimum=None, positive: bool = False):
+    """A finite real number, >= `minimum` if given and > 0 if `positive`."""
+    # A plain float, the common case, skips the abstract type checks.
+    if ((type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real))
+            and -_INF < value < _INF
+            and (minimum is None or value >= minimum) and (not positive or value > 0)):
+        return value
+    bound = " > 0" if positive else "" if minimum is None else f" >= {minimum}"
+    raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+
+
+def _int(value, name: str, minimum: int):
+    """An integer >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _flag(value, name: str) -> bool:
+    """JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _numbers(values, name: str, integer: bool = False) -> np.ndarray:
+    """A list of JSON numbers (integers only, if `integer`) as an int64 or
+    float array. One pass over the element types, so no element is upcast."""
+    kinds = {int} if integer else {int, float}
+    if isinstance(values, list) and set(map(type, values)) <= kinds:
+        try:
+            return np.array(values, dtype=np.int64 if integer else float)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a list of {'integers' if integer else 'numbers'}")
+
+
 @dataclass(frozen=True)
 class Minutia:
     """A single minutia: position in pixels, direction in degrees, type."""
@@ -58,13 +105,9 @@ class Minutia:
     mtype: str = UNKNOWN
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("minutia coordinates must be finite")
-        if self.x < 0 or self.y < 0:
-            raise ValueError("minutia coordinates must be non-negative")
-        if not math.isfinite(self.direction):
-            raise ValueError("minutia direction must be finite")
-        object.__setattr__(self, "direction", self.direction % 360.0)
+        _real(self.x, "minutia x", minimum=0)
+        _real(self.y, "minutia y", minimum=0)
+        object.__setattr__(self, "direction", _real(self.direction, "minutia direction") % 360.0)
         if self.mtype not in (ENDING, BIFURCATION, UNKNOWN):
             raise ValueError(f"unknown minutia type: {self.mtype!r}")
 
@@ -83,12 +126,11 @@ class MinutiaTemplate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "minutiae", tuple(self.minutiae))
-        if self.dpi <= 0:
-            raise ValueError("dpi must be positive")
-        if self.mean_ird is not None and self.mean_ird <= 0:
-            raise ValueError("mean_ird must be positive")
-        if self.var_ird is not None and self.var_ird < 0:
-            raise ValueError("var_ird must be non-negative")
+        _int(self.dpi, "dpi", 1)
+        if self.mean_ird is not None:
+            _real(self.mean_ird, "mean_ird", positive=True)
+        if self.var_ird is not None:
+            _real(self.var_ird, "var_ird", minimum=0)
         if self.label is not None and self.label not in (REAL, SYNTHETIC):
             raise ValueError(f"label must be {REAL!r} or {SYNTHETIC!r}, got {self.label!r}")
 
@@ -100,6 +142,18 @@ class MinutiaTemplate:
         finger = self.finger_id if self.finger_id is not None else "?"
         impression = self.impression_id if self.impression_id is not None else "?"
         return f"{finger}_{impression}"
+
+
+# The header lines: key -> (template field, token parser), in the order
+# serialize_template writes them. Range rules are the constructor's.
+_HEADER = {
+    "dpi": ("dpi", int),
+    "mean_ird": ("mean_ird", float),
+    "var_ird": ("var_ird", float),
+    "label": ("label", str),
+    "finger": ("finger_id", str),
+    "impression": ("impression_id", str),
+}
 
 
 def parse_template(text: str) -> MinutiaTemplate:
@@ -139,34 +193,15 @@ def _looks_numeric(token: str) -> bool:
 
 def _parse_header_line(fields: List[str], header: dict, lineno: int) -> None:
     key = fields[0].lower()
-    if len(fields) != 2:
-        if key in ("dpi", "mean_ird", "var_ird", "label", "finger", "impression"):
-            raise TemplateParseError(f"line {lineno}: '{key}' expects exactly one value")
+    if key not in _HEADER:
         return  # unknown header field, ignored
-    value = fields[1]
+    if len(fields) != 2:
+        raise TemplateParseError(f"line {lineno}: '{key}' expects exactly one value")
+    name, parse = _HEADER[key]
     try:
-        if key == "dpi":
-            header["dpi"] = int(value)
-        elif key == "mean_ird":
-            header["mean_ird"] = _finite_float(value)
-        elif key == "var_ird":
-            header["var_ird"] = _finite_float(value)
-        elif key == "label":
-            header["label"] = value
-        elif key == "finger":
-            header["finger_id"] = value
-        elif key == "impression":
-            header["impression_id"] = value
-        # anything else: unknown header field, ignored
+        header[name] = parse(fields[1])
     except ValueError as exc:
         raise TemplateParseError(f"line {lineno}: {exc}") from exc
-
-
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {token!r}")
-    return value
 
 
 def _parse_minutia_line(fields: List[str], lineno: int) -> Minutia:
@@ -175,15 +210,10 @@ def _parse_minutia_line(fields: List[str], lineno: int) -> Minutia:
             f"line {lineno}: expected 'x y direction type', got {len(fields)} fields"
         )
     try:
-        x = _finite_float(fields[0])
-        y = _finite_float(fields[1])
-        direction = _finite_float(fields[2])
-    except ValueError as exc:
-        raise TemplateParseError(f"line {lineno}: {exc}") from exc
-    letter = fields[3].upper()
-    if letter not in _TYPE_LETTERS:
-        raise TemplateParseError(f"line {lineno}: minutia type must be E, B or U, got {fields[3]!r}")
-    try:
+        x, y, direction = float(fields[0]), float(fields[1]), float(fields[2])
+        letter = fields[3].upper()
+        if letter not in _TYPE_LETTERS:
+            raise ValueError(f"minutia type must be E, B or U, got {fields[3]!r}")
         return Minutia(x=x, y=y, direction=direction, mtype=_TYPE_LETTERS[letter])
     except ValueError as exc:
         raise TemplateParseError(f"line {lineno}: {exc}") from exc
@@ -191,17 +221,8 @@ def _parse_minutia_line(fields: List[str], lineno: int) -> Minutia:
 
 def serialize_template(t: MinutiaTemplate) -> str:
     """Render a template back into the text format (parse round-trips)."""
-    lines = [f"dpi {t.dpi}"]
-    if t.mean_ird is not None:
-        lines.append(f"mean_ird {t.mean_ird!r}")
-    if t.var_ird is not None:
-        lines.append(f"var_ird {t.var_ird!r}")
-    if t.label is not None:
-        lines.append(f"label {t.label}")
-    if t.finger_id is not None:
-        lines.append(f"finger {t.finger_id}")
-    if t.impression_id is not None:
-        lines.append(f"impression {t.impression_id}")
+    lines = [f"{key} {getattr(t, name)}" for key, (name, _) in _HEADER.items()
+             if getattr(t, name) is not None]
     for m in t.minutiae:
         lines.append(f"{m.x!r} {m.y!r} {m.direction!r} {_LETTER_OF_TYPE[m.mtype]}")
     return "\n".join(lines) + "\n"

@@ -74,7 +74,8 @@ except ImportError as exc:
         f" of SciPy 1.17.1, the version it is checked against; found SciPy {scipy.__version__}"
     ) from exc
 
-from .histogram import BinSpec, MinutiaeHistogram, _real
+from .histogram import BinSpec, MinutiaeHistogram
+from .template import _real
 
 MASS_SCALE = 10 ** 9
 BALANCE_RTOL = 1e-9
