@@ -86,15 +86,10 @@ def _spec_from(args, config: dict, key: str = "spec", base: BinSpec = BinSpec())
     """The config's `key` section and the spec flags laid over `base`."""
     try:
         fields = {**config.get(key, {})}
-        for field, flag in (
-            ("d_max", "d_max"),
-            ("b_dist", "bins_dist"),
-            ("b_dir", "bins_dir"),
-            ("b_relangle", "bins_relangle"),
-        ):
-            value = getattr(args, flag, None)
+        for field in dataclass_fields(BinSpec):
+            value = getattr(args, field.name, None)
             if value is not None:
-                fields[field] = value
+                fields[field.name] = value
         return replace(base, **fields)
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_USAGE, f"bad bin specification: {exc}")
@@ -257,10 +252,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+    """The spec flags; each dest is the BinSpec field it sets."""
     p.add_argument("--d-max", dest="d_max", type=float, default=None)
-    p.add_argument("--bins-dist", dest="bins_dist", type=int, default=None)
-    p.add_argument("--bins-dir", dest="bins_dir", type=int, default=None)
-    p.add_argument("--bins-relangle", dest="bins_relangle", type=int, default=None)
+    p.add_argument("--bins-dist", dest="b_dist", type=int, default=None)
+    p.add_argument("--bins-dir", dest="b_dir", type=int, default=None)
+    p.add_argument("--bins-relangle", dest="b_relangle", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,9 +18,7 @@ from typing import Any, Dict
 import numpy as np
 
 from .template import BIFURCATION, ENDING, UNKNOWN, MinutiaTemplate
-from .template import _flag, _int, _numbers, _real
-
-TYPE_COMBINATIONS = ("EE", "EB", "BE", "BB")
+from .template import _flag, _int, _numbers, _object, _real
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,11 @@ class MinutiaeHistogram:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "MinutiaeHistogram":
-        """The histogram of a to_dict payload. Values are checked, not
-        coerced: a wrong type raises ValueError."""
-        spec = BinSpec(**d["spec"])
+        """The histogram of a to_dict payload. Keys and values are checked,
+        not coerced: a missing or unknown key or a wrong type raises
+        ValueError."""
+        _object(d, "histogram", cls)
+        spec = BinSpec(**_object(d["spec"], "spec", BinSpec))
         dims = _int(d["dims"], "dims", 2)
         return cls(spec=spec, dims=dims,
                    mass=_numbers(d["mass"], "mass").reshape(_mass_shape(spec, dims)),

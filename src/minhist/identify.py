@@ -18,7 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .histogram import IDENTIFICATION_SPEC, BinSpec, MinutiaeHistogram, _mass_shape, build_4dmh
-from .template import MinutiaTemplate, _int, _numbers, rescale_to_500dpi
+from .template import MinutiaTemplate, _int, _numbers, _object, rescale_to_500dpi
+
+# The keys of each entry of a saved index.
+_ENTRY_KEYS = ("finger", "impression", "pair_count", "mass_idx", "mass_val")
 
 
 def bis(h1: MinutiaeHistogram, h2: MinutiaeHistogram) -> float:
@@ -57,6 +60,9 @@ class GalleryIndex:
         )
 
     def save(self, path: Path | str) -> None:
+        # load rejects an index without entries; search has nothing to rank.
+        if not self.entries:
+            raise ValueError("cannot save an empty gallery index")
         # Raw 4D histograms are almost entirely zero; store nonzero bins only.
         payload = {
             "spec": asdict(self.spec),
@@ -75,12 +81,15 @@ class GalleryIndex:
 
     @classmethod
     def load(cls, path: Path | str) -> "GalleryIndex":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        spec = BinSpec(**payload["spec"])
+        payload = _object(json.loads(Path(path).read_text(encoding="utf-8")), "index", cls)
+        spec = BinSpec(**_object(payload["spec"], "spec", BinSpec))
         shape = _mass_shape(spec, 4)
         n_bins = int(np.prod(shape))
         index = cls(spec=spec)
+        if not (isinstance(payload["entries"], list) and payload["entries"]):
+            raise ValueError("entries must be a non-empty list")
         for k, entry in enumerate(payload["entries"]):
+            _object(entry, f"entry {k}", _ENTRY_KEYS)
             idx = _numbers(entry["mass_idx"], f"entry {k}: mass_idx", integer=True)
             val = _numbers(entry["mass_val"], f"entry {k}: mass_val")
             if idx.shape != val.shape:

@@ -34,7 +34,7 @@ from .template import (
     bifurcation_percentage,
     rescale_to_500dpi,
 )
-from .template import _flag, _int, _real
+from .template import _flag, _int, _object, _real
 from .transport import BALANCE_RTOL, CostParams, check_cost_range, emd
 
 SIDE_FEATURES = ("mean_ird", "var_ird", "pct_bif")
@@ -92,13 +92,16 @@ class ClassModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassModel":
+        """The model of a to_dict payload, which holds exactly the keys
+        to_dict writes, at every level; its norms name every side feature."""
+        _object(d, "model", cls)
         return cls(
             avg_real=MinutiaeHistogram.from_dict(d["avg_real"]),
             avg_synth=MinutiaeHistogram.from_dict(d["avg_synth"]),
             weights=d["weights"],
-            feature_norms=d["feature_norms"],
-            params=CostParams(**d["params"]),
-            spec=BinSpec(**d["spec"]),
+            feature_norms=_object(d["feature_norms"], "feature_norms", SIDE_FEATURES),
+            params=CostParams(**_object(d["params"], "params", CostParams)),
+            spec=BinSpec(**_object(d["spec"], "spec", BinSpec)),
         )
 
     def save(self, path: Path | str) -> None:
@@ -229,7 +232,9 @@ class TrainConfig:
     """Training protocol knobs.
 
     split gives the number of fingers in Sets I, II, III; fingers are ordered
-    by id (numerically when possible) and partitioned without overlap.
+    by id (numerically when possible) and partitioned without overlap. train
+    reads only the first two counts: Set III is every finger after Sets I
+    and II, and train never touches it.
     """
 
     spec: BinSpec = field(default_factory=BinSpec)

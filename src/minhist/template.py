@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -93,6 +94,19 @@ def _numbers(values, name: str, integer: bool = False) -> np.ndarray:
         except OverflowError:
             pass
     raise ValueError(f"{name} must be a list of {'integers' if integer else 'numbers'}")
+
+
+def _object(value, name: str, keys) -> dict:
+    """A JSON object with exactly the keys `keys`: a tuple of names, or a
+    dataclass whose field names they are."""
+    if is_dataclass(keys):
+        keys = tuple(f.name for f in dataclass_fields(keys))
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    if value.keys() != set(keys):
+        raise ValueError(f"{name} must have exactly the keys {', '.join(keys)},"
+                         f" got {', '.join(map(str, value)) or 'none'}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -224,7 +238,7 @@ def serialize_template(t: MinutiaTemplate) -> str:
     lines = [f"{key} {getattr(t, name)}" for key, (name, _) in _HEADER.items()
              if getattr(t, name) is not None]
     for m in t.minutiae:
-        lines.append(f"{m.x!r} {m.y!r} {m.direction!r} {_LETTER_OF_TYPE[m.mtype]}")
+        lines.append(f"{m.x} {m.y} {m.direction} {_LETTER_OF_TYPE[m.mtype]}")
     return "\n".join(lines) + "\n"
 
 

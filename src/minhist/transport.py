@@ -10,7 +10,8 @@ has integral supplies; float64 holds every integer only up to 2**53, so a
 total mass above 2**53 / 1e9 (about 9.0e6) raises ValueError. Every LP here
 is a network flow problem whose node-arc incidence matrix is totally
 unimodular, so it has an integral optimal vertex; the HiGHS dual simplex
-ends on one, and the flows are snapped to those integers. The cost is then
+ends on one, and the flows are snapped to those integers and checked to
+meet every supply exactly (else RuntimeError). The cost is then
 summed exactly (the integer flows per distinct arc cost, the groups added
 as fractions) and rounded once, so a value is the correctly rounded
 optimum, whichever optimal vertex the solver ended on. The test suite
@@ -54,7 +55,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -235,12 +236,18 @@ def _exact_cost(costs: np.ndarray, flows: np.ndarray) -> float:
     return float(Fraction(total, MASS_SCALE))
 
 
-def _solve_flow(highs: _Highs, arc_cost: np.ndarray):
-    """Run HiGHS on a model from _new_model of a flow problem whose matrix
-    is totally unimodular and whose b_eq is integral, so an integral optimal
-    vertex exists. Returns (arcs, flow, total_cost): the arcs with nonzero
-    flow, their integral flows, and the exact optimum / MASS_SCALE.
+def _solve_flow(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray,
+                highs: Optional[_Highs] = None):
+    """Solve a flow problem whose matrix is totally unimodular and whose
+    b_eq is integral, so an integral optimal vertex exists, on `highs`, a
+    model from _new_model(arc_cost, a_eq, b_eq); by default a fresh one.
+    Returns (arcs, flow, total_cost): the arcs with nonzero flow, their
+    integral flows, and the exact optimum / MASS_SCALE. Raises RuntimeError
+    unless HiGHS reports an optimum and the snapped flow is feasible:
+    non-negative, with a_eq @ flow == b_eq exactly.
     """
+    if highs is None:
+        highs = _new_model(arc_cost, a_eq, b_eq)
     run_status = highs.run()
     model_status = highs.getModelStatus()
     if run_status == HighsStatus.kError or model_status != HighsModelStatus.kOptimal:
@@ -249,15 +256,18 @@ def _solve_flow(highs: _Highs, arc_cost: np.ndarray):
         )
     # Integral supplies imply an integral optimal vertex; snap off float fuzz.
     flow_int = np.rint(np.asarray(highs.getSolution().col_value)).astype(np.int64)
+    if (flow_int < 0).any() or (a_eq @ flow_int != b_eq.astype(np.int64)).any():
+        raise RuntimeError("transportation solve failed: the flow does not meet the supplies")
     arcs = np.flatnonzero(flow_int)
     return arcs, flow_int[arcs], _exact_cost(arc_cost[arcs], flow_int[arcs])
 
 
 def _incidence(tails: np.ndarray, heads: np.ndarray, n_nodes: int) -> sparse.csc_matrix:
-    """Node-arc incidence matrix: +1 at each arc's tail, -1 at its head."""
+    """Node-arc incidence matrix: +1 at each arc's tail, -1 at its head. The
+    entries are int64, so a_eq @ flow is exact for an int64 flow."""
     arcs = np.arange(tails.size)
     return sparse.csc_matrix(
-        (np.repeat([1.0, -1.0], tails.size),
+        (np.repeat(np.array([1, -1], dtype=np.int64), tails.size),
          (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
         shape=(n_nodes, tails.size),
     )
@@ -290,7 +300,7 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
     a_eq = _incidence(np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m), m + n)
     b_eq = np.concatenate([s_int, -d_int]).astype(float)
     arc_cost = sub_cost.ravel()
-    arcs, flow_int, total_cost = _solve_flow(_new_model(arc_cost, a_eq, b_eq), arc_cost)
+    arcs, flow_int, total_cost = _solve_flow(arc_cost, a_eq, b_eq)
     fi, fj = np.divmod(arcs, n)
     mass = flow_int / MASS_SCALE
     flow = dict(zip(zip(rows[fi].tolist(), cols[fj].tolist()), mass.tolist()))
@@ -391,15 +401,11 @@ def _paths(tails: np.ndarray, heads: np.ndarray, units: np.ndarray, supply: np.n
     Nodes are taken in topological order. Each pools the units its own
     supply and its in-arcs bring, by first node, and hands them out in
     first-node order, to its own demand and then to its out-arcs in the
-    given arc order, so the result depends on the flow alone. Raises
-    RuntimeError for a flow that does not conserve mass or has a cycle.
+    given arc order, so the result depends on the flow alone. The flow must
+    meet the supplies (_solve_flow checks it). Raises RuntimeError for a
+    flow with a cycle.
     """
     n_nodes = supply.size
-    balance = supply.copy()
-    np.subtract.at(balance, tails, units)
-    np.add.at(balance, heads, units)
-    if balance.any():
-        raise RuntimeError("transport flow does not conserve mass")
     out_arcs = [[] for _ in range(n_nodes)]
     waiting = np.bincount(heads, minlength=n_nodes).tolist()
     for tail, head, flow in zip(tails.tolist(), heads.tolist(), units.tolist()):
@@ -469,7 +475,7 @@ def transport_plan(
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        arcs, arc_flow, total_cost = _solve_flow(_new_model(arc_cost, a_eq, b_eq), arc_cost)
+        arcs, arc_flow, total_cost = _solve_flow(arc_cost, a_eq, b_eq)
         n = h1.mass.size
         paths = _paths(tails[arcs], heads[arcs], arc_flow, b_eq.astype(np.int64))
         for (first, last), moved in paths.items():
@@ -501,7 +507,7 @@ def emd(
                 if highs.changeRowBounds(row, b_eq[row], b_eq[row]) == HighsStatus.kError:
                     raise RuntimeError(f"HiGHS rejected the supply of node {row}")
             held[:] = b_eq
-            return _solve_flow(highs, arc_cost)[2]
+            return _solve_flow(arc_cost, a_eq, b_eq, highs)[2]
         except BaseException:
             # A failed or interrupted solve leaves no trusted basis: the
             # next call builds the model afresh.

@@ -650,6 +650,27 @@ ERROR_CASES = {
     "train-spec-in-train-section": (64, lambda d, tmp: [
         *_config(tmp, {"train": {**TRAIN, "spec": {"b_dist": 5, "b_dir": 5}}}),
         *_train(d, tmp)], "train.spec"),
+    # A model or index holds exactly the keys its writer writes. Each of
+    # these used to load with defaults (the model ones exited 0 or 1) or as
+    # an empty gallery (64).
+    "model-feature-norms-empty": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, lambda p: p.update(feature_norms={})),
+        str(d["real_template"])], "feature_norms"),
+    "model-params-empty": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, lambda p: p.update(params={})),
+        str(d["real_template"])], "params"),
+    "model-spec-empty": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, lambda p: p.update(spec={})),
+        str(d["real_template"])], "spec"),
+    "index-entries-object": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p.update(entries={}))), "entries"),
+    "index-entries-string": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p.update(entries=""))), "entries"),
+    "index-spec-empty": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p.update(spec={}))), "spec"),
+    # An index without entries cannot be searched, so none is written.
+    "enroll-empty-directory": (64, lambda d, tmp: [
+        "identify", "enroll", str(tmp), "--out", str(tmp / "i.json")], "empty gallery index"),
 }
 
 
@@ -741,6 +762,66 @@ def test_type_swaps_in_a_config_are_usage_errors(data, tmp_path, capsys):
         return ["--config", file, *_train(data, tmp_path)]
 
     assert _leaks(config, argv, 64, tmp_path, capsys) == []
+
+
+# --- section swaps -----------------------------------------------------------
+
+# What each object of a payload, and a list of objects, is swapped for.
+SECTION_VALUES = ({}, [], [1], 1, "x", None)
+
+
+def _sections(node, path=()):
+    """The paths of a payload's objects, the payload itself first, and of its
+    lists of objects, whose entries are sampled as in _leaves."""
+    if isinstance(node, dict):
+        yield path
+        for key, value in node.items():
+            yield from _sections(value, (*path, key))
+    elif isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        yield path
+        for i in _sample(node):
+            yield from _sections(node[i], (*path, i))
+
+
+def _section_edits(payload):
+    """(edit, edited payload) for each key deleted at any depth and each
+    section swapped for each of SECTION_VALUES."""
+    for path in _sections(payload):
+        node = reduce(getitem, path, payload)
+        for key in node if isinstance(node, dict) else ():
+            edited = deepcopy(payload)
+            del reduce(getitem, path, edited)[key]
+            yield ("delete", *path, key), edited
+        for value in SECTION_VALUES:
+            if not path:
+                yield ("swap", value), value
+                continue
+            edited = deepcopy(payload)
+            reduce(getitem, path[:-1], edited)[path[-1]] = value
+            yield ("swap", *path, value), edited
+
+
+def _section_leaks(payload, argv, tmp_path, capsys):
+    """Every section edit of `payload` for which the command `argv(file)`
+    does not exit 5 (corrupt) without a traceback."""
+    leaks = []
+    for edit, edited in _section_edits(payload):
+        code = main(argv(_file(tmp_path, "edited.json", json.dumps(edited))))
+        if code != 5 or "Traceback" in capsys.readouterr().err:
+            leaks.append((edit, code))
+    return leaks
+
+
+def test_section_edits_in_a_model_are_corrupt(data, tmp_path, capsys):
+    model = json.loads(data["model"].read_text())
+    assert _section_leaks(model, lambda file: ["classify", file, str(data["real_template"])],
+                          tmp_path, capsys) == []
+
+
+def test_section_edits_in_an_index_are_corrupt(data, index, tmp_path, capsys):
+    payload = json.loads(index.read_text())
+    assert _section_leaks(payload, lambda file: _search(data, tmp_path, file),
+                          tmp_path, capsys) == []
 
 
 def test_internal_error_exits_70_with_traceback(data, monkeypatch, capsys):

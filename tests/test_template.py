@@ -72,6 +72,10 @@ def test_parse_unknown_header_fields_ignored():
         ("dpi 500\n10 20 30 X\n", "line 2"),
         ("dpi 500\n-5 20 30 E\n", "line 2"),
         ("dpi zero\n", "line 1"),
+        ("dpi 500\nlabel\n", "line 2"),
+        ("dpi 0\n", "dpi"),
+        ("dpi 500\nmean_ird nan\n", "mean_ird"),
+        ("dpi 500\nvar_ird -1\n", "var_ird"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -93,6 +97,16 @@ def test_parse_serialize_round_trip():
     t = MinutiaTemplate(
         minutiae=minutiae, dpi=512, mean_ird=10.24, var_ird=3.7,
         label="real", finger_id="9", impression_id="4",
+    )
+    assert parse_template(serialize_template(t)) == t
+
+
+def test_numpy_scalars_round_trip():
+    # Their repr is "np.float64(1.5)": a minutia line written that way was
+    # read back as an unknown header line and dropped.
+    t = MinutiaTemplate(
+        minutiae=(Minutia(np.float64(1.5), np.float64(2.0), np.float64(30.0), ENDING),),
+        mean_ird=np.float64(9.5), var_ird=np.float64(3.25),
     )
     assert parse_template(serialize_template(t)) == t
 
@@ -197,3 +211,34 @@ def test_invalid_minutia_rejected():
         Minutia(0.0, float("inf"), 0.0)
     with pytest.raises(ValueError):
         Minutia(0.0, 0.0, float("nan"))
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"x": True}, "minutia x"),
+        ({"y": float("-inf")}, "minutia y"),
+        ({"direction": "90"}, "minutia direction"),
+    ],
+)
+def test_minutia_fields_are_checked(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        Minutia(**{"x": 0.0, "y": 0.0, "direction": 0.0, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"dpi": True}, "dpi"),
+        ({"dpi": 500.0}, "dpi"),
+        ({"dpi": 0}, "dpi"),
+        ({"mean_ird": float("nan")}, "mean_ird"),
+        ({"mean_ird": 0.0}, "mean_ird"),
+        ({"var_ird": float("nan")}, "var_ird"),
+        ({"var_ird": -1.0}, "var_ird"),
+    ],
+)
+def test_template_fields_are_checked(kwargs, name):
+    # Each of the nan cases and dpi=True used to construct.
+    with pytest.raises(ValueError, match=name):
+        MinutiaTemplate(minutiae=(), **kwargs)

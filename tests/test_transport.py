@@ -440,6 +440,34 @@ class TestEmd:
             assert emd(a, b, params) == want
         transport._warm_model.cache_clear()
 
+    @pytest.mark.parametrize("e", [1.0, 2.0])
+    def test_infeasible_flow_is_rejected(self, monkeypatch, e):
+        # A solution with one unit of flow moved to another arc no longer
+        # meets the supplies: every solver must refuse it, and emd must drop
+        # the model it was read from.
+        class Shifted(transport._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                flow = list(solution.col_value)
+                k = next(i for i, f in enumerate(flow) if f >= 1)
+                flow[k] -= 1
+                flow[k - 1] += 1
+                solution.col_value = flow
+                return solution
+
+        monkeypatch.setattr(transport, "_Highs", Shifted)
+        transport._warm_model.cache_clear()
+        rng = np.random.default_rng(25)
+        h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
+        params = CostParams(1.0, 2.0, e)
+        with pytest.raises(RuntimeError, match="does not meet the supplies"):
+            emd(h1, h2, params)
+        assert transport._warm_model.cache_info().currsize == 0
+        with pytest.raises(RuntimeError, match="does not meet the supplies"):
+            transport_plan(h1, h2, params)
+        with pytest.raises(RuntimeError, match="does not meet the supplies"):
+            solve_transport(h1.mass, h2.mass, build_cost_matrix(h1.spec, params))
+
     def test_rejected_option_raises(self, monkeypatch):
         class NoOptions(transport._Highs):
             def setOptionValue(self, name, value):
