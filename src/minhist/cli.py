@@ -38,7 +38,6 @@ from .template import (
     MinutiaTemplate,
     load_directory,
     load_template,
-    rescale_to_500dpi,
     save_template,
 )
 
@@ -63,11 +62,11 @@ class CliError(Exception):
 
 def _read(load, path: str, code: int):
     """`load(path)`, with a missing, unreadable or malformed file turned into
-    exit `code`. JSON of the wrong shape fails in a loader with a LookupError,
-    TypeError or AttributeError, so those count as malformed too."""
+    exit `code`. Loaders check every value and raise ValueError for a file
+    of the wrong shape; any other error is a bug."""
     try:
         return load(path)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(code, f"cannot read {path}: {exc}")
 
 
@@ -125,7 +124,7 @@ def _read_templates_dir(path: str, label: Optional[str] = None) -> List[MinutiaT
 
 def cmd_histogram(args, config: dict) -> int:
     spec = _spec_from(args, config)
-    t = rescale_to_500dpi(_read(load_template, args.template, EXIT_PARSE))
+    t = _read(load_template, args.template, EXIT_PARSE)
     build = build_2dmh if args.dims == 2 else build_4dmh
     h = build(t, spec, normalize=args.normalize)
     json.dump(h.to_dict(), sys.stdout)
@@ -361,7 +360,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,7 +7,8 @@ position of the second minutia (measured against the first minutia's
 direction, which keeps the feature rotation invariant) and the ordered type
 combination; each unordered pair contributes through both orderings.
 
-Templates must be at 500 DPI before histogramming; callers rescale first.
+A template at another resolution is binned as its rescale_to_500dpi, so
+every histogram is in 500-DPI pixels.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .template import BIFURCATION, ENDING, UNKNOWN, MinutiaTemplate
+from .template import BIFURCATION, ENDING, UNKNOWN, MinutiaTemplate, rescale_to_500dpi
 from .template import _flag, _int, _numbers, _object, _real
 
 
@@ -132,21 +133,19 @@ class TooFewMinutiaeError(ValueError):
     """A template has fewer than 2 minutiae, or no minutiae pair within d_max."""
 
 
-def _check_histogram_input(t: MinutiaTemplate) -> None:
-    if len(t.minutiae) < 2:
-        raise TooFewMinutiaeError("pair features undefined: template has fewer than 2 minutiae")
-    if t.dpi != 500:
-        raise ValueError("template must be rescaled to 500 DPI before histogramming")
-
-
 def _pair_bins(t: MinutiaTemplate, spec: BinSpec):
     """The unordered minutiae pairs i < j within spec.d_max and their 2D bins.
 
-    Returns (i, j, bins): pair member indices and the flat 2D bin index
+    Returns (xy, dirs, i, j, bins): the minutiae positions at 500 DPI and
+    directions, the pair member indices and the flat 2D bin index
     dist_bin * b_dir + dir_bin of each pair, the row-major layout of the 2D
     mass array. The boundary values d = d_max and alpha = 180 land in the
-    last bin of their axis.
+    last bin of their axis. Raises TooFewMinutiaeError for fewer than 2
+    minutiae.
     """
+    if len(t.minutiae) < 2:
+        raise TooFewMinutiaeError("pair features undefined: template has fewer than 2 minutiae")
+    t = rescale_to_500dpi(t)
     xy = np.array([[m.x, m.y] for m in t.minutiae], dtype=float)
     dirs = np.array([m.direction for m in t.minutiae], dtype=float)
     i, j = np.triu_indices(len(xy), k=1)
@@ -157,7 +156,7 @@ def _pair_bins(t: MinutiaTemplate, spec: BinSpec):
     # Features are non-negative, so truncation is the floor.
     di = np.minimum((d / spec.dist_width).astype(np.intp), spec.b_dist - 1)
     ai = np.minimum((alpha / spec.dir_width).astype(np.intp), spec.b_dir - 1)
-    return i, j, di * spec.b_dir + ai
+    return xy, dirs, i, j, di * spec.b_dir + ai
 
 
 def build_2dmh(
@@ -168,8 +167,7 @@ def build_2dmh(
     Pairs with distance above spec.d_max are discarded. The boundary values
     d = d_max and alpha = 180 land in the last bin of their axis.
     """
-    _check_histogram_input(t)
-    _, _, bins = _pair_bins(t, spec)
+    *_, bins = _pair_bins(t, spec)
     shape = _mass_shape(spec, 2)
     mass = np.bincount(bins, minlength=shape[0] * shape[1]).astype(float).reshape(shape)
     pair_count = len(bins)
@@ -195,15 +193,11 @@ def build_4dmh(
     depend on the minutiae list order; the raw total mass is twice the
     unordered pair count.
     """
-    _check_histogram_input(t)
+    xy, dirs, i, j, bins = _pair_bins(t, spec)
     if any(m.mtype == UNKNOWN for m in t.minutiae):
         raise ValueError("4D histogram requires all minutiae typed (E or B)")
-    i, j, bins = _pair_bins(t, spec)
     # (i, j) and (j, i) share distance and direction difference.
     src, dst, bins = np.concatenate([i, j]), np.concatenate([j, i]), np.tile(bins, 2)
-
-    xy = np.array([[m.x, m.y] for m in t.minutiae], dtype=float)
-    dirs = np.array([m.direction for m in t.minutiae], dtype=float)
     delta = xy[dst] - xy[src]
     pos_angle = np.degrees(np.arctan2(delta[:, 1], delta[:, 0]))
     relangle = (pos_angle - dirs[src]) % 360.0

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .histogram import IDENTIFICATION_SPEC, BinSpec, MinutiaeHistogram, _mass_shape, build_4dmh
-from .template import MinutiaTemplate, _int, _numbers, _object, rescale_to_500dpi
+from .template import MinutiaTemplate, _int, _numbers, _object
 
 # The keys of each entry of a saved index.
 _ENTRY_KEYS = ("finger", "impression", "pair_count", "mass_idx", "mass_val")
@@ -53,8 +53,7 @@ class GalleryIndex:
     def enroll(self, t: MinutiaTemplate) -> None:
         if t.finger_id is None or t.impression_id is None:
             raise ValueError("gallery templates need finger and impression ids")
-        t500 = rescale_to_500dpi(t)
-        hist = build_4dmh(t500, self.spec, normalize=False)
+        hist = build_4dmh(t, self.spec, normalize=False)
         self.entries.append(
             GalleryEntry(finger_id=t.finger_id, impression_id=t.impression_id, hist=hist)
         )
@@ -146,8 +145,7 @@ def search(index: GalleryIndex, query: MinutiaTemplate) -> RankingResult:
     """
     if not index.entries:
         raise ValueError("empty gallery index")
-    q500 = rescale_to_500dpi(query)
-    q_hist = build_4dmh(q500, index.spec, normalize=False)
+    q_hist = build_4dmh(query, index.spec, normalize=False)
 
     best: Dict[str, float] = {}
     for entry in index.entries:

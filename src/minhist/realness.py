@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -34,10 +35,14 @@ from .template import (
     bifurcation_percentage,
     rescale_to_500dpi,
 )
-from .template import _flag, _int, _object, _real
+from .template import _flag, _int, _numbers, _object, _real
 from .transport import BALANCE_RTOL, CostParams, check_cost_range, emd
 
 SIDE_FEATURES = ("mean_ird", "var_ird", "pct_bif")
+
+# Plausible range for the global mean interridge distance of adult prints at
+# 500 DPI, in pixels. Values outside only raise a warning, never an error.
+MEAN_IRD_RANGE_500DPI = (3.0, 25.0)
 
 _COST_GRIDS = ("r_grid", "s_grid", "e_grid")
 _WEIGHT_GRIDS = ("w0_grid", "w1_grid", "side_grid")
@@ -98,8 +103,12 @@ class ClassModel:
         return cls(
             avg_real=MinutiaeHistogram.from_dict(d["avg_real"]),
             avg_synth=MinutiaeHistogram.from_dict(d["avg_synth"]),
-            weights=d["weights"],
-            feature_norms=_object(d["feature_norms"], "feature_norms", SIDE_FEATURES),
+            weights=_numbers(d["weights"], "fusion weights"),
+            feature_norms={
+                name: _numbers(pair, f"feature norm of {name!r}")
+                for name, pair in _object(d["feature_norms"], "feature_norms",
+                                          SIDE_FEATURES).items()
+            },
             params=CostParams(**_object(d["params"], "params", CostParams)),
             spec=BinSpec(**_object(d["spec"], "spec", BinSpec)),
         )
@@ -198,32 +207,37 @@ def fuse_features(
 def template_side_features(
     t: MinutiaTemplate,
 ) -> Tuple[Optional[float], Optional[float], Optional[float]]:
-    """(mean_ird, var_ird, pct_bif) of a 500-DPI template; None when absent."""
+    """(mean_ird, var_ird, pct_bif) of a template, the interridge scalars
+    rescaled to 500 DPI; None when absent. Warns when the mean interridge
+    distance lies outside MEAN_IRD_RANGE_500DPI."""
+    t = rescale_to_500dpi(t)
+    lo, hi = MEAN_IRD_RANGE_500DPI
+    if t.mean_ird is not None and t.var_ird is not None and not lo <= t.mean_ird <= hi:
+        warnings.warn(
+            f"mean interridge distance {t.mean_ird:.2f} px at 500 DPI is outside "
+            f"the plausible range [{lo}, {hi}]",
+            stacklevel=2,
+        )
     has_types = any(m.mtype != UNKNOWN for m in t.minutiae)
     pct = bifurcation_percentage(t) if has_types else None
     return t.mean_ird, t.var_ird, pct
 
 
-def _histogram(
-    t: MinutiaTemplate, spec: BinSpec
-) -> Tuple[MinutiaTemplate, MinutiaeHistogram]:
-    """The 500-DPI template and its normalized 2D histogram. Raises
-    TooFewMinutiaeError for fewer than 2 minutiae or no pair within d_max,
-    which leaves no mass to average or transport."""
-    t500 = rescale_to_500dpi(t)
-    h = build_2dmh(t500, spec, normalize=True)
+def _histogram(t: MinutiaTemplate, spec: BinSpec) -> MinutiaeHistogram:
+    """The normalized 2D histogram of a template. Raises TooFewMinutiaeError
+    for fewer than 2 minutiae or no pair within d_max, which leaves no mass
+    to average or transport."""
+    h = build_2dmh(t, spec, normalize=True)
     if h.pair_count == 0:
         raise TooFewMinutiaeError("no minutiae pair within d_max")
-    return t500, h
+    return h
 
 
 def classify_template(t: MinutiaTemplate, model: ClassModel) -> RealnessScore:
-    """Full scoring path for one template: rescale, histogram, EMD difference,
+    """Full scoring path for one template: histogram, EMD difference,
     feature fusion with the model's trained weights."""
-    t500, h = _histogram(t, model.spec)
-    score = emd_difference_score(h, model)
-    mean_ird, var_ird, pct_bif = template_side_features(t500)
-    b, c, d, fused, decision = fuse_features(score.a, mean_ird, var_ird, pct_bif, model)
+    score = emd_difference_score(_histogram(t, model.spec), model)
+    b, c, d, fused, decision = fuse_features(score.a, *template_side_features(t), model)
     return replace(score, b=b, c=c, d=d, fused=fused, decision=decision)
 
 
@@ -300,13 +314,13 @@ def split_by_finger(
 
 
 def _prepare(templates: Sequence[MinutiaTemplate], spec: BinSpec):
-    """Rescale and histogram every usable template once; returns the
-    (template, histogram) pairs and the number of templates skipped."""
+    """Histogram every usable template once; returns the (template,
+    histogram) pairs and the number of templates skipped."""
     prepared = []
     skipped = 0
     for t in templates:
         try:
-            prepared.append(_histogram(t, spec))
+            prepared.append((t, _histogram(t, spec)))
         except TooFewMinutiaeError:
             skipped += 1
     return prepared, skipped

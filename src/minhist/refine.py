@@ -140,7 +140,7 @@ def _deletion_weights(
     weights = np.zeros(len(t.minutiae))
     if bin_cost.sum() <= 0:
         return weights
-    iu, ju, flat = _pair_bins(t, spec)
+    _, _, iu, ju, flat = _pair_bins(t, spec)
     per_bin_pairs = np.bincount(flat, minlength=spec.b_dist * spec.b_dir)
     blame = bin_cost[flat] / per_bin_pairs[flat]
     np.add.at(weights, iu, blame)

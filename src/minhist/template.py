@@ -23,7 +23,6 @@ reduced modulo 360 into [0, 360) on parse. Datasets on disk follow the
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass, is_dataclass, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -41,10 +40,6 @@ SYNTHETIC = "synthetic"
 
 _TYPE_LETTERS = {"E": ENDING, "B": BIFURCATION, "U": UNKNOWN}
 _LETTER_OF_TYPE = {v: k for k, v in _TYPE_LETTERS.items()}
-
-# Plausible range for the global mean interridge distance of adult prints at
-# 500 DPI, in pixels. Values outside only raise a warning, never an error.
-MEAN_IRD_RANGE_500DPI = (3.0, 25.0)
 
 
 class TemplateParseError(ValueError):
@@ -173,7 +168,9 @@ _HEADER = {
 def parse_template(text: str) -> MinutiaTemplate:
     """Parse the template text format into a validated MinutiaTemplate.
 
-    Unknown header fields are ignored. Minutiae order is preserved.
+    Before the first minutia, a line that starts with a word is a header
+    line, and an unknown header field is ignored. Minutiae order is
+    preserved.
     Raises TemplateParseError naming the line number on malformed input.
     """
     header: dict = {}
@@ -184,7 +181,7 @@ def parse_template(text: str) -> MinutiaTemplate:
         if not line:
             continue
         fields = line.split()
-        if not seen_minutiae and not _looks_numeric(fields[0]):
+        if not seen_minutiae and fields[0].isidentifier() and not _looks_numeric(fields[0]):
             _parse_header_line(fields, header, lineno)
             continue
         seen_minutiae = True
@@ -234,9 +231,18 @@ def _parse_minutia_line(fields: List[str], lineno: int) -> Minutia:
 
 
 def serialize_template(t: MinutiaTemplate) -> str:
-    """Render a template back into the text format (parse round-trips)."""
-    lines = [f"{key} {getattr(t, name)}" for key, (name, _) in _HEADER.items()
-             if getattr(t, name) is not None]
+    """Render a template back into the text format (parse round-trips).
+    Raises ValueError for a header value that is not one token free of
+    '#', which would not read back."""
+    lines = []
+    for key, (name, _) in _HEADER.items():
+        value = getattr(t, name)
+        if value is None:
+            continue
+        text = str(value)
+        if text.split() != [text] or "#" in text:
+            raise ValueError(f"{key} must be one token without '#', got {text!r}")
+        lines.append(f"{key} {text}")
     for m in t.minutiae:
         lines.append(f"{m.x} {m.y} {m.direction} {_LETTER_OF_TYPE[m.mtype]}")
     return "\n".join(lines) + "\n"
@@ -246,34 +252,20 @@ def rescale_to_500dpi(t: MinutiaTemplate) -> MinutiaTemplate:
     """Rescale coordinates and interridge scalars to a 500 DPI print.
 
     Coordinates and mean_ird scale by 500/dpi, var_ird by (500/dpi)^2,
-    directions are unchanged. Idempotent on its own output.
+    directions are unchanged. Idempotent on its own output; the histogram
+    builders and the realness side features call it themselves.
     """
     factor = 500.0 / t.dpi
     if factor == 1.0:
-        rescaled = t
-    else:
-        minutiae = tuple(
-            replace(m, x=m.x * factor, y=m.y * factor) for m in t.minutiae
-        )
-        rescaled = replace(
-            t,
-            minutiae=minutiae,
-            dpi=500,
-            mean_ird=None if t.mean_ird is None else t.mean_ird * factor,
-            var_ird=None if t.var_ird is None else t.var_ird * factor * factor,
-        )
-    lo, hi = MEAN_IRD_RANGE_500DPI
-    if (
-        rescaled.mean_ird is not None
-        and rescaled.var_ird is not None
-        and not (lo <= rescaled.mean_ird <= hi)
-    ):
-        warnings.warn(
-            f"mean interridge distance {rescaled.mean_ird:.2f} px at 500 DPI is outside "
-            f"the plausible range [{lo}, {hi}]",
-            stacklevel=2,
-        )
-    return rescaled
+        return t
+    minutiae = tuple(replace(m, x=m.x * factor, y=m.y * factor) for m in t.minutiae)
+    return replace(
+        t,
+        minutiae=minutiae,
+        dpi=500,
+        mean_ird=None if t.mean_ird is None else t.mean_ird * factor,
+        var_ird=None if t.var_ird is None else t.var_ird * factor * factor,
+    )
 
 
 def bifurcation_percentage(t: MinutiaTemplate) -> float:

@@ -8,7 +8,14 @@ from minhist.histogram import (
     build_4dmh,
     fold_direction_difference,
 )
-from minhist.template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
+from minhist.template import (
+    BIFURCATION,
+    ENDING,
+    UNKNOWN,
+    Minutia,
+    MinutiaTemplate,
+    rescale_to_500dpi,
+)
 
 
 def template_from_arrays(points, dirs, mtype=ENDING, dpi=500):
@@ -136,10 +143,20 @@ class TestBuild2D:
         with pytest.raises(ValueError, match="pair features undefined"):
             build_2dmh(t)
 
-    def test_requires_500dpi(self):
-        t = template_from_arrays([(0, 0), (10, 0)], [0, 0], dpi=569)
-        with pytest.raises(ValueError, match="500 DPI"):
-            build_2dmh(t)
+    def test_rescales_to_500dpi(self):
+        # A template at another resolution is binned exactly as its
+        # rescale_to_500dpi.
+        rng = np.random.default_rng(11)
+        t500 = random_template(rng, n=25)
+        t569 = MinutiaTemplate(minutiae=tuple(
+            Minutia(m.x * 569 / 500, m.y * 569 / 500, m.direction, m.mtype)
+            for m in t500.minutiae
+        ), dpi=569)
+        rescaled = rescale_to_500dpi(t569)
+        for build, normalize in ((build_2dmh, False), (build_2dmh, True), (build_4dmh, False)):
+            h, expected = build(t569, normalize=normalize), build(rescaled, normalize=normalize)
+            assert h.pair_count == expected.pair_count > 0
+            assert h.mass.tobytes() == expected.mass.tobytes()
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)

@@ -1,7 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from minhist.histogram import BinSpec, MinutiaeHistogram, build_4dmh
+from minhist.histogram import BinSpec, MinutiaeHistogram, build_2dmh, build_4dmh
 from minhist.identify import (
     GalleryIndex,
     access_rate_report,
@@ -191,3 +194,14 @@ def test_entry_without_pair_within_d_max_round_trips(tmp_path):
     restored = GalleryIndex.load(path)
     assert restored.entries[-1].hist.mass.sum() == 0.0
     np.testing.assert_array_equal(restored.entries[0].hist.mass, index.entries[0].hist.mass)
+
+
+def test_identification_ignores_the_interridge_scalars():
+    # Only the realness side features read them, and only they warn.
+    templates = [replace(t, mean_ird=40.0) for t in duplicate_gallery(44, 2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        index = build_index(templates[:4], SMALL_SPEC)
+        search(index, templates[0])
+        build_2dmh(templates[0])
+    assert caught == []

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from minhist.realness import (
     template_side_features,
     train,
 )
-from minhist.template import BIFURCATION, ENDING, Minutia, MinutiaTemplate
+from minhist.template import BIFURCATION, ENDING, Minutia, MinutiaTemplate, rescale_to_500dpi
 from minhist.transport import CostParams
 
 from genpop import make_population
@@ -177,6 +178,19 @@ def test_template_side_features():
 def test_template_side_features_untyped():
     t = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0),), dpi=500)
     assert template_side_features(t) == (None, None, None)
+
+
+def test_template_side_features_at_500dpi():
+    t = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0, ENDING),), dpi=512,
+                        mean_ird=10.24, var_ird=4.0)
+    r = rescale_to_500dpi(t)
+    assert template_side_features(t) == (r.mean_ird, r.var_ird, 0.0)
+
+
+def test_template_side_features_warn_on_implausible_mean_ird():
+    t = MinutiaTemplate(minutiae=(), dpi=500, mean_ird=40.0, var_ird=1.0)
+    with pytest.warns(UserWarning, match="interridge"):
+        template_side_features(t)
 
 
 class TestSplitByFinger:
@@ -467,6 +481,28 @@ def test_classify_template_rescales_input():
     score = classify_template(upscaled, model)
     assert score.decision == SYNTHETIC
     assert score.a == pytest.approx(classify_template(t, model).a, abs=1e-6)
+
+
+def test_implausible_mean_ird_warns_once_per_classification():
+    real = make_population(107, 6, 2, "broad", REAL)
+    synth = make_population(207, 6, 2, "cluster", SYNTHETIC)
+    model = train(real, synth, TrainConfig(split=(2, 2, 2), **EMD_ONLY)).model
+    t = make_population(108, 1, 1, "cluster", None)[0]
+    t569 = MinutiaTemplate(
+        minutiae=tuple(
+            Minutia(m.x * 569 / 500, m.y * 569 / 500, m.direction, m.mtype)
+            for m in t.minutiae
+        ),
+        dpi=569, mean_ird=40.0, var_ird=t.var_ird,
+    )
+    for template in (t569, rescale_to_500dpi(t569)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            classify_template(template, model)
+        assert [str(w.message) for w in caught] == [
+            "mean interridge distance 35.15 px at 500 DPI is outside the plausible range"
+            " [3.0, 25.0]"
+        ]
 
 
 def test_model_json_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,9 @@ def test_parse_unknown_header_fields_ignored():
         ("dpi 0\n", "dpi"),
         ("dpi 500\nmean_ird nan\n", "mean_ird"),
         ("dpi 500\nvar_ird -1\n", "var_ird"),
+        # A malformed first minutia line is not a header line.
+        ("dpi 500\n1,5 2 3 E\n4 5 6 B\n", "line 2: could not convert"),
+        ("dpi 500\n4 5 6 B\n1,5 2 3 E\n", "line 3: could not convert"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -108,6 +112,28 @@ def test_numpy_scalars_round_trip():
         minutiae=(Minutia(np.float64(1.5), np.float64(2.0), np.float64(30.0), ENDING),),
         mean_ird=np.float64(9.5), var_ird=np.float64(3.25),
     )
+    assert parse_template(serialize_template(t)) == t
+
+
+@pytest.mark.parametrize(
+    "ids,key",
+    [
+        ({"finger_id": "left thumb"}, "finger"),
+        ({"impression_id": "a#1"}, "impression"),
+        ({"finger_id": ""}, "finger"),
+        ({"impression_id": "1\n2"}, "impression"),
+    ],
+)
+def test_serialize_rejects_ids_that_do_not_read_back(ids, key):
+    t = MinutiaTemplate(minutiae=(Minutia(1.0, 2.0, 3.0, ENDING),), **ids)
+    with pytest.raises(ValueError, match=f"^{key} must be one token"):
+        serialize_template(t)
+
+
+@pytest.mark.parametrize("finger,impression", [("17", "3"), ("f-2.a", "0"), ("x_y", "B")])
+def test_ordinary_ids_round_trip(finger, impression):
+    t = MinutiaTemplate(minutiae=(Minutia(1.0, 2.0, 3.0, ENDING),),
+                        finger_id=finger, impression_id=impression)
     assert parse_template(serialize_template(t)) == t
 
 
@@ -167,10 +193,13 @@ class TestRescale:
                 )
                 assert d_new == pytest.approx(d_old * factor, rel=1e-12)
 
-    def test_out_of_range_mean_ird_warns(self):
-        t = MinutiaTemplate(minutiae=(), dpi=500, mean_ird=40.0, var_ird=1.0)
-        with pytest.warns(UserWarning, match="interridge"):
-            rescale_to_500dpi(t)
+    def test_never_warns(self):
+        # The interridge plausibility warning belongs to the realness side
+        # features, the only reader of the interridge scalars.
+        t = MinutiaTemplate(minutiae=(), dpi=569, mean_ird=40.0, var_ird=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rescale_to_500dpi(t).mean_ird == pytest.approx(40.0 * 500 / 569)
 
 
 class TestBifurcationPercentage:
