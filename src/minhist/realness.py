@@ -77,9 +77,13 @@ class ClassModel:
             raise ValueError("expected 5 fusion weights w0..w4")
         self.weights = tuple(float(_real(w, "each of the fusion weights")) for w in self.weights)
         norms = {}
-        for name, (offset, scale) in self.feature_norms.items():
+        for name, pair in self.feature_norms.items():
             if name not in SIDE_FEATURES:
                 raise ValueError(f"unknown feature {name!r} in feature_norms")
+            if len(pair) != 2:
+                raise ValueError(f"feature norm of {name!r} must be two numbers, offset and"
+                                 f" scale, got {len(pair)}")
+            offset, scale = pair
             norms[name] = (float(_real(offset, f"feature norm offset of {name!r}")),
                            float(_real(scale, f"feature norm scale of {name!r}", positive=True)))
         self.feature_norms = norms

@@ -5,15 +5,27 @@ foreground, with each direction set to the local orientation or its opposite
 by a coin flip. It is then refined by greedy hill climbing: per iteration a
 batch of candidate moves (add a minutia, delete one, flip a direction by
 180 degrees) is scored by the EMD of the candidate's 2D histogram to a
-target histogram, and the best strictly improving move is accepted. An
-optimal transport plan of the current histogram, the only plan built per
-iteration, identifies the bins that contribute the most cost, and
-deletions are biased toward minutiae whose pairs populate those bins. The
-plan comes from `transport_plan`, which decomposes an optimal flow on the
-network `emd` solves, on a fresh model, so it depends only on the current
-histogram and the target. Where several plans are optimal, the one returned
-sets the deletion blame. Everything is seeded and fully deterministic: a
-run does not depend on what was solved before it.
+target histogram, and the best strictly improving move is accepted: the
+lowest EMD, then the earliest in the batch. An optimal transport plan of
+the current histogram, the only plan built per iteration, identifies the
+bins that contribute the most cost, and deletions are biased toward
+minutiae whose pairs populate those bins. The plan comes from the solve
+behind `transport_plan`, which decomposes an optimal flow on the network
+`emd` solves, on a fresh model, so it depends only on the current histogram
+and the target. Where several plans are optimal, the one returned sets the
+deletion blame.
+
+The same solve gives node potentials y, and by weak duality b · y is a
+lower bound on the EMD of any candidate whose node supplies are b
+(lower-bound filtering of EMD queries: Rubner, Tomasi & Guibas, IJCV 2000;
+Assent, Wenning & Seidl, ICDE 2006). A candidate differs from the current
+template by one minutia, so its bound is close to its EMD. Candidates are
+scored in (bound, batch index) order, and scoring stops at the first whose
+bound is not below the current EMD, or whose (bound, index) is above the
+best (EMD, index) so far: no later one could win. The accepted move, and so
+the run, is the one scoring the whole batch would give. Everything is
+seeded and fully deterministic: a run does not depend on what was solved
+before it.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ import numpy as np
 
 from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _pair_bins, build_2dmh
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate, _int, _real
-from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
+from .transport import CostParams, TransportPlan, _plan_with_bound, build_cost_matrix, emd
 
 
 @dataclass(frozen=True)
@@ -182,9 +194,13 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     """Greedy best-of-batch hill climb toward the target histogram.
 
     Stops on EMD <= threshold (success), a full batch without a strictly
-    improving move (stall), or the iteration budget (timeout). The trace
-    holds the initial EMD and one row per accepted move; it is strictly
-    decreasing after the first row.
+    improving move (stall), or the iteration budget (timeout). Per
+    iteration the whole batch is drawn first, then scored by emd in
+    ascending order of the candidates' dual lower bounds (ties by batch
+    index); a candidate whose bound shows it cannot win is not scored. The
+    lowest EMD wins, then the earliest batch index. The trace holds the
+    initial EMD and one row per accepted move; it is strictly decreasing
+    after the first row.
     """
     if len(t) < 2:
         raise TooFewMinutiaeError("refinement needs a template with at least 2 minutiae")
@@ -202,21 +218,32 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
                             final_emd=current_emd)
 
     for iteration in range(1, cfg.max_iters + 1):
-        plan = transport_plan(current_hist, cfg.target, cfg.params)
+        plan, lower_bound = _plan_with_bound(current_hist, cfg.target, cfg.params)
         delete_weights = _deletion_weights(current, plan, cfg)
-        best: Optional[Tuple[float, MinutiaeHistogram, MinutiaTemplate, str]] = None
-        for _ in range(cfg.batch_size):
+        # The whole batch is drawn before any is scored; _propose never sees
+        # a score, so the generator is used as it would be either way.
+        scored = []
+        for index in range(cfg.batch_size):
             candidate, desc = _propose(rng, current, cfg, delete_weights)
             cand_hist = build_2dmh(candidate, spec)
             if cand_hist.pair_count == 0:
                 continue  # all pairs beyond d_max; histogram undefined as a distribution
+            scored.append((lower_bound(cand_hist), index, cand_hist, candidate, desc))
+        # The lowest EMD wins, then the earliest batch index. In (bound,
+        # index) order, once a candidate's bound and index cannot beat the
+        # best so far (or its bound cannot improve on the current EMD),
+        # neither can any later one's.
+        best: Optional[Tuple[float, int, MinutiaeHistogram, MinutiaTemplate, str]] = None
+        for bound, index, cand_hist, candidate, desc in sorted(scored, key=lambda c: c[:2]):
+            if bound >= current_emd or (best is not None and (bound, index) > best[:2]):
+                break
             cand_emd = emd(cand_hist, cfg.target, cfg.params)
-            if cand_emd < current_emd and (best is None or cand_emd < best[0]):
-                best = (cand_emd, cand_hist, candidate, desc)
+            if cand_emd < current_emd and (best is None or (cand_emd, index) < best[:2]):
+                best = (cand_emd, index, cand_hist, candidate, desc)
         if best is None:
             return RefineResult(template=current, trace=trace, status="stall",
                                 final_emd=current_emd)
-        current_emd, current_hist, current, desc = best
+        current_emd, _, current_hist, current, desc = best
         trace.append(TraceRow(iteration=iteration, emd=current_emd, move=desc))
         if current_emd <= cfg.threshold:
             return RefineResult(template=current, trace=trace, status="success",

@@ -31,7 +31,13 @@ than 0 at e = 1, and the three-layer network has no cycle, so an optimal
 flow has no cycle either. Every path of an optimal flow is a shortest
 path, so it costs the ground cost of its ends, and the paths form an
 optimal plan of the dense problem. The plan need not be a basic solution
-of the dense problem, so it has no size bound.
+of the dense problem, so it has no size bound. The refiner takes the plan
+from `_plan_with_bound`, which also keeps the node potentials y of the same
+solve (HiGHS's row duals) and their largest dual infeasibility, slack =
+max over arcs of y_tail - y_head - cost. By weak duality they give a lower
+bound on the EMD of any other histogram to the same target (`_DualBound`);
+the bound is -inf when slack is above SLACK_TOL times the largest arc cost.
+`emd` never reads the duals.
 
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
@@ -51,6 +57,7 @@ failures by status, not by exception, so every status is checked.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,6 +90,9 @@ BALANCE_RTOL = 1e-9
 # Every nonzero arc cost must lie in this range (check_cost_range): beyond
 # it HiGHS can fail to solve, or stop short of the exact optimum.
 COST_RANGE = (1e-6, 1e6)
+# A plan's potentials bound other EMDs only while their largest dual
+# infeasibility is at most this times the largest arc cost (_plan_with_bound).
+SLACK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -237,7 +247,7 @@ def _exact_cost(costs: np.ndarray, flows: np.ndarray) -> float:
 
 
 def _solve_flow(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray,
-                highs: Optional[_Highs] = None):
+                highs: Optional[_Highs] = None, duals: bool = False):
     """Solve a flow problem whose matrix is totally unimodular and whose
     b_eq is integral, so an integral optimal vertex exists, on `highs`, a
     model from _new_model(arc_cost, a_eq, b_eq); by default a fresh one.
@@ -245,6 +255,11 @@ def _solve_flow(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray,
     integral flows, and the exact optimum / MASS_SCALE. Raises RuntimeError
     unless HiGHS reports an optimum and the snapped flow is feasible:
     non-negative, with a_eq @ flow == b_eq exactly.
+
+    With `duals`, also returns the node potentials y (HiGHS's row duals, or
+    NaN where HiGHS reports none) and their largest dual infeasibility
+    slack = max(0, max over arcs of y_tail - y_head - cost), NaN for NaN
+    potentials: y is a feasible dual solution when slack is 0.
     """
     if highs is None:
         highs = _new_model(arc_cost, a_eq, b_eq)
@@ -254,12 +269,19 @@ def _solve_flow(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray,
         raise RuntimeError(
             f"transportation solve failed: {highs.modelStatusToString(model_status)}"
         )
+    solution = highs.getSolution()
     # Integral supplies imply an integral optimal vertex; snap off float fuzz.
-    flow_int = np.rint(np.asarray(highs.getSolution().col_value)).astype(np.int64)
+    flow_int = np.rint(np.asarray(solution.col_value)).astype(np.int64)
     if (flow_int < 0).any() or (a_eq @ flow_int != b_eq.astype(np.int64)).any():
         raise RuntimeError("transportation solve failed: the flow does not meet the supplies")
     arcs = np.flatnonzero(flow_int)
-    return arcs, flow_int[arcs], _exact_cost(arc_cost[arcs], flow_int[arcs])
+    result = arcs, flow_int[arcs], _exact_cost(arc_cost[arcs], flow_int[arcs])
+    if not duals:
+        return result
+    y = (np.asarray(solution.row_dual, dtype=float) if solution.dual_valid
+         else np.full(b_eq.shape, np.nan))
+    slack = float(np.max(a_eq.T @ y - arc_cost, initial=0.0))
+    return (*result, y, slack)
 
 
 def _incidence(tails: np.ndarray, heads: np.ndarray, n_nodes: int) -> sparse.csc_matrix:
@@ -445,6 +467,59 @@ def _paths(tails: np.ndarray, heads: np.ndarray, units: np.ndarray, supply: np.n
     return paths
 
 
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b correctly rounded, for finite arrays whose products neither
+    overflow nor underflow: Dekker's split (Numer. Math. 18, 1971) writes
+    each product exactly as the sum of two floats, which math.fsum adds
+    exactly."""
+    def split(v):
+        c = 134217729.0 * v  # 2**27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum(np.concatenate([p, err]).tolist())
+
+
+@dataclass(frozen=True)
+class _DualBound:
+    """A lower bound on emd(h, target, params) for any h, from node
+    potentials y of one solve on the network of (target.spec, params).
+
+    For every flow x that meets the supplies b of (h, target), cost @ x >=
+    b @ y - slack * sum(x) when no arc has y_tail - y_head - cost above
+    slack (weak duality). An optimal flow is a set of shortest paths, of at
+    most `depth` arcs each, carrying the supplied units between them, so
+    sum(x) <= units * depth. The bound is that, less margins that cover
+    rounding: of y_tail - y_head - cost (at most eps * cost per arc, so eps
+    * emd over an optimal flow), of b @ y (summed exactly, then rounded
+    once) and of the arithmetic here. With no potentials (None) it is -inf.
+    """
+
+    target: MinutiaeHistogram
+    params: CostParams
+    potentials: Optional[np.ndarray]
+    slack: float
+
+    def __call__(self, h: MinutiaeHistogram) -> float:
+        if self.potentials is None:
+            return -math.inf
+        _, _, b_eq = _node_supplies(h, self.target, self.params)
+        if b_eq is None:
+            return 0.0
+        spec = self.target.spec
+        # A shortest path is monotone on the bin grid at e = 1 (every arc
+        # costs more than 0), and source -> middle -> sink otherwise.
+        depth = spec.b_dist + spec.b_dir - 2 if self.params.e == 1 else 2
+        units = float(b_eq[b_eq > 0].sum())
+        dual = _exact_dot(b_eq, self.potentials)
+        eps = float(np.finfo(float).eps)
+        margin = self.slack * units * depth * (1 + 4 * eps) + 8 * eps * abs(dual)
+        return (dual - margin) / MASS_SCALE
+
+
 def transport_plan(
     h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams = CostParams()
 ) -> TransportPlan:
@@ -463,9 +538,18 @@ def transport_plan(
     network's exact optimum, the same value as emd. Raises ValueError as
     emd does.
     """
+    return _plan_with_bound(h1, h2, params)[0]
+
+
+def _plan_with_bound(h1: MinutiaeHistogram, h2: MinutiaeHistogram,
+                     params: CostParams) -> Tuple[TransportPlan, _DualBound]:
+    """transport_plan(h1, h2, params) and the _DualBound of the node
+    potentials of the same solve: a lower bound on emd(h, h2, params) for
+    every h, tight at h1."""
     (a_eq, arc_cost, tails, heads), marginals, b_eq = _node_supplies(h1, h2, params)
+    potentials, slack = None, 0.0
     if marginals is None:
-        return TransportPlan(flow={}, total_cost=0.0)
+        return TransportPlan(flow={}, total_cost=0.0), _DualBound(h2, params, None, slack)
     units, total_cost = {}, 0.0
     if b_eq is None or params.e == 1:
         # The e = 1 network sees only the net supply: min(supply, demand) of
@@ -475,14 +559,19 @@ def transport_plan(
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        arcs, arc_flow, total_cost = _solve_flow(arc_cost, a_eq, b_eq)
+        arcs, arc_flow, total_cost, potentials, slack = _solve_flow(
+            arc_cost, a_eq, b_eq, duals=True)
+        # Potentials far from dual feasible would give a useless bound.
+        if not (np.isfinite(potentials).all() and slack <= SLACK_TOL * arc_cost.max()):
+            potentials = None
         n = h1.mass.size
         paths = _paths(tails[arcs], heads[arcs], arc_flow, b_eq.astype(np.int64))
         for (first, last), moved in paths.items():
             key = (first % n, last % n)
             units[key] = units.get(key, 0) + moved
     flow = {key: moved / MASS_SCALE for key, moved in sorted(units.items()) if moved}
-    return TransportPlan(flow=flow, total_cost=total_cost)
+    return (TransportPlan(flow=flow, total_cost=total_cost),
+            _DualBound(h2, params, potentials, slack))
 
 
 def emd(

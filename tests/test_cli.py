@@ -583,6 +583,14 @@ ERROR_CASES = {
     "model-feature-norm-bool": (5, lambda d, tmp: [
         "classify", _edited(d["model"], tmp, _norm("mean_ird", 35.0, True)),
         str(d["real_template"])], "mean_ird"),
+    # A norm is an (offset, scale) pair; other lengths used to exit 5 with
+    # "too many values to unpack" or "not enough values to unpack".
+    "model-feature-norm-three-values": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, lambda p: p["feature_norms"].update(
+            mean_ird=[1.0, 2.0, 3.0])), str(d["real_template"])], "feature norm of 'mean_ird'"),
+    "model-feature-norm-one-value": (5, lambda d, tmp: [
+        "classify", _edited(d["model"], tmp, lambda p: p["feature_norms"].update(
+            var_ird=[1.0])), str(d["real_template"])], "feature norm of 'var_ird'"),
     "mds-infinite-distance": (2, lambda d, tmp: [
         "mds", _file(tmp, "d.csv", "a,0,inf\nb,inf,0\n"), "--out", str(tmp / "c.csv")],
         "non-finite"),

@@ -248,6 +248,29 @@ def test_transport_plan_is_exact_optimal_and_history_free(hists, params, other, 
     assert list(transport_plan(h1, h2, params).flow.items()) == list(plan.flow.items())
 
 
+# The potentials of a plan's solve bound the EMD to the same target from
+# below for every histogram (weak duality), and equal it at the solved pair.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hists=_histograms(3), params=PARAMS)
+@example(hists=[_normalized([[3.0, 0.0, 1.0, 0.0], [2.0, 5.0, 0.0, 1.0], [0.0, 1.0, 1.0, 4.0]]),
+                _normalized([[0.0, 4.0, 0.0, 2.0], [0.0, 1.0, 4.0, 0.0], [1.0, 0.0, 2.0, 1.0]]),
+                _normalized([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0], [2.0, 0.0, 0.0, 5.0]])],
+         params=CostParams(0.7, 1.3, 1.0))
+@example(hists=[_normalized([[3.0, 0.0, 1.0, 0.0], [2.0, 5.0, 0.0, 1.0], [0.0, 1.0, 1.0, 4.0]]),
+                _normalized([[0.0, 4.0, 0.0, 2.0], [0.0, 1.0, 4.0, 0.0], [1.0, 0.0, 2.0, 1.0]]),
+                _normalized([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0], [2.0, 0.0, 0.0, 5.0]])],
+         params=CostParams(0.7, 1.3, 2.0))
+def test_plan_potentials_bound_every_emd(hists, params):
+    h1, h2, target = hists
+    _, bound = transport._plan_with_bound(h1, target, params)
+    nearby = _normalized(0.9 * h1.mass + 0.1 * h2.mass)
+    for h in (h1, h2, target, nearby):
+        assert bound(h) <= emd(h, target, params)
+    solved = emd(h1, target, params)
+    if solved > 0:
+        assert abs(bound(h1) - solved) <= 1e-12 * solved
+
+
 def test_failed_solve_drops_the_kept_model():
     rng = np.random.default_rng(22)
     spec, params = BinSpec(b_dist=6, b_dir=6), CostParams(1.0, 2.0, 2.0)

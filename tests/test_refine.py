@@ -1,4 +1,5 @@
 import importlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -183,15 +184,16 @@ class TestRefine:
     @pytest.mark.parametrize("seed, threshold", [(9, 1e-6), (0, 0.3), (4, 1e-6)])
     def test_plans_only_for_the_current_template(self, seed, threshold, monkeypatch):
         # Candidates are scored by emd alone; a transport plan, for the
-        # deletion blame, is built once per iteration for the current template.
+        # deletion blame and the candidates' lower bound, is built once per
+        # iteration for the current template.
         module = importlib.import_module("minhist.refine")
         planned = []
 
         def counting_plan(h1, h2, params):
             planned.append(h1.mass.copy())
-            return transport_plan(h1, h2, params)
+            return transport._plan_with_bound(h1, h2, params)
 
-        monkeypatch.setattr(module, "transport_plan", counting_plan)
+        monkeypatch.setattr(module, "_plan_with_bound", counting_plan)
         cfg = base_config(threshold=threshold, max_iters=6, rng_seed=seed)
         t = init_template(cfg)
         result = refine(t, cfg)
@@ -201,6 +203,84 @@ class TestRefine:
         assert len(planned) == accepted + (result.status == "stall")
         assert len(planned) <= min(cfg.max_iters, 1 + accepted)
         assert np.array_equal(planned[0], build_2dmh(t, SPEC).mass)
+        # Plan k is of the template after k accepted moves.
+        for mass, row in zip(planned, result.trace):
+            h = MinutiaeHistogram(spec=SPEC, dims=2, mass=mass, normalized=True, pair_count=1)
+            assert emd(h, cfg.target, cfg.params) == row.emd
+
+    @staticmethod
+    def _counting_run(cfg, monkeypatch):
+        """refine(init_template(cfg), cfg) and the number of emd calls it made."""
+        module = importlib.import_module("minhist.refine")
+        calls = []
+
+        def counting_emd(h1, h2, params):
+            calls.append(h1)
+            return emd(h1, h2, params)
+
+        with monkeypatch.context() as m:
+            m.setattr(module, "emd", counting_emd)
+            result = refine(init_template(cfg), cfg)
+        return result, len(calls)
+
+    # Candidates whose dual lower bound cannot win are never scored; the
+    # winner, and with it the trace, must be the one a full batch picks.
+    @pytest.mark.parametrize("seed, threshold", [(9, 1e-6), (0, 0.3), (4, 1e-6), (3, 0.2),
+                                                 (7, 1e-6)])
+    def test_pruning_keeps_the_trace(self, seed, threshold, monkeypatch):
+        cfg = base_config(threshold=threshold, max_iters=8, rng_seed=seed)
+        pruned, pruned_calls = self._counting_run(cfg, monkeypatch)
+        monkeypatch.setattr(transport, "SLACK_TOL", -np.inf)  # no potentials: bound -inf
+        full, full_calls = self._counting_run(cfg, monkeypatch)
+        assert (pruned.status, pruned.trace, pruned.template) == (
+            full.status, full.trace, full.template)
+        assert pruned_calls < full_calls
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_ties_go_to_the_earliest_candidate(self, seed, monkeypatch):
+        # EMDs rounded to 0.01 tie often. Scored in reverse batch order (by
+        # decreasing stand-in bounds that prune nothing), the winner must
+        # still be the lowest EMD, then the earliest in the batch.
+        module = importlib.import_module("minhist.refine")
+        monkeypatch.setattr(module, "emd", lambda h1, h2, params: round(emd(h1, h2, params), 2))
+        cfg = base_config(threshold=1e-6, max_iters=8, rng_seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(transport, "SLACK_TOL", -np.inf)
+            want = refine(init_template(cfg), cfg)
+
+        def reversed_order(h1, h2, params):
+            plan, _ = transport._plan_with_bound(h1, h2, params)
+            later = itertools.count()
+            return plan, lambda h: -1e9 - next(later)
+
+        monkeypatch.setattr(module, "_plan_with_bound", reversed_order)
+        got = refine(init_template(cfg), cfg)
+        assert (got.status, got.trace, got.template) == (want.status, want.trace, want.template)
+
+    def test_perturbed_potentials_switch_pruning_off(self, monkeypatch):
+        # Potentials that are far from dual feasible bound nothing: refine
+        # must then score every candidate, and still follow the same trace.
+        class Perturbed(transport._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                duals = list(solution.row_dual)
+                duals[::2] = [y + 0.5 for y in duals[::2]]
+                solution.row_dual = duals
+                return solution
+
+        cfg = base_config(threshold=1e-6, max_iters=8, rng_seed=4)
+        want, _ = self._counting_run(cfg, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(transport, "SLACK_TOL", -np.inf)
+            _, full_calls = self._counting_run(cfg, monkeypatch)
+        monkeypatch.setattr(transport, "_Highs", Perturbed)
+        h = build_2dmh(init_template(cfg), SPEC)
+        _, bound = transport._plan_with_bound(h, cfg.target, cfg.params)
+        assert bound.slack >= 0.5 and bound.potentials is None
+        assert bound(h) == -np.inf
+        got, calls = self._counting_run(cfg, monkeypatch)
+        assert (got.status, got.trace, got.template) == (want.status, want.trace, want.template)
+        assert calls == full_calls
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_independent_of_earlier_solves(self, seed):
