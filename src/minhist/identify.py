@@ -95,6 +95,9 @@ class GalleryIndex:
                 raise ValueError(f"entry {k}: mass_idx and mass_val differ in length")
             if idx.size and (idx.min() < 0 or idx.max() >= n_bins):
                 raise ValueError(f"entry {k}: mass_idx outside [0, {n_bins})")
+            # save writes each bin once, in order; a repeat would keep one value.
+            if (np.diff(idx) <= 0).any():
+                raise ValueError(f"entry {k}: mass_idx must be strictly increasing")
             if not (np.isfinite(val).all() and (val >= 0).all()):
                 raise ValueError(f"entry {k}: mass_val must be finite and non-negative")
             finger, impression = entry["finger"], entry["impression"]

@@ -9,23 +9,23 @@ target histogram, and the best strictly improving move is accepted: the
 lowest EMD, then the earliest in the batch. An optimal transport plan of
 the current histogram, the only plan built per iteration, identifies the
 bins that contribute the most cost, and deletions are biased toward
-minutiae whose pairs populate those bins. The plan comes from the solve
-behind `transport_plan`, which decomposes an optimal flow on the network
-`emd` solves, on a fresh model, so it depends only on the current histogram
-and the target. Where several plans are optimal, the one returned sets the
+minutiae whose pairs populate those bins. The plan comes from
+`transport_plan`, which decomposes an optimal flow on the network `emd`
+solves, on a fresh model, so it depends only on the current histogram and
+the target. Where several plans are optimal, the one returned sets the
 deletion blame.
 
-The same solve gives node potentials y, and by weak duality b · y is a
-lower bound on the EMD of any candidate whose node supplies are b
-(lower-bound filtering of EMD queries: Rubner, Tomasi & Guibas, IJCV 2000;
-Assent, Wenning & Seidl, ICDE 2006). A candidate differs from the current
-template by one minutia, so its bound is close to its EMD. Candidates are
-scored in (bound, batch index) order, and scoring stops at the first whose
-bound is not below the current EMD, or whose (bound, index) is above the
-best (EMD, index) so far: no later one could win. The accepted move, and so
-the run, is the one scoring the whole batch would give. Everything is
-seeded and fully deterministic: a run does not depend on what was solved
-before it.
+The plan's `lower_bound` holds the node potentials y of the same solve, and
+by weak duality b · y is a lower bound on the EMD of any candidate whose
+node supplies are b (lower-bound filtering of EMD queries: Rubner, Tomasi &
+Guibas, IJCV 2000; Assent, Wenning & Seidl, ICDE 2006). A candidate differs
+from the current template by one minutia, so its bound is close to its EMD.
+Candidates are scored in (bound, batch index) order, and scoring stops at
+the first whose bound is not below the current EMD, or whose (bound, index)
+is above the best (EMD, index) so far: no later one could win. The accepted
+move, and so the run, is the one scoring the whole batch would give.
+Everything is seeded and fully deterministic: a run does not depend on what
+was solved before it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _pair_bins, build_2dmh
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate, _int, _real
-from .transport import CostParams, TransportPlan, _plan_with_bound, build_cost_matrix, emd
+from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
                             final_emd=current_emd)
 
     for iteration in range(1, cfg.max_iters + 1):
-        plan, lower_bound = _plan_with_bound(current_hist, cfg.target, cfg.params)
+        plan = transport_plan(current_hist, cfg.target, cfg.params)
         delete_weights = _deletion_weights(current, plan, cfg)
         # The whole batch is drawn before any is scored; _propose never sees
         # a score, so the generator is used as it would be either way.
@@ -228,7 +228,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
             cand_hist = build_2dmh(candidate, spec)
             if cand_hist.pair_count == 0:
                 continue  # all pairs beyond d_max; histogram undefined as a distribution
-            scored.append((lower_bound(cand_hist), index, cand_hist, candidate, desc))
+            scored.append((plan.lower_bound(cand_hist), index, cand_hist, candidate, desc))
         # The lowest EMD wins, then the earliest batch index. In (bound,
         # index) order, once a candidate's bound and index cannot beat the
         # best so far (or its bound cannot improve on the current EMD),

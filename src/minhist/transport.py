@@ -31,35 +31,36 @@ than 0 at e = 1, and the three-layer network has no cycle, so an optimal
 flow has no cycle either. Every path of an optimal flow is a shortest
 path, so it costs the ground cost of its ends, and the paths form an
 optimal plan of the dense problem. The plan need not be a basic solution
-of the dense problem, so it has no size bound. The refiner takes the plan
-from `_plan_with_bound`, which also keeps the node potentials y of the same
-solve (HiGHS's row duals) and their largest dual infeasibility, slack =
-max over arcs of y_tail - y_head - cost. By weak duality they give a lower
-bound on the EMD of any other histogram to the same target (`_DualBound`);
-the bound is -inf when slack is above SLACK_TOL times the largest arc cost.
-`emd` never reads the duals.
+of the dense problem, so it has no size bound. The plan comes with its
+`lower_bound`: the node potentials y of the same solve (HiGHS's row duals)
+and their largest dual infeasibility, slack = max over arcs of y_tail -
+y_head - cost. By weak duality they give a lower bound on the EMD of any
+other histogram to the same target (`_DualBound`); the bound is -inf when
+slack is above SLACK_TOL times the largest arc cost. `emd` never reads the
+duals.
 
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
-model alive between solves. `solve_transport` and `transport_plan` build a
-fresh model per call, so a plan depends only on its inputs: the optimal
-vertex a warm model ends on depends on what it solved before. `emd` keeps
-one model, for the most recent (spec, params): successive
-calls differ only in their supplies, so the previous optimal basis stays
-dual feasible and the dual simplex restarts from it (Huangfu & Hall, Math.
-Prog. Comp. 2018). Against a fresh model per call this cuts the
-benchmark's realness op by about a quarter; there 97% of the `emd` calls
-find the model of their (spec, params) kept, and on refine and population
-all but the first do. A lock serialises the calls that share that model, so
-threads calling `emd` do not solve in parallel. The binding reports
-failures by status, not by exception, so every status is checked.
+model alive between solves. Every caller passes `_solve_flow` the model to
+solve. `solve_transport` and `transport_plan` build a fresh model per call,
+so a plan depends only on its inputs: the optimal vertex a warm model ends
+on depends on what it solved before. `emd` keeps one model, for the most
+recent (spec, params): successive calls differ only in their supplies, so
+the previous optimal basis stays dual feasible and the dual simplex
+restarts from it (Huangfu & Hall, Math. Prog. Comp. 2018). Against a fresh
+model per call this cuts the benchmark's realness op by about a quarter;
+there 97% of the `emd` calls find the model of their (spec, params) kept,
+and on refine and population all but the first do. A lock serialises the
+calls that share that model, so threads calling `emd` do not solve in
+parallel. The binding reports failures by status, not by exception, so
+every status is checked.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -91,7 +92,7 @@ BALANCE_RTOL = 1e-9
 # it HiGHS can fail to solve, or stop short of the exact optimum.
 COST_RANGE = (1e-6, 1e6)
 # A plan's potentials bound other EMDs only while their largest dual
-# infeasibility is at most this times the largest arc cost (_plan_with_bound).
+# infeasibility is at most this times the largest arc cost (transport_plan).
 SLACK_TOL = 1e-9
 
 
@@ -119,10 +120,15 @@ class TransportPlan:
 
     flow maps (source bin, sink bin) to transported mass; only nonzero
     entries are stored. total_cost is the exact optimum, correctly rounded.
+    lower_bound is set by transport_plan (None otherwise): the _DualBound of
+    the same solve. It is a result, not an argument, and takes no part in
+    == or repr.
     """
 
     flow: Dict[Tuple[int, int], float]
     total_cost: float
+    lower_bound: Optional[_DualBound] = field(default=None, init=False, repr=False,
+                                              compare=False)
 
 
 def _axis_costs(spec: BinSpec, params: CostParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -247,22 +253,16 @@ def _exact_cost(costs: np.ndarray, flows: np.ndarray) -> float:
 
 
 def _solve_flow(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray,
-                highs: Optional[_Highs] = None, duals: bool = False):
+                highs: _Highs):
     """Solve a flow problem whose matrix is totally unimodular and whose
     b_eq is integral, so an integral optimal vertex exists, on `highs`, a
-    model from _new_model(arc_cost, a_eq, b_eq); by default a fresh one.
-    Returns (arcs, flow, total_cost): the arcs with nonzero flow, their
-    integral flows, and the exact optimum / MASS_SCALE. Raises RuntimeError
-    unless HiGHS reports an optimum and the snapped flow is feasible:
-    non-negative, with a_eq @ flow == b_eq exactly.
-
-    With `duals`, also returns the node potentials y (HiGHS's row duals, or
-    NaN where HiGHS reports none) and their largest dual infeasibility
-    slack = max(0, max over arcs of y_tail - y_head - cost), NaN for NaN
-    potentials: y is a feasible dual solution when slack is 0.
+    model of the same problem (from _new_model, or emd's kept model with
+    its supplies set to b_eq). Returns (arcs, flow, total_cost): the arcs
+    with nonzero flow, their integral flows, and the exact optimum /
+    MASS_SCALE. Raises RuntimeError unless HiGHS reports an optimum and the
+    snapped flow is feasible: non-negative, with a_eq @ flow == b_eq
+    exactly.
     """
-    if highs is None:
-        highs = _new_model(arc_cost, a_eq, b_eq)
     run_status = highs.run()
     model_status = highs.getModelStatus()
     if run_status == HighsStatus.kError or model_status != HighsModelStatus.kOptimal:
@@ -275,13 +275,7 @@ def _solve_flow(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray,
     if (flow_int < 0).any() or (a_eq @ flow_int != b_eq.astype(np.int64)).any():
         raise RuntimeError("transportation solve failed: the flow does not meet the supplies")
     arcs = np.flatnonzero(flow_int)
-    result = arcs, flow_int[arcs], _exact_cost(arc_cost[arcs], flow_int[arcs])
-    if not duals:
-        return result
-    y = (np.asarray(solution.row_dual, dtype=float) if solution.dual_valid
-         else np.full(b_eq.shape, np.nan))
-    slack = float(np.max(a_eq.T @ y - arc_cost, initial=0.0))
-    return (*result, y, slack)
+    return arcs, flow_int[arcs], _exact_cost(arc_cost[arcs], flow_int[arcs])
 
 
 def _incidence(tails: np.ndarray, heads: np.ndarray, n_nodes: int) -> sparse.csc_matrix:
@@ -322,7 +316,8 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
     a_eq = _incidence(np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m), m + n)
     b_eq = np.concatenate([s_int, -d_int]).astype(float)
     arc_cost = sub_cost.ravel()
-    arcs, flow_int, total_cost = _solve_flow(arc_cost, a_eq, b_eq)
+    arcs, flow_int, total_cost = _solve_flow(arc_cost, a_eq, b_eq,
+                                             _new_model(arc_cost, a_eq, b_eq))
     fi, fj = np.divmod(arcs, n)
     mass = flow_int / MASS_SCALE
     flow = dict(zip(zip(rows[fi].tolist(), cols[fj].tolist()), mass.tolist()))
@@ -537,21 +532,15 @@ def transport_plan(
     not be a basic solution of the dense problem. total_cost is the
     network's exact optimum, the same value as emd. Raises ValueError as
     emd does.
+
+    The plan's lower_bound is the _DualBound of the row duals and slack of
+    the same solve: a lower bound on emd(h, h2, params) for every h, tight
+    at h1.
     """
-    return _plan_with_bound(h1, h2, params)[0]
-
-
-def _plan_with_bound(h1: MinutiaeHistogram, h2: MinutiaeHistogram,
-                     params: CostParams) -> Tuple[TransportPlan, _DualBound]:
-    """transport_plan(h1, h2, params) and the _DualBound of the node
-    potentials of the same solve: a lower bound on emd(h, h2, params) for
-    every h, tight at h1."""
     (a_eq, arc_cost, tails, heads), marginals, b_eq = _node_supplies(h1, h2, params)
-    potentials, slack = None, 0.0
-    if marginals is None:
-        return TransportPlan(flow={}, total_cost=0.0), _DualBound(h2, params, None, slack)
-    units, total_cost = {}, 0.0
-    if b_eq is None or params.e == 1:
+    units, total_cost, potentials, slack = {}, 0.0, None, 0.0
+    # Zero mass (no marginals) needs no solve; b_eq is None then too.
+    if marginals is not None and (b_eq is None or params.e == 1):
         # The e = 1 network sees only the net supply: min(supply, demand) of
         # each bin stays in place, as all of it does for equal marginals.
         rows, s_int, cols, d_int = marginals
@@ -559,19 +548,24 @@ def _plan_with_bound(h1: MinutiaeHistogram, h2: MinutiaeHistogram,
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        arcs, arc_flow, total_cost, potentials, slack = _solve_flow(
-            arc_cost, a_eq, b_eq, duals=True)
-        # Potentials far from dual feasible would give a useless bound.
-        if not (np.isfinite(potentials).all() and slack <= SLACK_TOL * arc_cost.max()):
-            potentials = None
+        highs = _new_model(arc_cost, a_eq, b_eq)
+        arcs, arc_flow, total_cost = _solve_flow(arc_cost, a_eq, b_eq, highs)
+        solution = highs.getSolution()
+        if solution.dual_valid:
+            y = np.asarray(solution.row_dual, dtype=float)
+            slack = float(np.max(a_eq.T @ y - arc_cost, initial=0.0))
+            # Potentials far from dual feasible would give a useless bound.
+            if np.isfinite(y).all() and slack <= SLACK_TOL * arc_cost.max():
+                potentials = y
         n = h1.mass.size
         paths = _paths(tails[arcs], heads[arcs], arc_flow, b_eq.astype(np.int64))
         for (first, last), moved in paths.items():
             key = (first % n, last % n)
             units[key] = units.get(key, 0) + moved
     flow = {key: moved / MASS_SCALE for key, moved in sorted(units.items()) if moved}
-    return (TransportPlan(flow=flow, total_cost=total_cost),
-            _DualBound(h2, params, potentials, slack))
+    plan = TransportPlan(flow=flow, total_cost=total_cost)
+    plan.lower_bound = _DualBound(h2, params, potentials, slack)
+    return plan
 
 
 def emd(

@@ -416,6 +416,13 @@ def _set_first_zero(values, value):
     values[values.index(0)] = value
 
 
+def _repeat_first_bin(payload):
+    """List the first bin of the first entry twice, the copy with mass 999."""
+    entry = payload["entries"][0]
+    entry["mass_idx"].insert(0, entry["mass_idx"][0])
+    entry["mass_val"].insert(0, 999.0)
+
+
 def _setitem(i, value):
     def edit(values):
         values[i] = value
@@ -604,6 +611,9 @@ ERROR_CASES = {
         d["index"], tmp, _first_entry("mass_idx", _setitem(0, 10 ** 7)))), "mass_idx"),
     "index-mass-idx-negative": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, _first_entry("mass_idx", _setitem(0, -1)))), "mass_idx"),
+    # A repeated bin used to keep one of its masses, and search exited 0.
+    "index-mass-idx-repeated": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, _repeat_first_bin)), "entry 0: mass_idx must be strictly increasing"),
     "index-mass-val-nan": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, _first_entry("mass_val", _setitem(0, float("nan"))))), "mass_val"),
     "index-mass-val-negative": (5, lambda d, tmp: _search(d, tmp, _edited(

@@ -262,7 +262,7 @@ def test_transport_plan_is_exact_optimal_and_history_free(hists, params, other, 
          params=CostParams(0.7, 1.3, 2.0))
 def test_plan_potentials_bound_every_emd(hists, params):
     h1, h2, target = hists
-    _, bound = transport._plan_with_bound(h1, target, params)
+    bound = transport_plan(h1, target, params).lower_bound
     nearby = _normalized(0.9 * h1.mass + 0.1 * h2.mass)
     for h in (h1, h2, target, nearby):
         assert bound(h) <= emd(h, target, params)

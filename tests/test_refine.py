@@ -191,9 +191,10 @@ class TestRefine:
 
         def counting_plan(h1, h2, params):
             planned.append(h1.mass.copy())
-            return transport._plan_with_bound(h1, h2, params)
+            return transport_plan(h1, h2, params)
 
-        monkeypatch.setattr(module, "_plan_with_bound", counting_plan)
+        # refine looks up the public, traced name.
+        monkeypatch.setattr(module, "transport_plan", counting_plan)
         cfg = base_config(threshold=threshold, max_iters=6, rng_seed=seed)
         t = init_template(cfg)
         result = refine(t, cfg)
@@ -249,11 +250,12 @@ class TestRefine:
             want = refine(init_template(cfg), cfg)
 
         def reversed_order(h1, h2, params):
-            plan, _ = transport._plan_with_bound(h1, h2, params)
+            plan = transport_plan(h1, h2, params)
             later = itertools.count()
-            return plan, lambda h: -1e9 - next(later)
+            plan.lower_bound = lambda h: -1e9 - next(later)
+            return plan
 
-        monkeypatch.setattr(module, "_plan_with_bound", reversed_order)
+        monkeypatch.setattr(module, "transport_plan", reversed_order)
         got = refine(init_template(cfg), cfg)
         assert (got.status, got.trace, got.template) == (want.status, want.trace, want.template)
 
@@ -275,7 +277,7 @@ class TestRefine:
             _, full_calls = self._counting_run(cfg, monkeypatch)
         monkeypatch.setattr(transport, "_Highs", Perturbed)
         h = build_2dmh(init_template(cfg), SPEC)
-        _, bound = transport._plan_with_bound(h, cfg.target, cfg.params)
+        bound = transport_plan(h, cfg.target, cfg.params).lower_bound
         assert bound.slack >= 0.5 and bound.potentials is None
         assert bound(h) == -np.inf
         got, calls = self._counting_run(cfg, monkeypatch)

@@ -210,6 +210,20 @@ class TestSolveTransport:
         np.testing.assert_allclose(col, demand, atol=1e-8)
         assert plan.total_cost == pytest.approx(recomputed, abs=1e-9)
 
+    def test_only_network_plans_carry_a_lower_bound(self):
+        # lower_bound is a result of transport_plan's solve, not part of the
+        # plan's value: two solves of the same inputs compare equal and
+        # print alike although their bounds are distinct objects.
+        rng = np.random.default_rng(16)
+        h1, h2 = random_normalized_hist(rng, 4, 5), random_normalized_hist(rng, 4, 5)
+        cost = build_cost_matrix(h1.spec, CostParams())
+        assert solve_transport(h1.mass.ravel(), h2.mass.ravel(), cost).lower_bound is None
+        first, second = transport_plan(h1, h2), transport_plan(h1, h2)
+        assert first.lower_bound is not second.lower_bound
+        assert first == second
+        assert repr(first) == repr(second) and "lower_bound" not in repr(first)
+        assert first.lower_bound(h1) <= emd(h1, h2)
+
     def test_basic_solution_sparsity(self):
         rng = np.random.default_rng(13)
         supply = rng.random(8)
