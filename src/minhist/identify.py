@@ -70,10 +70,11 @@ class GalleryIndex:
                     "finger": e.finger_id,
                     "impression": e.impression_id,
                     "pair_count": e.hist.pair_count,
-                    "mass_idx": np.flatnonzero(e.hist.mass).tolist(),
-                    "mass_val": e.hist.mass.ravel()[np.flatnonzero(e.hist.mass)].tolist(),
+                    "mass_idx": idx.tolist(),
+                    "mass_val": e.hist.mass.ravel()[idx].tolist(),
                 }
                 for e in self.entries
+                for idx in [np.flatnonzero(e.hist.mass)]
             ],
         }
         Path(path).write_text(json.dumps(payload), encoding="utf-8")

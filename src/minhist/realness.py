@@ -301,6 +301,8 @@ def split_by_finger(
     templates: Sequence[MinutiaTemplate], split: Tuple[int, int, int]
 ) -> Tuple[List[MinutiaTemplate], List[MinutiaTemplate], List[MinutiaTemplate]]:
     """Partition templates into Sets I/II/III by ordered finger id."""
+    if any(t.finger_id is None for t in templates):
+        raise ValueError("a template has no finger id: name its file <finger>_<impression>.mnt")
     fingers = sorted({t.finger_id for t in templates}, key=_finger_sort_key)
     n1, n2, _ = split
     set1 = set(fingers[:n1])

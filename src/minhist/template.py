@@ -142,6 +142,11 @@ class MinutiaTemplate:
             _real(self.var_ird, "var_ird", minimum=0)
         if self.label is not None and self.label not in (REAL, SYNTHETIC):
             raise ValueError(f"label must be {REAL!r} or {SYNTHETIC!r}, got {self.label!r}")
+        # An id is written as one header token, and '#' starts a comment.
+        for key, value in (("finger", self.finger_id), ("impression", self.impression_id)):
+            if value is not None and not (isinstance(value, str) and value.split() == [value]
+                                          and "#" not in value):
+                raise ValueError(f"{key} must be one token without '#', got {value!r}")
 
     def __len__(self) -> int:
         return len(self.minutiae)
@@ -231,18 +236,12 @@ def _parse_minutia_line(fields: List[str], lineno: int) -> Minutia:
 
 
 def serialize_template(t: MinutiaTemplate) -> str:
-    """Render a template back into the text format (parse round-trips).
-    Raises ValueError for a header value that is not one token free of
-    '#', which would not read back."""
+    """Render a template back into the text format (parse round-trips)."""
     lines = []
     for key, (name, _) in _HEADER.items():
         value = getattr(t, name)
-        if value is None:
-            continue
-        text = str(value)
-        if text.split() != [text] or "#" in text:
-            raise ValueError(f"{key} must be one token without '#', got {text!r}")
-        lines.append(f"{key} {text}")
+        if value is not None:
+            lines.append(f"{key} {value}")
     for m in t.minutiae:
         lines.append(f"{m.x} {m.y} {m.direction} {_LETTER_OF_TYPE[m.mtype]}")
     return "\n".join(lines) + "\n"
@@ -278,17 +277,17 @@ def bifurcation_percentage(t: MinutiaTemplate) -> float:
 
 
 def load_template(path: Path | str) -> MinutiaTemplate:
-    """Read one template file; finger/impression ids default from the filename."""
+    """Read one template file; finger/impression ids default from the filename
+    <finger>_<impression>.mnt. A malformed file or id is a TemplateParseError."""
     path = Path(path)
     t = parse_template(path.read_text(encoding="utf-8"))
-    if t.finger_id is None or t.impression_id is None:
-        stem = path.stem
-        if "_" in stem:
-            finger, impression = stem.rsplit("_", 1)
-            if t.finger_id is None:
-                t = replace(t, finger_id=finger)
-            if t.impression_id is None:
-                t = replace(t, impression_id=impression)
+    if (t.finger_id is None or t.impression_id is None) and "_" in path.stem:
+        finger, impression = path.stem.rsplit("_", 1)
+        try:
+            t = replace(t, finger_id=finger if t.finger_id is None else t.finger_id,
+                        impression_id=impression if t.impression_id is None else t.impression_id)
+        except ValueError as exc:
+            raise TemplateParseError(f"{exc} (from the file name)") from exc
     return t
 
 

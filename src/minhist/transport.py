@@ -41,19 +41,18 @@ duals.
 
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
-model alive between solves. Every caller passes `_solve_flow` the model to
-solve. `solve_transport` and `transport_plan` build a fresh model per call,
-so a plan depends only on its inputs: the optimal vertex a warm model ends
-on depends on what it solved before. `emd` keeps one model, for the most
+model alive between solves. Every solve runs on a `_FlowModel`, which owns
+the HiGHS model, its supplies and the checks of each solve.
+`solve_transport` and `transport_plan` build a fresh model per call, so a
+plan depends only on its inputs: the optimal vertex a warm model ends on
+depends on what it solved before. `emd` keeps one model, for the most
 recent (spec, params): successive calls differ only in their supplies, so
 the previous optimal basis stays dual feasible and the dual simplex
 restarts from it (Huangfu & Hall, Math. Prog. Comp. 2018). Against a fresh
 model per call this cuts the benchmark's realness op by about a quarter;
 there 97% of the `emd` calls find the model of their (spec, params) kept,
 and on refine and population all but the first do. A lock serialises the
-calls that share that model, so threads calling `emd` do not solve in
-parallel. The binding reports failures by status, not by exception, so
-every status is checked.
+calls that share that model: threads calling `emd` solve one at a time.
 """
 
 from __future__ import annotations
@@ -216,29 +215,6 @@ def _integer_marginals(supply: np.ndarray, demand: np.ndarray):
     return rows, s_int, cols, d_int
 
 
-def _new_model(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray) -> _Highs:
-    """A HiGHS model of: minimise arc_cost @ x subject to a_eq @ x = b_eq and
-    x >= 0, with HiGHS's default options (those of linprog(method="highs"))
-    and its log off."""
-    lp = HighsLp()
-    lp.num_col_, lp.num_row_ = a_eq.shape[1], a_eq.shape[0]
-    lp.col_cost_ = arc_cost
-    lp.col_lower_ = np.zeros(arc_cost.size)
-    lp.col_upper_ = np.full(arc_cost.size, np.inf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
-    matrix = lp.a_matrix_
-    matrix.format_ = MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = lp.num_col_, lp.num_row_
-    matrix.start_, matrix.index_, matrix.value_ = a_eq.indptr, a_eq.indices, a_eq.data
-    highs = _Highs()
-    # The binding reports failures by status, not by exception.
-    if highs.setOptionValue("output_flag", False) == HighsStatus.kError:
-        raise RuntimeError("HiGHS rejected the option output_flag")
-    if highs.passModel(lp) == HighsStatus.kError:
-        raise RuntimeError("transportation model rejected by HiGHS")
-    return highs
-
-
 def _exact_cost(costs: np.ndarray, flows: np.ndarray) -> float:
     """costs @ flows / MASS_SCALE, rounded once to the nearest float.
 
@@ -252,30 +228,56 @@ def _exact_cost(costs: np.ndarray, flows: np.ndarray) -> float:
     return float(Fraction(total, MASS_SCALE))
 
 
-def _solve_flow(arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray,
-                highs: _Highs):
-    """Solve a flow problem whose matrix is totally unimodular and whose
-    b_eq is integral, so an integral optimal vertex exists, on `highs`, a
-    model of the same problem (from _new_model, or emd's kept model with
-    its supplies set to b_eq). Returns (arcs, flow, total_cost): the arcs
-    with nonzero flow, their integral flows, and the exact optimum /
-    MASS_SCALE. Raises RuntimeError unless HiGHS reports an optimum and the
-    snapped flow is feasible: non-negative, with a_eq @ flow == b_eq
-    exactly.
-    """
-    run_status = highs.run()
-    model_status = highs.getModelStatus()
-    if run_status == HighsStatus.kError or model_status != HighsModelStatus.kOptimal:
-        raise RuntimeError(
-            f"transportation solve failed: {highs.modelStatusToString(model_status)}"
-        )
-    solution = highs.getSolution()
-    # Integral supplies imply an integral optimal vertex; snap off float fuzz.
-    flow_int = np.rint(np.asarray(solution.col_value)).astype(np.int64)
-    if (flow_int < 0).any() or (a_eq @ flow_int != b_eq.astype(np.int64)).any():
-        raise RuntimeError("transportation solve failed: the flow does not meet the supplies")
-    arcs = np.flatnonzero(flow_int)
-    return arcs, flow_int[arcs], _exact_cost(arc_cost[arcs], flow_int[arcs])
+class _FlowModel:
+    """A HiGHS model of: minimise arc_cost @ x subject to a_eq @ x = b_eq and
+    x >= 0, with HiGHS's default options (those of linprog(method="highs"))
+    and its log off. a_eq is totally unimodular and b_eq, of which the model
+    keeps a copy, integral, so an integral optimal vertex exists. The
+    binding reports failures by status, not by exception: each is checked."""
+
+    def __init__(self, arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray):
+        self.arc_cost, self.a_eq, self.b_eq = arc_cost, a_eq, b_eq.copy()
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = a_eq.shape[1], a_eq.shape[0]
+        lp.col_cost_ = arc_cost
+        lp.col_lower_ = np.zeros(arc_cost.size)
+        lp.col_upper_ = np.full(arc_cost.size, np.inf)
+        lp.row_lower_ = lp.row_upper_ = self.b_eq
+        matrix = lp.a_matrix_
+        matrix.format_ = MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = lp.num_col_, lp.num_row_
+        matrix.start_, matrix.index_, matrix.value_ = a_eq.indptr, a_eq.indices, a_eq.data
+        self.highs = _Highs()
+        if self.highs.setOptionValue("output_flag", False) == HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the option output_flag")
+        if self.highs.passModel(lp) == HighsStatus.kError:
+            raise RuntimeError("transportation model rejected by HiGHS")
+
+    def supply(self, b_eq: np.ndarray) -> None:
+        """Set the supplies to b_eq, changing only the rows that differ."""
+        for row in np.flatnonzero(b_eq != self.b_eq).tolist():
+            if self.highs.changeRowBounds(row, b_eq[row], b_eq[row]) == HighsStatus.kError:
+                raise RuntimeError(f"HiGHS rejected the supply of node {row}")
+        self.b_eq[:] = b_eq
+
+    def solve(self):
+        """Returns (arcs, flow, total_cost): the arcs with nonzero flow,
+        their integral flows, and the exact optimum / MASS_SCALE. Raises
+        RuntimeError unless HiGHS reports an optimum and the snapped flow is
+        feasible: non-negative, with a_eq @ flow == b_eq exactly."""
+        run_status = self.highs.run()
+        model_status = self.highs.getModelStatus()
+        if run_status == HighsStatus.kError or model_status != HighsModelStatus.kOptimal:
+            raise RuntimeError(
+                f"transportation solve failed: {self.highs.modelStatusToString(model_status)}"
+            )
+        solution = self.highs.getSolution()
+        # Integral supplies imply an integral optimal vertex; snap off float fuzz.
+        flow_int = np.rint(np.asarray(solution.col_value)).astype(np.int64)
+        if (flow_int < 0).any() or (self.a_eq @ flow_int != self.b_eq.astype(np.int64)).any():
+            raise RuntimeError("transportation solve failed: the flow does not meet the supplies")
+        arcs = np.flatnonzero(flow_int)
+        return arcs, flow_int[arcs], _exact_cost(self.arc_cost[arcs], flow_int[arcs])
 
 
 def _incidence(tails: np.ndarray, heads: np.ndarray, n_nodes: int) -> sparse.csc_matrix:
@@ -315,9 +317,7 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
     m, n = len(rows), len(cols)
     a_eq = _incidence(np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m), m + n)
     b_eq = np.concatenate([s_int, -d_int]).astype(float)
-    arc_cost = sub_cost.ravel()
-    arcs, flow_int, total_cost = _solve_flow(arc_cost, a_eq, b_eq,
-                                             _new_model(arc_cost, a_eq, b_eq))
+    arcs, flow_int, total_cost = _FlowModel(sub_cost.ravel(), a_eq, b_eq).solve()
     fi, fj = np.divmod(arcs, n)
     mass = flow_int / MASS_SCALE
     flow = dict(zip(zip(rows[fi].tolist(), cols[fj].tolist()), mass.tolist()))
@@ -365,14 +365,12 @@ def _flow_network(spec: BinSpec, params: CostParams):
 
 
 @lru_cache(maxsize=1)
-def _warm_model(spec: BinSpec, params: CostParams) -> Tuple[_Highs, np.ndarray]:
-    """The one HiGHS model emd keeps, on the network of
-    _flow_network(spec, params), and a copy of the b_eq it holds. Only the
-    most recent (spec, params) is kept: an e = 2 model holds about 2 MB.
-    Use it only under _WARM_LOCK."""
+def _warm_model(spec: BinSpec, params: CostParams) -> _FlowModel:
+    """The one model emd keeps, on the network of _flow_network(spec,
+    params). Only the most recent (spec, params) is kept: an e = 2 model
+    holds about 2 MB. Use it only under _WARM_LOCK."""
     a_eq, arc_cost, _, _ = _flow_network(spec, params)
-    b_eq = np.zeros(a_eq.shape[0])
-    return _new_model(arc_cost, a_eq, b_eq), b_eq
+    return _FlowModel(arc_cost, a_eq, np.zeros(a_eq.shape[0]))
 
 
 # Two threads driving one HiGHS model at once can crash the process.
@@ -383,10 +381,10 @@ def _node_supplies(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostPar
     """Check the inputs of emd and transport_plan and put the scaled
     marginals on the nodes of the network of (h1.spec, params).
 
-    Returns (network, marginals, b_eq): the tuple of _flow_network, the
-    result of _integer_marginals (None for zero mass) and the node supplies,
-    or b_eq None where the optimum is 0 without a solve. Raises ValueError
-    for parameters outside check_cost_range, even where the optimum is 0.
+    Returns (marginals, b_eq): the result of _integer_marginals (None for
+    zero mass) and the node supplies, or b_eq None where the optimum is 0
+    without a solve. Raises ValueError for parameters outside
+    check_cost_range, even where the optimum is 0.
     """
     if h1.spec != h2.spec:
         raise ValueError("histograms have different bin specifications")
@@ -394,19 +392,19 @@ def _node_supplies(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostPar
         raise ValueError("the transport cost model is defined for 2D histograms")
     if h1.normalized != h2.normalized:
         raise ValueError("histograms must both be normalized or both raw")
-    network = _flow_network(h1.spec, params)
+    a_eq = _flow_network(h1.spec, params)[0]
     marginals = _integer_marginals(h1.mass.ravel(), h2.mass.ravel())
     if marginals is None:
-        return network, None, None
+        return None, None
     rows, s_int, cols, d_int = marginals
     # Equal marginals cost nothing; this also covers the 1x1 spec, whose
     # neighbour grid has no arcs.
     if np.array_equal(rows, cols) and np.array_equal(s_int, d_int):
-        return network, marginals, None
-    b_eq = np.zeros(network[0].shape[0])
+        return marginals, None
+    b_eq = np.zeros(a_eq.shape[0])
     b_eq[rows] = s_int
     b_eq[b_eq.size - h1.mass.size + cols] -= d_int  # the last n nodes are sinks
-    return network, marginals, b_eq
+    return marginals, b_eq
 
 
 def _paths(tails: np.ndarray, heads: np.ndarray, units: np.ndarray, supply: np.ndarray):
@@ -419,8 +417,8 @@ def _paths(tails: np.ndarray, heads: np.ndarray, units: np.ndarray, supply: np.n
     supply and its in-arcs bring, by first node, and hands them out in
     first-node order, to its own demand and then to its out-arcs in the
     given arc order, so the result depends on the flow alone. The flow must
-    meet the supplies (_solve_flow checks it). Raises RuntimeError for a
-    flow with a cycle.
+    meet the supplies (_FlowModel.solve checks it). Raises RuntimeError for
+    a flow with a cycle.
     """
     n_nodes = supply.size
     out_arcs = [[] for _ in range(n_nodes)]
@@ -501,7 +499,7 @@ class _DualBound:
     def __call__(self, h: MinutiaeHistogram) -> float:
         if self.potentials is None:
             return -math.inf
-        _, _, b_eq = _node_supplies(h, self.target, self.params)
+        b_eq = _node_supplies(h, self.target, self.params)[1]
         if b_eq is None:
             return 0.0
         spec = self.target.spec
@@ -537,7 +535,7 @@ def transport_plan(
     the same solve: a lower bound on emd(h, h2, params) for every h, tight
     at h1.
     """
-    (a_eq, arc_cost, tails, heads), marginals, b_eq = _node_supplies(h1, h2, params)
+    marginals, b_eq = _node_supplies(h1, h2, params)
     units, total_cost, potentials, slack = {}, 0.0, None, 0.0
     # Zero mass (no marginals) needs no solve; b_eq is None then too.
     if marginals is not None and (b_eq is None or params.e == 1):
@@ -548,9 +546,10 @@ def transport_plan(
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        highs = _new_model(arc_cost, a_eq, b_eq)
-        arcs, arc_flow, total_cost = _solve_flow(arc_cost, a_eq, b_eq, highs)
-        solution = highs.getSolution()
+        a_eq, arc_cost, tails, heads = _flow_network(h1.spec, params)
+        model = _FlowModel(arc_cost, a_eq, b_eq)
+        arcs, arc_flow, total_cost = model.solve()
+        solution = model.highs.getSolution()
         if solution.dual_valid:
             y = np.asarray(solution.row_dual, dtype=float)
             slack = float(np.max(a_eq.T @ y - arc_cost, initial=0.0))
@@ -580,17 +579,14 @@ def emd(
     before. Raises ValueError for parameters outside check_cost_range, even
     where the value would be 0.
     """
-    (a_eq, arc_cost, _, _), _, b_eq = _node_supplies(h1, h2, params)
+    b_eq = _node_supplies(h1, h2, params)[1]
     if b_eq is None:
         return 0.0
     with _WARM_LOCK:
-        highs, held = _warm_model(h1.spec, params)
+        model = _warm_model(h1.spec, params)
         try:
-            for row in np.flatnonzero(b_eq != held).tolist():
-                if highs.changeRowBounds(row, b_eq[row], b_eq[row]) == HighsStatus.kError:
-                    raise RuntimeError(f"HiGHS rejected the supply of node {row}")
-            held[:] = b_eq
-            return _solve_flow(arc_cost, a_eq, b_eq, highs)[2]
+            model.supply(b_eq)
+            return model.solve()[2]
         except BaseException:
             # A failed or interrupted solve leaves no trusted basis: the
             # next call builds the model afresh.

@@ -387,11 +387,11 @@ def _edited(path, tmp_path, edit):
     return _file(tmp_path, "edited.json", json.dumps(payload))
 
 
-def _dir_plus(src, tmp_path, text):
+def _dir_plus(src, tmp_path, text, name="99_1.mnt"):
     """A copy of the template directory `src` with one more template."""
     copy = tmp_path / f"{src.name}_plus"
     shutil.copytree(src, copy)
-    (copy / "99_1.mnt").write_text(text)
+    (copy / name).write_text(text)
     return str(copy)
 
 
@@ -506,6 +506,13 @@ ERROR_CASES = {
     "report-malformed-in-dir": (2, lambda d, tmp: [
         "identify", "report", str(d["index"]), _dir_plus(d["gallery_dir"], tmp, MALFORMED)],
         "99_1.mnt"),
+    "train-template-without-finger-id": (64, lambda d, tmp: [
+        "--config", str(d["config"]), "train", _dir_plus(d["real_dir"], tmp, NO_IRD, "loose.mnt"),
+        str(d["synth_dir"]), "--out", str(tmp / "m.json")], "no finger id"),
+    "train-finger-id-with-space": (2, lambda d, tmp: [
+        "--config", str(d["config"]), "train",
+        _dir_plus(d["real_dir"], tmp, NO_IRD, "left thumb_1.mnt"), str(d["synth_dir"]),
+        "--out", str(tmp / "m.json")], "left thumb_1.mnt"),
     "train-missing-directory": (2, lambda d, tmp: [
         "--config", str(d["config"]), "train", str(tmp / "none"), str(d["synth_dir"]),
         "--out", str(tmp / "m.json")], "not a directory"),

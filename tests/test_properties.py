@@ -278,7 +278,7 @@ def test_failed_solve_drops_the_kept_model():
                                     pair_count=1)
                   for m in rng.random((3, 6, 6)))
     emd(h1, h2, params)
-    highs, _ = transport._warm_model(spec, params)
+    highs = transport._warm_model(spec, params).highs
     highs.setOptionValue("simplex_iteration_limit", 0)
     with pytest.raises(RuntimeError, match="transportation solve failed"):
         emd(h3, h2, params)

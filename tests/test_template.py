@@ -12,6 +12,7 @@ from minhist.template import (
     MinutiaTemplate,
     TemplateParseError,
     bifurcation_percentage,
+    load_directory,
     load_template,
     parse_template,
     rescale_to_500dpi,
@@ -122,12 +123,13 @@ def test_numpy_scalars_round_trip():
         ({"impression_id": "a#1"}, "impression"),
         ({"finger_id": ""}, "finger"),
         ({"impression_id": "1\n2"}, "impression"),
+        ({"finger_id": 17}, "finger"),
     ],
 )
 def test_serialize_rejects_ids_that_do_not_read_back(ids, key):
-    t = MinutiaTemplate(minutiae=(Minutia(1.0, 2.0, 3.0, ENDING),), **ids)
+    # The constructor rejects them, so no template serializes one.
     with pytest.raises(ValueError, match=f"^{key} must be one token"):
-        serialize_template(t)
+        MinutiaTemplate(minutiae=(Minutia(1.0, 2.0, 3.0, ENDING),), **ids)
 
 
 @pytest.mark.parametrize("finger,impression", [("17", "3"), ("f-2.a", "0"), ("x_y", "B")])
@@ -142,6 +144,14 @@ def test_load_template_ids_from_filename(tmp_path):
     path.write_text("dpi 500\n10 20 30 E\n")
     t = load_template(path)
     assert (t.finger_id, t.impression_id) == ("17", "3")
+
+
+def test_filename_id_that_breaks_the_id_rule_is_a_parse_error(tmp_path):
+    (tmp_path / "left thumb_1.mnt").write_text("dpi 500\n10 20 30 E\n")
+    with pytest.raises(TemplateParseError, match="finger must be one token.*file name"):
+        load_template(tmp_path / "left thumb_1.mnt")
+    with pytest.raises(TemplateParseError, match="^left thumb_1.mnt: finger"):
+        load_directory(tmp_path)
 
 
 class TestRescale:

@@ -482,14 +482,42 @@ class TestEmd:
         with pytest.raises(RuntimeError, match="does not meet the supplies"):
             solve_transport(h1.mass, h2.mass, build_cost_matrix(h1.spec, params))
 
-    def test_rejected_option_raises(self, monkeypatch):
+    @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
+    def test_rejected_option_raises(self, monkeypatch, solver):
+        # A model that fails to build is not kept; the next emd builds one
+        # with the real binding and matches the oracle.
         class NoOptions(transport._Highs):
             def setOptionValue(self, name, value):
                 return transport.HighsStatus.kError
 
+        rng = np.random.default_rng(26)
+        h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
+        params = CostParams(1.0, 2.0, 2.0)
+        cost = build_cost_matrix(h1.spec, params)
+        solve = {"emd": lambda: emd(h1, h2, params),
+                 "transport_plan": lambda: transport_plan(h1, h2, params),
+                 "solve_transport": lambda: solve_transport(h1.mass, h2.mass, cost)}[solver]
         monkeypatch.setattr(transport, "_Highs", NoOptions)
+        transport._warm_model.cache_clear()
         with pytest.raises(RuntimeError, match="output_flag"):
-            solve_transport([1.0, 0.0], [0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+            solve()
+        assert transport._warm_model.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert emd(h1, h2, params) == linprog_transport_cost(h1.mass.ravel(), h2.mass.ravel(),
+                                                             cost)
+
+    def test_plans_do_not_evict_the_kept_model(self):
+        # Refine alternates transport_plan and emd on one (spec, params);
+        # its speed relies on emd finding its model kept.
+        rng = np.random.default_rng(27)
+        h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
+        params = CostParams(1.0, 2.0, 2.0)
+        emd(h1, h2, params)
+        misses = transport._warm_model.cache_info().misses
+        transport_plan(h3, h2, params)
+        solve_transport(h3.mass, h2.mass, build_cost_matrix(h1.spec, params))
+        emd(h3, h2, params)
+        assert transport._warm_model.cache_info().misses == misses
 
     def test_triangle_inequality_e1(self):
         rng = np.random.default_rng(17)
