@@ -152,7 +152,7 @@ def bootstrap_neighborhood(
     draws = np.empty(replicates)
     for b in range(replicates):
         resample = rng.integers(0, n, size=n)
-        held_out = np.setdiff1d(np.arange(n), resample)
+        held_out = np.flatnonzero(np.bincount(resample, minlength=n) == 0)
         if held_out.size:
             pick = int(held_out[rng.integers(0, held_out.size)])
         else:

@@ -68,9 +68,9 @@ class MinutiaeHistogram:
     """Binned mass array over 2 or 4 feature axes.
 
     mass has shape (b_dist, b_dir) for 2D and (b_dist, b_dir, b_relangle, 4)
-    for 4D. If normalized, masses sum to 1 (or all zero when no pair was
-    binned); otherwise they are raw counts summing to pair_count (2D) or
-    2 * pair_count (4D, both orderings of each pair).
+    for 4D. Raw masses are counts summing to pair_count (2D) or
+    2 * pair_count (4D, both orderings of each pair); normalized ones are
+    those counts divided by their total, so they hold one unit of mass.
     """
 
     spec: BinSpec
@@ -144,7 +144,8 @@ def _pair_bins(t: MinutiaTemplate, spec: BinSpec):
     minutiae.
     """
     if len(t.minutiae) < 2:
-        raise TooFewMinutiaeError("pair features undefined: template has fewer than 2 minutiae")
+        raise TooFewMinutiaeError(
+            "pair features undefined: template has fewer than 2 minutiae, needs at least 2")
     t = rescale_to_500dpi(t)
     xy = np.array([[m.x, m.y] for m in t.minutiae], dtype=float)
     dirs = np.array([m.direction for m in t.minutiae], dtype=float)
@@ -165,13 +166,17 @@ def build_2dmh(
     """Bin all unordered minutiae pairs by (distance, direction difference).
 
     Pairs with distance above spec.d_max are discarded. The boundary values
-    d = d_max and alpha = 180 land in the last bin of their axis.
+    d = d_max and alpha = 180 land in the last bin of their axis. With
+    normalize, a template without a pair within d_max raises
+    TooFewMinutiaeError.
     """
     *_, bins = _pair_bins(t, spec)
     shape = _mass_shape(spec, 2)
     mass = np.bincount(bins, minlength=shape[0] * shape[1]).astype(float).reshape(shape)
     pair_count = len(bins)
-    if normalize and pair_count > 0:
+    if normalize:
+        if pair_count == 0:
+            raise TooFewMinutiaeError("no minutiae pair within d_max")
         mass /= pair_count
     return MinutiaeHistogram(
         spec=spec, dims=2, mass=mass, normalized=normalize, pair_count=pair_count
@@ -191,7 +196,8 @@ def build_4dmh(
     from i to j measured against i's direction, folded into [0, 360). Each
     unordered pair contributes via both orderings, so the histogram does not
     depend on the minutiae list order; the raw total mass is twice the
-    unordered pair count.
+    unordered pair count. With normalize, a template without a pair within
+    d_max raises TooFewMinutiaeError.
     """
     xy, dirs, i, j, bins = _pair_bins(t, spec)
     if any(m.mtype == UNKNOWN for m in t.minutiae):
@@ -211,8 +217,10 @@ def build_4dmh(
     mass = np.zeros(_mass_shape(spec, 4))
     np.add.at(mass.reshape(-1), (bins * spec.b_relangle + ri) * spec.b_type + ti, 1.0)
     pair_count = len(i)
-    if normalize and mass.sum() > 0:
-        mass /= mass.sum()
+    if normalize:
+        if pair_count == 0:
+            raise TooFewMinutiaeError("no minutiae pair within d_max")
+        mass /= 2 * pair_count  # the raw total, exactly
     return MinutiaeHistogram(
         spec=spec, dims=4, mass=mass, normalized=normalize, pair_count=pair_count
     )

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .histogram import IDENTIFICATION_SPEC, BinSpec, MinutiaeHistogram, _mass_shape, build_4dmh
-from .template import MinutiaTemplate, _int, _numbers, _object
+from .template import MinutiaTemplate, _int, _numbers, _object, _token
 
 # The keys of each entry of a saved index.
 _ENTRY_KEYS = ("finger", "impression", "pair_count", "mass_idx", "mass_val")
@@ -101,9 +101,8 @@ class GalleryIndex:
                 raise ValueError(f"entry {k}: mass_idx must be strictly increasing")
             if not (np.isfinite(val).all() and (val >= 0).all()):
                 raise ValueError(f"entry {k}: mass_val must be finite and non-negative")
-            finger, impression = entry["finger"], entry["impression"]
-            if not (isinstance(finger, str) and isinstance(impression, str)):
-                raise ValueError(f"entry {k}: finger and impression must be strings")
+            finger = _token(entry["finger"], f"entry {k}: finger")
+            impression = _token(entry["impression"], f"entry {k}: impression")
             pairs = _int(entry["pair_count"], f"entry {k}: pair_count", 0)
             mass = np.zeros(n_bins)
             mass[idx] = val

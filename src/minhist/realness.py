@@ -227,20 +227,11 @@ def template_side_features(
     return t.mean_ird, t.var_ird, pct
 
 
-def _histogram(t: MinutiaTemplate, spec: BinSpec) -> MinutiaeHistogram:
-    """The normalized 2D histogram of a template. Raises TooFewMinutiaeError
-    for fewer than 2 minutiae or no pair within d_max, which leaves no mass
-    to average or transport."""
-    h = build_2dmh(t, spec, normalize=True)
-    if h.pair_count == 0:
-        raise TooFewMinutiaeError("no minutiae pair within d_max")
-    return h
-
-
 def classify_template(t: MinutiaTemplate, model: ClassModel) -> RealnessScore:
     """Full scoring path for one template: histogram, EMD difference,
-    feature fusion with the model's trained weights."""
-    score = emd_difference_score(_histogram(t, model.spec), model)
+    feature fusion with the model's trained weights. A template without a
+    minutiae pair within d_max raises TooFewMinutiaeError."""
+    score = emd_difference_score(build_2dmh(t, model.spec), model)
     b, c, d, fused, decision = fuse_features(score.a, *template_side_features(t), model)
     return replace(score, b=b, c=c, d=d, fused=fused, decision=decision)
 
@@ -321,12 +312,13 @@ def split_by_finger(
 
 def _prepare(templates: Sequence[MinutiaTemplate], spec: BinSpec):
     """Histogram every usable template once; returns the (template,
-    histogram) pairs and the number of templates skipped."""
+    histogram) pairs and the number of templates skipped, those without a
+    minutiae pair within d_max."""
     prepared = []
     skipped = 0
     for t in templates:
         try:
-            prepared.append((t, _histogram(t, spec)))
+            prepared.append((t, build_2dmh(t, spec)))
         except TooFewMinutiaeError:
             skipped += 1
     return prepared, skipped

@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,8 @@ class RefineConfig:
             raise ValueError("foreground rectangle is empty")
         if not self.count_distribution:
             raise ValueError("count distribution is empty")
+        for n in self.count_distribution:
+            _int(n, "each count_distribution value (a template needs at least 2 minutiae)", 2)
         if not self.target.normalized or self.target.dims != 2:
             raise ValueError("target must be a normalized 2D histogram")
 
@@ -106,8 +108,6 @@ def init_template(cfg: RefineConfig) -> MinutiaTemplate:
     field flipped by 180 degrees with probability one half."""
     rng = np.random.default_rng([cfg.rng_seed, 0])
     n = int(rng.choice(np.asarray(cfg.count_distribution)))
-    if n < 2:
-        raise ValueError("drawn minutiae count must be at least 2")
     minutiae = tuple(_draw_minutia(rng, cfg) for _ in range(n))
     return MinutiaTemplate(minutiae=minutiae, dpi=500)
 
@@ -197,27 +197,23 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     improving move (stall), or the iteration budget (timeout). Per
     iteration the whole batch is drawn first, then scored by emd in
     ascending order of the candidates' dual lower bounds (ties by batch
-    index); a candidate whose bound shows it cannot win is not scored. The
-    lowest EMD wins, then the earliest batch index. The trace holds the
-    initial EMD and one row per accepted move; it is strictly decreasing
-    after the first row.
+    index); a candidate whose bound shows it cannot win is not scored, nor
+    is one without a minutiae pair within d_max. The lowest EMD wins, then
+    the earliest batch index. The trace holds the initial EMD and one row
+    per accepted move; it is strictly decreasing after the first row. A t
+    without a minutiae pair within d_max raises TooFewMinutiaeError.
     """
-    if len(t) < 2:
-        raise TooFewMinutiaeError("refinement needs a template with at least 2 minutiae")
     rng = np.random.default_rng([cfg.rng_seed, 1])
     spec = cfg.target.spec
 
-    current = t
-    current_hist = build_2dmh(current, spec)
-    if current_hist.pair_count == 0:
-        raise TooFewMinutiaeError("initial template has no minutiae pair within d_max")
+    current, current_hist = t, build_2dmh(t, spec)
     current_emd = emd(current_hist, cfg.target, cfg.params)
     trace = [TraceRow(iteration=0, emd=current_emd, move="init")]
-    if current_emd <= cfg.threshold:
-        return RefineResult(template=current, trace=trace, status="success",
-                            final_emd=current_emd)
-
-    for iteration in range(1, cfg.max_iters + 1):
+    # "timeout" stands until a move reaches the threshold or a batch stalls.
+    status = "success" if current_emd <= cfg.threshold else "timeout"
+    iteration = 0
+    while status == "timeout" and iteration < cfg.max_iters:
+        iteration += 1
         plan = transport_plan(current_hist, cfg.target, cfg.params)
         delete_weights = _deletion_weights(current, plan, cfg)
         # The whole batch is drawn before any is scored; _propose never sees
@@ -225,31 +221,30 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
         scored = []
         for index in range(cfg.batch_size):
             candidate, desc = _propose(rng, current, cfg, delete_weights)
-            cand_hist = build_2dmh(candidate, spec)
-            if cand_hist.pair_count == 0:
+            try:
+                cand_hist = build_2dmh(candidate, spec)
+            except TooFewMinutiaeError:
                 continue  # all pairs beyond d_max; histogram undefined as a distribution
             scored.append((plan.lower_bound(cand_hist), index, cand_hist, candidate, desc))
-        # The lowest EMD wins, then the earliest batch index. In (bound,
+        # The lowest EMD wins, then the earliest batch index; the sentinel
+        # (current EMD, -1) admits only strict improvements. In (bound,
         # index) order, once a candidate's bound and index cannot beat the
-        # best so far (or its bound cannot improve on the current EMD),
-        # neither can any later one's.
-        best: Optional[Tuple[float, int, MinutiaeHistogram, MinutiaTemplate, str]] = None
+        # best so far, neither can any later one's.
+        best = (current_emd, -1, None, None, None)
         for bound, index, cand_hist, candidate, desc in sorted(scored, key=lambda c: c[:2]):
-            if bound >= current_emd or (best is not None and (bound, index) > best[:2]):
+            if (bound, index) > best[:2]:
                 break
             cand_emd = emd(cand_hist, cfg.target, cfg.params)
-            if cand_emd < current_emd and (best is None or (cand_emd, index) < best[:2]):
+            if (cand_emd, index) < best[:2]:
                 best = (cand_emd, index, cand_hist, candidate, desc)
-        if best is None:
-            return RefineResult(template=current, trace=trace, status="stall",
-                                final_emd=current_emd)
-        current_emd, _, current_hist, current, desc = best
-        trace.append(TraceRow(iteration=iteration, emd=current_emd, move=desc))
-        if current_emd <= cfg.threshold:
-            return RefineResult(template=current, trace=trace, status="success",
-                                final_emd=current_emd)
-    return RefineResult(template=current, trace=trace, status="timeout",
-                        final_emd=current_emd)
+        if best[2] is None:
+            status = "stall"
+        else:
+            current_emd, _, current_hist, current, desc = best
+            trace.append(TraceRow(iteration=iteration, emd=current_emd, move=desc))
+            if current_emd <= cfg.threshold:
+                status = "success"
+    return RefineResult(template=current, trace=trace, status=status, final_emd=current_emd)
 
 
 def assign_types(

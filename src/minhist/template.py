@@ -72,6 +72,13 @@ def _int(value, name: str, minimum: int):
     return value
 
 
+def _token(value, name: str) -> str:
+    """An id: it is written as one header token, and '#' starts a comment."""
+    if not (isinstance(value, str) and value.split() == [value] and "#" not in value):
+        raise ValueError(f"{name} must be one token without '#', got {value!r}")
+    return value
+
+
 def _flag(value, name: str) -> bool:
     """JSON true or false."""
     if not isinstance(value, bool):
@@ -142,11 +149,9 @@ class MinutiaTemplate:
             _real(self.var_ird, "var_ird", minimum=0)
         if self.label is not None and self.label not in (REAL, SYNTHETIC):
             raise ValueError(f"label must be {REAL!r} or {SYNTHETIC!r}, got {self.label!r}")
-        # An id is written as one header token, and '#' starts a comment.
         for key, value in (("finger", self.finger_id), ("impression", self.impression_id)):
-            if value is not None and not (isinstance(value, str) and value.split() == [value]
-                                          and "#" not in value):
-                raise ValueError(f"{key} must be one token without '#', got {value!r}")
+            if value is not None:
+                _token(value, key)
 
     def __len__(self) -> int:
         return len(self.minutiae)
@@ -295,13 +300,13 @@ def save_template(t: MinutiaTemplate, path: Path | str) -> None:
     Path(path).write_text(serialize_template(t), encoding="utf-8")
 
 
-def load_directory(directory: Path | str, pattern: str = "*.mnt") -> List[MinutiaTemplate]:
-    """Load all template files in a directory, sorted by filename."""
+def load_directory(directory: Path | str) -> List[MinutiaTemplate]:
+    """Load every *.mnt file in a directory, sorted by filename."""
     directory = Path(directory)
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
     templates = []
-    for path in sorted(directory.glob(pattern)):
+    for path in sorted(directory.glob("*.mnt")):
         try:
             templates.append(load_template(path))
         except TemplateParseError as exc:

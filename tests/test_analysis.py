@@ -186,6 +186,25 @@ class TestBootstrapNeighborhood:
         nb = bootstrap_neighborhood(hists, alpha=0.01, replicates=300)
         assert nb.radius <= worst + 1e-12
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_set_difference_draw(self, seed):
+        # Reference draw: the same generator calls, the held-out set as
+        # np.setdiff1d; the radius is the 90th of 100 sorted draws.
+        from minhist.realness import average_histogram
+        from minhist.transport import emd
+
+        hists = self._hists(66, n_impressions=5)
+        n, mean = len(hists), average_histogram(hists)
+        rng = np.random.default_rng([seed, 3])
+        draws = []
+        for _ in range(100):
+            resample = rng.integers(0, n, size=n)
+            held_out = np.setdiff1d(np.arange(n), resample)
+            pick = held_out[rng.integers(0, held_out.size)] if held_out.size else rng.integers(0, n)
+            draws.append(emd(hists[int(pick)], mean))
+        nb = bootstrap_neighborhood(hists, alpha=0.1, replicates=100, seed=seed)
+        assert nb.radius == sorted(draws)[89]
+
     def test_deterministic(self):
         hists = self._hists(64)
         a = bootstrap_neighborhood(hists, alpha=0.1, replicates=200, seed=9)

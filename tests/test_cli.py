@@ -89,6 +89,12 @@ class TestHistogramCommand:
                      "--bins-dist", "5", "--bins-dir", "4"]) == 0
         assert len(json.loads(capsys.readouterr().out)["mass"]) == 20
 
+    def test_raw_histogram_without_a_pair_is_all_zero(self, tmp_path, capsys):
+        assert main(["histogram", _file(tmp_path, "far.mnt", FAR_PAIR)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pair_count"] == 0 and not any(payload["mass"])
+        assert payload["normalized"] is False
+
     def test_missing_file_exits_2(self, data, capsys):
         assert main(["histogram", str(data["root"] / "nope.mnt")]) == 2
         assert "error" in capsys.readouterr().err
@@ -331,6 +337,20 @@ class TestConfigHandling:
         assert main(_config(tmp_path, {"train": train}) + argv) == 64
         assert "cost parameter r " in capsys.readouterr().err
 
+    def test_no_side_features_flag_overrides_the_config(self, data, tmp_path):
+        train = {**TRAIN, "use_side_features": True}
+        argv = [*_config(tmp_path, {"train": train}), "train", str(data["real_dir"]),
+                str(data["synth_dir"])]
+        models = []
+        for flag in ([], ["--no-side-features"]):
+            out = tmp_path / f"m{len(models)}.json"
+            assert main([*argv, "--out", str(out), *flag]) == 0
+            models.append(json.loads(out.read_text()))
+        with_side, without = models
+        assert any(norm != [0.0, 1.0] for norm in with_side["feature_norms"].values())
+        assert all(norm == [0.0, 1.0] for norm in without["feature_norms"].values())
+        assert without["weights"][2:] == [0.0, 0.0, 0.0]
+
     def test_unknown_command_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -521,6 +541,12 @@ ERROR_CASES = {
         "not a directory"),
     "classify-no-pair-within-d-max": (3, lambda d, tmp: _classify(
         tmp, str(d["model"]), FAR_PAIR), "no minutiae pair within d_max"),
+    "histogram-normalize-no-pair-within-d-max": (3, lambda d, tmp: [
+        "histogram", _file(tmp, "far.mnt", FAR_PAIR), "--normalize"],
+        "no minutiae pair within d_max"),
+    "histogram-4d-normalize-no-pair-within-d-max": (3, lambda d, tmp: [
+        "histogram", _file(tmp, "far.mnt", FAR_PAIR), "--normalize", "--dims", "4"],
+        "no minutiae pair within d_max"),
     "classify-missing-side-feature": (64, lambda d, tmp: _classify(
         tmp, _edited(d["model"], tmp, lambda p: p.update(weights=[0, 1, 1, 0, 0])),
         NO_IRD), "mean_ird"),
@@ -635,6 +661,13 @@ ERROR_CASES = {
         d["index"], tmp, lambda p: p["entries"][0].update(finger=5))), "finger"),
     "index-impression-not-string": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, lambda p: p["entries"][0].update(impression=1))), "impression"),
+    # An index id follows the template id rule, or no query could match it.
+    "index-finger-with-space": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["entries"][0].update(finger="left thumb"))),
+        "entry 0: finger"),
+    "index-impression-empty": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, lambda p: p["entries"][0].update(impression=""))),
+        "entry 0: impression"),
     "report-index-finger-not-string": (5, lambda d, tmp: [
         "identify", "report", _edited(d["index"], tmp, lambda p: p["entries"][0].update(finger=5)),
         str(d["gallery_dir"])], "finger"),

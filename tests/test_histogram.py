@@ -4,6 +4,7 @@ import pytest
 from minhist.histogram import (
     BinSpec,
     MinutiaeHistogram,
+    TooFewMinutiaeError,
     build_2dmh,
     build_4dmh,
     fold_direction_difference,
@@ -252,6 +253,16 @@ class TestRotationInvariance:
         np.testing.assert_array_equal(build_4dmh(t, spec4).mass, build_4dmh(rotated, spec4).mass)
 
 
+@pytest.mark.parametrize("build", [build_2dmh, build_4dmh])
+def test_template_without_a_pair_has_no_normalized_histogram(build):
+    # Its one pair lies beyond d_max: raw counts of zero, but no distribution.
+    t = template_from_arrays([(0, 0), (250, 0)], [0, 90])
+    raw = build(t, BinSpec(), normalize=False)
+    assert raw.pair_count == 0 and raw.mass.sum() == 0.0 and not raw.normalized
+    with pytest.raises(TooFewMinutiaeError, match="no minutiae pair within d_max"):
+        build(t, BinSpec(), normalize=True)
+
+
 class TestBuild4D:
     def test_ordered_pair_geometry(self):
         t = template_from_arrays([(0, 0), (10, 0)], [0, 0])
@@ -292,6 +303,16 @@ class TestBuild4D:
         t = random_template(rng, n=18)
         h = build_4dmh(t, BinSpec(b_dist=10, b_dir=10, b_relangle=12), normalize=False)
         assert h.mass.sum() == 2 * h.pair_count
+
+    def test_normalized_is_raw_over_twice_pair_count(self):
+        rng = np.random.default_rng(12)
+        spec = BinSpec(b_dist=10, b_dir=10, b_relangle=12)
+        for n in (2, 9, 30):
+            t = random_template(rng, n=n, extent=140.0)  # every pair within d_max
+            raw, norm = build_4dmh(t, spec, normalize=False), build_4dmh(t, spec, normalize=True)
+            assert norm.normalized and norm.pair_count == raw.pair_count == n * (n - 1) // 2
+            assert norm.mass.tobytes() == (raw.mass / (2 * raw.pair_count)).tobytes()
+            assert norm.mass.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)

@@ -204,6 +204,15 @@ class TestSplitByFinger:
         assert sorted(t.finger_id for t in s2) == ["3", "7"]
         assert sorted(t.finger_id for t in s3) == ["10", "9"]
 
+    def test_numeric_ids_before_the_others(self):
+        # Numbers in numeric order, then every other id in string order.
+        templates = [
+            MinutiaTemplate(minutiae=(), dpi=500, finger_id=f, impression_id="1")
+            for f in ("b", "10", "a2", "9", "A", "01")
+        ]
+        sets = split_by_finger(templates, (2, 2, 2))
+        assert [[t.finger_id for t in s] for s in sets] == [["9", "01"], ["10", "A"], ["b", "a2"]]
+
     def test_all_impressions_stay_together(self):
         templates = [
             MinutiaTemplate(minutiae=(), dpi=500, finger_id="1", impression_id=str(i))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minhist import transport
-from minhist.histogram import BinSpec, MinutiaeHistogram, build_2dmh
+from minhist.histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, build_2dmh
 from minhist.realness import average_histogram
 from minhist.refine import (
     OrientationField,
@@ -17,7 +17,7 @@ from minhist.refine import (
     refine,
     write_trace_csv,
 )
-from minhist.template import BIFURCATION, ENDING, MinutiaTemplate
+from minhist.template import BIFURCATION, ENDING, Minutia, MinutiaTemplate
 from minhist.transport import CostParams, emd, transport_plan
 
 from genpop import make_population
@@ -91,6 +91,12 @@ class TestRefineConfig:
     def test_counts_that_cannot_work_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RefineConfig(target=target_histogram(), threshold=0.1, **kwargs)
+
+    # A count is drawn as is, so a fraction or a flag is refused, not coerced.
+    @pytest.mark.parametrize("counts", [(2.5,), (True,), (30, 1), (np.float64(30.0),)])
+    def test_counts_must_be_integers_of_at_least_two(self, counts):
+        with pytest.raises(ValueError, match="count_distribution .* at least 2"):
+            RefineConfig(target=target_histogram(), threshold=0.1, count_distribution=counts)
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
     def test_threshold_must_be_finite(self, threshold):
@@ -167,6 +173,46 @@ class TestRefine:
         result = refine(init_template(cfg), cfg)
         assert result.status == "success"
         assert len(result.trace) == 1
+
+    def test_no_iterations_is_a_timeout(self):
+        cfg = base_config(threshold=1e-9, max_iters=0)
+        result = refine(init_template(cfg), cfg)
+        assert result.status == "timeout"
+        assert [row.move for row in result.trace] == ["init"]
+
+    def test_candidates_without_a_pair_are_not_scored(self, monkeypatch):
+        # Only minutiae 0 and 1 lie within d_max of each other, so deleting
+        # either draws a candidate without a pair: it has no normalized
+        # histogram, and the batch goes on without it.
+        module = importlib.import_module("minhist.refine")
+        pairless = []
+
+        def recording_build(t, spec):
+            try:
+                return build_2dmh(t, spec)
+            except TooFewMinutiaeError:
+                pairless.append(t)
+                raise
+
+        monkeypatch.setattr(module, "build_2dmh", recording_build)
+        t = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0), Minutia(10.0, 0.0, 90.0),
+                                      Minutia(1000.0, 1000.0, 45.0)), dpi=500)
+        cfg = base_config(threshold=1e-6, max_iters=3, batch_size=10)
+        result = refine(t, cfg)
+        assert pairless and all(len(c) == 2 for c in pairless)
+        assert all(row.move not in ("delete:0", "delete:1") for row in result.trace[:2])
+        final = build_2dmh(result.template, SPEC)
+        assert emd(final, cfg.target, cfg.params) == result.final_emd
+
+    def test_a_move_that_keeps_the_emd_is_not_accepted(self):
+        # The directions differ by 90 degrees, so a flip keeps the histogram,
+        # and an added minutia lands beyond d_max of both: every candidate
+        # ties the current EMD, and a tie is no improvement.
+        t = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0), Minutia(10.0, 0.0, 90.0)), dpi=500)
+        cfg = base_config(threshold=1e-6, foreground=(1000.0, 1000.0, 1100.0, 1100.0))
+        result = refine(t, cfg)
+        assert result.status == "stall"
+        assert [row.move for row in result.trace] == ["init"]
 
     def test_timeout_status(self):
         cfg = base_config(threshold=1e-9, max_iters=3)

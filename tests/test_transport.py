@@ -331,6 +331,16 @@ class TestEmd:
         assert value == pytest.approx(1.0, abs=1e-9)
         assert oracle == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("e", [1.0, 2.0])
+    def test_two_empty_raw_histograms(self, e):
+        # The raw histograms of templates without a pair within d_max hold
+        # no mass: nothing moves, and no solve is needed.
+        empty = make_hist(np.zeros((10, 10)), normalized=False)
+        params = CostParams(e=e)
+        assert emd(empty, empty, params) == 0.0
+        plan = transport_plan(empty, empty, params)
+        assert plan.total_cost == 0.0 and plan.flow == {}
+
     def test_mismatched_specs_rejected(self):
         h1 = random_normalized_hist(np.random.default_rng(0), 10, 10)
         h2 = random_normalized_hist(np.random.default_rng(0), 5, 10)
