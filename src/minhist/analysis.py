@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 
 from .histogram import MinutiaeHistogram
 from .realness import average_histogram
+from .template import _int, _real
 from .transport import CostParams, emd
 
 
@@ -87,8 +89,9 @@ def mds_embed(dm: DistanceMatrix, dims: int = 2) -> MDSResult:
     Dimensions whose eigenvalue is negative get all-zero coordinates and are
     reported in flagged_dims (the distances are then not fully Euclidean).
     """
-    if dims < 1:
+    if isinstance(dims, numbers.Integral) and dims < 1:
         raise ValueError("dims must be at least 1")
+    _int(dims, "dims", 1)
     n = len(dm.labels)
     j = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * j @ (dm.d ** 2) @ j
@@ -141,10 +144,12 @@ def bootstrap_neighborhood(
     n = len(impressions)
     if n < 2:
         raise ValueError("bootstrap needs at least 2 impressions")
-    if not (0.0 < alpha < 1.0):
+    if not (0.0 < _real(alpha, "alpha") < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if replicates < 100:
+    if isinstance(replicates, numbers.Integral) and replicates < 100:
         raise ValueError("at least 100 bootstrap replicates are required")
+    _int(replicates, "replicates", 100)
+    _int(seed, "seed", 0)
 
     mean = average_histogram(list(impressions))
     rng = np.random.default_rng([seed, 3])

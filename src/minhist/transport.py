@@ -42,15 +42,16 @@ duals.
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
 model alive between solves. Every solve runs on a `_FlowModel`, which owns
-the HiGHS model, its supplies and the checks of each solve.
+the HiGHS model, its options (HIGHS_OPTIONS), its supplies and the checks
+of each solve.
 `solve_transport` and `transport_plan` build a fresh model per call, so a
 plan depends only on its inputs: the optimal vertex a warm model ends on
 depends on what it solved before. `emd` keeps one model, for the most
 recent (spec, params): successive calls differ only in their supplies, so
 the previous optimal basis stays dual feasible and the dual simplex
 restarts from it (Huangfu & Hall, Math. Prog. Comp. 2018). Against a fresh
-model per call this cuts the benchmark's realness op by about a quarter;
-there 97% of the `emd` calls find the model of their (spec, params) kept,
+model per call this cuts the benchmark's realness op by about 30%; there
+97% of the `emd` calls find the model of their (spec, params) kept,
 and on refine and population all but the first do. A lock serialises the
 calls that share that model: threads calling `emd` solve one at a time.
 """
@@ -93,6 +94,10 @@ COST_RANGE = (1e-6, 1e6)
 # A plan's potentials bound other EMDs only while their largest dual
 # infeasibility is at most this times the largest arc cost (transport_plan).
 SLACK_TOL = 1e-9
+# Set on every HiGHS model, by _FlowModel: the log off, presolve off and
+# Dantzig dual pricing (0), cheaper here than the default dual edge weights.
+HIGHS_OPTIONS = (("output_flag", False), ("presolve", "off"),
+                 ("simplex_dual_edge_weight_strategy", 0))
 
 
 @dataclass(frozen=True)
@@ -230,9 +235,10 @@ def _exact_cost(costs: np.ndarray, flows: np.ndarray) -> float:
 
 class _FlowModel:
     """A HiGHS model of: minimise arc_cost @ x subject to a_eq @ x = b_eq and
-    x >= 0, with HiGHS's default options (those of linprog(method="highs"))
-    and its log off. a_eq is totally unimodular and b_eq, of which the model
-    keeps a copy, integral, so an integral optimal vertex exists. The
+    x >= 0, with the options of HIGHS_OPTIONS. Presolve is off: on a flow
+    network it removes only the one redundant balance row, and costs more
+    time than that saves. a_eq is totally unimodular and b_eq, of which the
+    model keeps a copy, integral, so an integral optimal vertex exists. The
     binding reports failures by status, not by exception: each is checked."""
 
     def __init__(self, arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray):
@@ -248,8 +254,9 @@ class _FlowModel:
         matrix.num_col_, matrix.num_row_ = lp.num_col_, lp.num_row_
         matrix.start_, matrix.index_, matrix.value_ = a_eq.indptr, a_eq.indices, a_eq.data
         self.highs = _Highs()
-        if self.highs.setOptionValue("output_flag", False) == HighsStatus.kError:
-            raise RuntimeError("HiGHS rejected the option output_flag")
+        for name, value in HIGHS_OPTIONS:
+            if self.highs.setOptionValue(name, value) == HighsStatus.kError:
+                raise RuntimeError(f"HiGHS rejected the option {name}")
         if self.highs.passModel(lp) == HighsStatus.kError:
             raise RuntimeError("transportation model rejected by HiGHS")
 

@@ -8,10 +8,11 @@ instance is a batched matrix product over all trees followed by a
 feasibility mask and a cost minimum. This is deliberately independent of the
 LP solver used by the package.
 
-A dense `linprog` solve, which shares neither the package's HiGHS models
-nor its warm starts, is the reference for the exact optimum of any size:
-its integral optimal flows are summed arc by arc as exact fractions, and
-any plan's cost is summed the same way.
+A dense `linprog` solve is the reference for the exact optimum of any size.
+It runs HiGHS with its default options, so it shares neither the package's
+models and warm starts nor its options (`transport.HIGHS_OPTIONS`). Its
+integral optimal flows are summed arc by arc as exact fractions, and any
+plan's cost is summed the same way.
 
 A plain per-pair loop builds 2D and 4D minutiae histograms as the reference
 for the vectorised histogram builders, and a plain grid loop, which solves

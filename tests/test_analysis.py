@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -251,3 +252,27 @@ class TestBootstrapNeighborhood:
         hists = self._hists(67, n_impressions=1)
         with pytest.raises(ValueError, match="at least 2"):
             bootstrap_neighborhood(hists, alpha=0.1, replicates=100)
+
+
+@pytest.mark.parametrize("call, kwargs, message", [
+    ("mds", {"dims": 2.0}, "dims must be an integer >= 1, got 2.0"),
+    ("mds", {"dims": "2"}, "dims must be an integer >= 1, got '2'"),
+    ("mds", {"dims": True}, "dims must be an integer >= 1, got True"),
+    ("mds", {"dims": 0}, "dims must be at least 1"),
+    ("bootstrap", {"replicates": 150.0}, "replicates must be an integer >= 100, got 150.0"),
+    ("bootstrap", {"replicates": 99}, "at least 100 bootstrap replicates are required"),
+    ("bootstrap", {"alpha": "0.05"}, "alpha must be a finite number, got '0.05'"),
+    ("bootstrap", {"alpha": np.nan}, "alpha must be a finite number, got nan"),
+    ("bootstrap", {"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ("bootstrap", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+], ids=["dims-float", "dims-str", "dims-bool", "dims-zero", "replicates-float",
+        "replicates-99", "alpha-str", "alpha-nan", "seed-float", "seed-negative"])
+def test_wrong_typed_arguments_raise_value_error(call, kwargs, message):
+    # Before the value checks the wrong types raised NumPy or comparison
+    # TypeErrors, not the documented ValueError.
+    hists = [build_2dmh(t, SPEC) for t in make_population(68, 1, 3, "cluster", None)]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if call == "mds":
+            mds_embed(fvc_matrix(), **kwargs)
+        else:
+            bootstrap_neighborhood(hists, **{"alpha": 0.1, "replicates": 100, **kwargs})

@@ -178,6 +178,49 @@ def test_both_paths_equal_linprog(hists, params):
     assert solve_transport(h1.mass.ravel(), h2.mass.ravel(), cost).total_cost == want
 
 
+@st.composite
+def _tied_problems(draw):
+    """A dense transportation problem full of ties: all-zero or small-integer
+    costs, and marginals that are uniform or two splits of one list of small
+    integers, so partial sums of supply and demand coincide (degenerate
+    vertices)."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        supply, demand = np.full(m, float(n)), np.full(n, float(m))
+    else:
+        pieces = draw(st.lists(st.integers(1, 3), min_size=max(m, n, 2), max_size=12))
+
+        def split(k):
+            cuts = draw(st.lists(st.integers(1, len(pieces) - 1), min_size=k - 1,
+                                 max_size=k - 1, unique=True))
+            return np.add.reduceat(np.array(pieces, dtype=float), [0, *sorted(cuts)])
+        supply, demand = split(m), split(n)
+    if draw(st.booleans()):
+        cost = np.zeros((m, n))
+    else:
+        cost = np.array(draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n)),
+                        dtype=float).reshape(m, n)
+    return supply, demand, cost
+
+
+# On degenerate problems the dual simplex may end on any optimal vertex; each
+# is a basic plan that meets both marginals at the optimum of linprog.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=_tied_problems())
+def test_solve_transport_basic_on_tied_costs(problem):
+    supply, demand, cost = problem
+    plan = solve_transport(supply, demand, cost)
+    assert len(plan.flow) <= supply.size + demand.size - 1
+    out, into = np.zeros(supply.size, np.int64), np.zeros(demand.size, np.int64)
+    for (i, j), mass in plan.flow.items():
+        assert mass > 0
+        out[i] += round(mass * MASS_SCALE)
+        into[j] += round(mass * MASS_SCALE)
+    _, s_int, _, d_int = transport._integer_marginals(supply, demand)
+    assert np.array_equal(out, s_int) and np.array_equal(into, d_int)
+    assert plan.total_cost == linprog_transport_cost(supply, demand, cost)
+
+
 # emd restarts from the basis of whatever it solved last; the value must not
 # depend on that, whether the last solve had other masses, other params or
 # another spec, or there was none.

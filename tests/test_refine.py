@@ -18,7 +18,13 @@ from minhist.refine import (
     write_trace_csv,
 )
 from minhist.template import BIFURCATION, ENDING, Minutia, MinutiaTemplate
-from minhist.transport import CostParams, emd, transport_plan
+from minhist.transport import (
+    CostParams,
+    build_cost_matrix,
+    emd,
+    solve_transport,
+    transport_plan,
+)
 
 from genpop import make_population
 
@@ -352,6 +358,44 @@ class TestRefine:
         assert again.template == first.template
         assert again.trace == first.trace
         assert any(row.move.startswith("delete") for row in first.trace)
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_same_result_whatever_ran_before(self, seed):
+        # A fresh model may end on any optimal vertex, so a run is seeded
+        # only while its plans depend on their inputs alone. The same run
+        # must give the same result alone; after solves that leave emd's
+        # kept model on its network at another basis, or on other networks;
+        # and after another run.
+        cfg = base_config(threshold=1e-6, max_iters=12, rng_seed=seed)
+
+        def run():
+            result = refine(init_template(cfg), cfg)
+            return result.status, result.trace, result.template
+
+        def solves(*networks):
+            def solve():
+                rng = np.random.default_rng(53)
+                for spec, params in networks:
+                    h1, h2 = (MinutiaeHistogram(spec=spec, dims=2, mass=m / m.sum(),
+                                                normalized=True, pair_count=1)
+                              for m in rng.random((2, spec.b_dist, spec.b_dir)))
+                    transport_plan(h1, h2, params)
+                    solve_transport(h1.mass, h2.mass, build_cost_matrix(spec, params))
+                    emd(h1, h2, params)
+            return solve
+
+        def other_run():
+            other = replace(cfg, rng_seed=seed + 100)
+            refine(init_template(other), other)
+
+        transport._warm_model.cache_clear()
+        alone = run()
+        for before in (solves((SPEC, cfg.params)),
+                       solves((SPEC, CostParams(0.5, 2.0, 1.0)),
+                              (BinSpec(b_dist=6, b_dir=7), CostParams(1.0, 2.0, 2.0))),
+                       other_run, transport._warm_model.cache_clear):
+            before()
+            assert run() == alone
 
     @pytest.mark.parametrize("seed", range(4))
     def test_deletion_blame_is_twice_the_plan_cost(self, seed):

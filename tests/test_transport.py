@@ -516,6 +516,63 @@ class TestEmd:
         assert emd(h1, h2, params) == linprog_transport_cost(h1.mass.ravel(), h2.mass.ravel(),
                                                              cost)
 
+    @staticmethod
+    def _solvers(h1, h2, params):
+        cost = build_cost_matrix(h1.spec, params)
+        return {"emd": lambda: emd(h1, h2, params),
+                "transport_plan": lambda: transport_plan(h1, h2, params),
+                "solve_transport": lambda: solve_transport(h1.mass, h2.mass, cost)}
+
+    @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
+    def test_every_option_reaches_the_model(self, monkeypatch, solver):
+        # _FlowModel is the only builder of a HiGHS model, so each solver's
+        # model gets the whole table, in order, and keeps the values set.
+        models = []
+
+        class Recording(transport._Highs):
+            def __init__(self):
+                super().__init__()
+                self.options = []
+                models.append(self)
+
+            def setOptionValue(self, name, value):
+                self.options.append((name, value))
+                return super().setOptionValue(name, value)
+
+        rng = np.random.default_rng(28)
+        h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
+        params = CostParams(1.0, 2.0, 2.0)
+        monkeypatch.setattr(transport, "_Highs", Recording)
+        transport._warm_model.cache_clear()
+        self._solvers(h1, h2, params)[solver]()
+        assert len(models) == 1
+        assert models[0].options == list(transport.HIGHS_OPTIONS)
+        for name, value in transport.HIGHS_OPTIONS:
+            assert models[0].getOptionValue(name) == (transport.HighsStatus.kOk, value)
+        if solver == "emd":
+            assert transport._warm_model(h1.spec, params).highs is models[0]
+        transport._warm_model.cache_clear()
+
+    @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
+    @pytest.mark.parametrize("refused", [name for name, _ in transport.HIGHS_OPTIONS])
+    def test_each_option_status_is_checked(self, monkeypatch, solver, refused):
+        # A binding that refuses one option: the error names it and no
+        # model is kept.
+        class RefusesOne(transport._Highs):
+            def setOptionValue(self, name, value):
+                if name == refused:
+                    return transport.HighsStatus.kError
+                return super().setOptionValue(name, value)
+
+        rng = np.random.default_rng(29)
+        h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
+        solve = self._solvers(h1, h2, CostParams(1.0, 2.0, 1.0))[solver]
+        monkeypatch.setattr(transport, "_Highs", RefusesOne)
+        transport._warm_model.cache_clear()
+        with pytest.raises(RuntimeError, match=f"rejected the option {refused}$"):
+            solve()
+        assert transport._warm_model.cache_info().currsize == 0
+
     def test_plans_do_not_evict_the_kept_model(self):
         # Refine alternates transport_plan and emd on one (spec, params);
         # its speed relies on emd finding its model kept.
