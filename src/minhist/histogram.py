@@ -79,6 +79,12 @@ class MinutiaeHistogram:
     normalized: bool
     pair_count: int
 
+    def __post_init__(self) -> None:
+        shape = _mass_shape(self.spec, self.dims)
+        if np.shape(self.mass) != shape:
+            raise ValueError(f"mass of a {self.dims}D histogram on this spec must have shape"
+                             f" {shape}, got {np.shape(self.mass)}")
+
     def total(self) -> float:
         return float(self.mass.sum())
 

@@ -77,9 +77,7 @@ class ClassModel:
             raise ValueError("expected 5 fusion weights w0..w4")
         self.weights = tuple(float(_real(w, "each of the fusion weights")) for w in self.weights)
         norms = {}
-        for name, pair in self.feature_norms.items():
-            if name not in SIDE_FEATURES:
-                raise ValueError(f"unknown feature {name!r} in feature_norms")
+        for name, pair in _object(self.feature_norms, "feature_norms", SIDE_FEATURES).items():
             if len(pair) != 2:
                 raise ValueError(f"feature norm of {name!r} must be two numbers, offset and"
                                  f" scale, got {len(pair)}")
@@ -201,7 +199,7 @@ def fuse_features(
                 raise ValueError(f"feature {name!r} is required by a nonzero weight")
             normed.append(None)
         else:
-            offset, scale = model.feature_norms.get(name, (0.0, 1.0))
+            offset, scale = model.feature_norms[name]
             normed.append((value - offset) / scale)
     fused = _fuse(model.weights, a, normed)
     decision = REAL if fused > 0 else SYNTHETIC

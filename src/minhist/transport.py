@@ -67,7 +67,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 try:
     from scipy.optimize._highspy._core import (
@@ -234,25 +233,32 @@ def _exact_cost(costs: np.ndarray, flows: np.ndarray) -> float:
 
 
 class _FlowModel:
-    """A HiGHS model of: minimise arc_cost @ x subject to a_eq @ x = b_eq and
-    x >= 0, with the options of HIGHS_OPTIONS. Presolve is off: on a flow
-    network it removes only the one redundant balance row, and costs more
-    time than that saves. a_eq is totally unimodular and b_eq, of which the
-    model keeps a copy, integral, so an integral optimal vertex exists. The
-    binding reports failures by status, not by exception: each is checked."""
+    """A HiGHS model of: minimise arc_cost @ x subject to x >= 0 and, at
+    each node k, a net outflow (x on arcs with tail k, less x on arcs with
+    head k) of b_eq[k], with the options of HIGHS_OPTIONS. Presolve is
+    off: on a flow network it removes only the one redundant balance row,
+    and costs more time than that saves. A node-arc incidence matrix is
+    totally unimodular and b_eq, of which the model keeps a copy, integral,
+    so an integral optimal vertex exists. The binding reports failures by
+    status, not by exception: each is checked."""
 
-    def __init__(self, arc_cost: np.ndarray, a_eq: sparse.csc_matrix, b_eq: np.ndarray):
-        self.arc_cost, self.a_eq, self.b_eq = arc_cost, a_eq, b_eq.copy()
+    def __init__(self, arc_cost: np.ndarray, tails: np.ndarray, heads: np.ndarray,
+                 b_eq: np.ndarray):
+        self.arc_cost, self.tails, self.heads, self.b_eq = arc_cost, tails, heads, b_eq.copy()
         lp = HighsLp()
-        lp.num_col_, lp.num_row_ = a_eq.shape[1], a_eq.shape[0]
+        lp.num_col_, lp.num_row_ = arc_cost.size, b_eq.size
         lp.col_cost_ = arc_cost
         lp.col_lower_ = np.zeros(arc_cost.size)
         lp.col_upper_ = np.full(arc_cost.size, np.inf)
         lp.row_lower_ = lp.row_upper_ = self.b_eq
+        # The incidence matrix by columns: arc k has +1 at row tails[k] and
+        # -1 at row heads[k], the lower row first.
         matrix = lp.a_matrix_
         matrix.format_ = MatrixFormat.kColwise
         matrix.num_col_, matrix.num_row_ = lp.num_col_, lp.num_row_
-        matrix.start_, matrix.index_, matrix.value_ = a_eq.indptr, a_eq.indices, a_eq.data
+        matrix.start_ = np.arange(0, 2 * arc_cost.size + 1, 2)
+        matrix.index_ = np.sort(np.column_stack([tails, heads]), axis=1).ravel()
+        matrix.value_ = np.outer(np.where(tails < heads, 1.0, -1.0), [1.0, -1.0]).ravel()
         self.highs = _Highs()
         for name, value in HIGHS_OPTIONS:
             if self.highs.setOptionValue(name, value) == HighsStatus.kError:
@@ -271,7 +277,8 @@ class _FlowModel:
         """Returns (arcs, flow, total_cost): the arcs with nonzero flow,
         their integral flows, and the exact optimum / MASS_SCALE. Raises
         RuntimeError unless HiGHS reports an optimum and the snapped flow is
-        feasible: non-negative, with a_eq @ flow == b_eq exactly."""
+        feasible: non-negative, with a net flow out of each node equal to
+        its supply, summed in int64."""
         run_status = self.highs.run()
         model_status = self.highs.getModelStatus()
         if run_status == HighsStatus.kError or model_status != HighsModelStatus.kOptimal:
@@ -281,21 +288,14 @@ class _FlowModel:
         solution = self.highs.getSolution()
         # Integral supplies imply an integral optimal vertex; snap off float fuzz.
         flow_int = np.rint(np.asarray(solution.col_value)).astype(np.int64)
-        if (flow_int < 0).any() or (self.a_eq @ flow_int != self.b_eq.astype(np.int64)).any():
-            raise RuntimeError("transportation solve failed: the flow does not meet the supplies")
         arcs = np.flatnonzero(flow_int)
-        return arcs, flow_int[arcs], _exact_cost(self.arc_cost[arcs], flow_int[arcs])
-
-
-def _incidence(tails: np.ndarray, heads: np.ndarray, n_nodes: int) -> sparse.csc_matrix:
-    """Node-arc incidence matrix: +1 at each arc's tail, -1 at its head. The
-    entries are int64, so a_eq @ flow is exact for an int64 flow."""
-    arcs = np.arange(tails.size)
-    return sparse.csc_matrix(
-        (np.repeat(np.array([1, -1], dtype=np.int64), tails.size),
-         (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
-        shape=(n_nodes, tails.size),
-    )
+        flow = flow_int[arcs]
+        net = np.zeros(self.b_eq.size, dtype=np.int64)
+        np.add.at(net, self.tails[arcs], flow)
+        np.subtract.at(net, self.heads[arcs], flow)
+        if (flow < 0).any() or (net != self.b_eq.astype(np.int64)).any():
+            raise RuntimeError("transportation solve failed: the flow does not meet the supplies")
+        return arcs, flow, _exact_cost(self.arc_cost[arcs], flow)
 
 
 def solve_transport(supply, demand, cost) -> TransportPlan:
@@ -322,9 +322,9 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
 
     # One arc from each source i to each sink m + j, in row-major order.
     m, n = len(rows), len(cols)
-    a_eq = _incidence(np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m), m + n)
+    tails, heads = np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)
     b_eq = np.concatenate([s_int, -d_int]).astype(float)
-    arcs, flow_int, total_cost = _FlowModel(sub_cost.ravel(), a_eq, b_eq).solve()
+    arcs, flow_int, total_cost = _FlowModel(sub_cost.ravel(), tails, heads, b_eq).solve()
     fi, fj = np.divmod(arcs, n)
     mass = flow_int / MASS_SCALE
     flow = dict(zip(zip(rows[fi].tolist(), cols[fj].tolist()), mass.tolist()))
@@ -333,9 +333,9 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
 
 @lru_cache(maxsize=64)
 def _flow_network(spec: BinSpec, params: CostParams):
-    """Node-arc _incidence matrix, arc costs, arc tails and arc heads of a
-    min-cost-flow network with the optimum of the transport problem on
-    build_cost_matrix(spec, params).
+    """(n_nodes, arc_cost, tails, heads): the number of nodes, and the cost,
+    tail node and head node of each arc, of a min-cost-flow network with the
+    optimum of the transport problem on build_cost_matrix(spec, params).
 
     Node k stands for bin k % n in the flat order of build_cost_matrix, and
     each arc costs the ground cost between the bins of its ends. The first n
@@ -364,11 +364,10 @@ def _flow_network(spec: BinSpec, params: CostParams):
         tails = np.concatenate([x * b_dir + u, n + y2 * b_dir + u2])
         heads = np.concatenate([n + y * b_dir + u, 2 * n + y2 * b_dir + v])
     arc_cost = _ground_cost(spec, params, tails % n, heads % n)
-    a_eq = _incidence(tails, heads, n_nodes)
     # Shared by every caller through the cache, so read-only.
-    for buf in (a_eq.data, a_eq.indices, a_eq.indptr, arc_cost, tails, heads):
+    for buf in (arc_cost, tails, heads):
         buf.flags.writeable = False
-    return a_eq, arc_cost, tails, heads
+    return n_nodes, arc_cost, tails, heads
 
 
 @lru_cache(maxsize=1)
@@ -376,8 +375,8 @@ def _warm_model(spec: BinSpec, params: CostParams) -> _FlowModel:
     """The one model emd keeps, on the network of _flow_network(spec,
     params). Only the most recent (spec, params) is kept: an e = 2 model
     holds about 2 MB. Use it only under _WARM_LOCK."""
-    a_eq, arc_cost, _, _ = _flow_network(spec, params)
-    return _FlowModel(arc_cost, a_eq, np.zeros(a_eq.shape[0]))
+    n_nodes, arc_cost, tails, heads = _flow_network(spec, params)
+    return _FlowModel(arc_cost, tails, heads, np.zeros(n_nodes))
 
 
 # Two threads driving one HiGHS model at once can crash the process.
@@ -399,7 +398,7 @@ def _node_supplies(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostPar
         raise ValueError("the transport cost model is defined for 2D histograms")
     if h1.normalized != h2.normalized:
         raise ValueError("histograms must both be normalized or both raw")
-    a_eq = _flow_network(h1.spec, params)[0]
+    n_nodes = _flow_network(h1.spec, params)[0]
     marginals = _integer_marginals(h1.mass.ravel(), h2.mass.ravel())
     if marginals is None:
         return None, None
@@ -408,7 +407,7 @@ def _node_supplies(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostPar
     # neighbour grid has no arcs.
     if np.array_equal(rows, cols) and np.array_equal(s_int, d_int):
         return marginals, None
-    b_eq = np.zeros(a_eq.shape[0])
+    b_eq = np.zeros(n_nodes)
     b_eq[rows] = s_int
     b_eq[b_eq.size - h1.mass.size + cols] -= d_int  # the last n nodes are sinks
     return marginals, b_eq
@@ -553,13 +552,13 @@ def transport_plan(
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        a_eq, arc_cost, tails, heads = _flow_network(h1.spec, params)
-        model = _FlowModel(arc_cost, a_eq, b_eq)
+        _, arc_cost, tails, heads = _flow_network(h1.spec, params)
+        model = _FlowModel(arc_cost, tails, heads, b_eq)
         arcs, arc_flow, total_cost = model.solve()
         solution = model.highs.getSolution()
         if solution.dual_valid:
             y = np.asarray(solution.row_dual, dtype=float)
-            slack = float(np.max(a_eq.T @ y - arc_cost, initial=0.0))
+            slack = float(np.max(y[tails] - y[heads] - arc_cost, initial=0.0))
             # Potentials far from dual feasible would give a useless bound.
             if np.isfinite(y).all() and slack <= SLACK_TOL * arc_cost.max():
                 potentials = y

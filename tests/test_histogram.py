@@ -334,3 +334,16 @@ def test_histogram_json_round_trip():
         assert restored.normalized == h.normalized
         assert restored.pair_count == h.pair_count
         np.testing.assert_array_equal(restored.mass, h.mass)
+
+
+@pytest.mark.parametrize("dims, shape, match", [
+    (2, (5, 20), r"must have shape \(10, 10\), got \(5, 20\)"),
+    (2, (100,), r"must have shape \(10, 10\), got \(100,\)"),
+    (4, (10, 10), r"must have shape \(10, 10, 20, 4\), got \(10, 10\)"),
+    (3, (10, 10, 20), "dims must be 2 or 4"),
+])
+def test_mass_must_fit_the_spec(dims, shape, match):
+    # A (5, 20) mass on 10x10 bins would be scored as if it were 10x10.
+    mass = np.full(shape, 1.0 / np.prod(shape))
+    with pytest.raises(ValueError, match=match):
+        MinutiaeHistogram(spec=BinSpec(), dims=dims, mass=mass, normalized=True, pair_count=1)

@@ -8,6 +8,7 @@ from minhist import realness
 from minhist.histogram import BinSpec, MinutiaeHistogram
 from minhist.realness import (
     REAL,
+    SIDE_FEATURES,
     SYNTHETIC,
     ClassModel,
     EmptyClassError,
@@ -44,7 +45,7 @@ def simple_model(avg_real, avg_synth, weights=(0.0, 1.0, 0.0, 0.0, 0.0), norms=N
         avg_real=avg_real,
         avg_synth=avg_synth,
         weights=weights,
-        feature_norms=norms or {},
+        feature_norms={name: (0.0, 1.0) for name in SIDE_FEATURES} | (norms or {}),
         params=CostParams(),
         spec=avg_real.spec,
     )
@@ -528,3 +529,26 @@ def test_model_json_round_trip(tmp_path):
     np.testing.assert_array_equal(restored.avg_real.mass, model.avg_real.mass)
     np.testing.assert_array_equal(restored.avg_synth.mass, model.avg_synth.mass)
 
+
+@pytest.mark.parametrize("norms", [
+    {},
+    {"mean_ird": (9.0, 2.0), "var_ird": (3.0, 1.0)},
+    {name: (0.0, 1.0) for name in SIDE_FEATURES + ("ridge_count",)},
+], ids=["none", "one-missing", "one-extra"])
+def test_model_norms_name_every_side_feature(norms):
+    # from_dict demands every side feature, so a model built without one
+    # would save a file that cannot be loaded.
+    spec = BinSpec(b_dist=4, b_dir=4)
+    with pytest.raises(ValueError, match="feature_norms must have exactly the keys"
+                                         " mean_ird, var_ird, pct_bif, got"):
+        ClassModel(avg_real=one_hot(spec, 0), avg_synth=one_hot(spec, 1),
+                   weights=(0.0, 1.0, 0.0, 0.0, 0.0), feature_norms=norms,
+                   params=CostParams(), spec=spec)
+
+
+def test_library_model_survives_save_and_load(tmp_path):
+    spec = BinSpec(b_dist=4, b_dir=4)
+    model = simple_model(one_hot(spec, 0), one_hot(spec, 1), (0.5, 1.0, 1.0, -1.0, 2.0),
+                         norms={"pct_bif": (35.0, 10.0)})
+    model.save(tmp_path / "model.json")
+    assert ClassModel.load(tmp_path / "model.json").to_dict() == model.to_dict()

@@ -149,19 +149,54 @@ class TestFlowNetwork:
         for b_dist in range(1, 6):
             for b_dir in range(1, 6):
                 spec = BinSpec(b_dist=b_dist, b_dir=b_dir)
-                a_eq, arc_cost, tails, heads = transport._flow_network(spec, params)
-                n_nodes, n_arcs = a_eq.shape
-                # The matrix has +1 at each arc's tail and -1 at its head.
-                arcs = a_eq.tocoo()
-                assert np.array_equal(arcs.row[arcs.data == 1], tails[arcs.col[arcs.data == 1]])
-                assert np.array_equal(arcs.row[arcs.data == -1], heads[arcs.col[arcs.data == -1]])
-                assert arcs.nnz == 2 * n_arcs == 2 * tails.size
+                n_nodes, arc_cost, tails, heads = transport._flow_network(spec, params)
+                assert arc_cost.size == tails.size == heads.size
                 # Explicit zeros stay arcs: a distance move by 0 bins is free.
                 graph = sparse.csr_matrix((arc_cost, (tails, heads)), shape=(n_nodes, n_nodes))
                 n = b_dist * b_dir
                 paths = shortest_path(graph, indices=np.arange(n))[:, n_nodes - n:]
                 np.testing.assert_allclose(
                     paths, build_cost_matrix(spec, params), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("network", ["e=1", "e=1.5", "e=2", "solve_transport"])
+    def test_model_matrix_is_the_incidence_matrix(self, monkeypatch, network):
+        # HiGHS gets the node-arc incidence matrix column-wise, two entries
+        # per arc with the lower row first (canonical CSC). The optimal
+        # vertex the dual simplex ends on depends on this layout, and plans
+        # and refine's traces depend on that vertex.
+        models = []
+
+        class Recording(transport._FlowModel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                models.append(self)
+
+        monkeypatch.setattr(transport, "_FlowModel", Recording)
+        if network == "solve_transport":
+            # Every source to every sink: 3 sources, 4 sinks, 12 arcs.
+            solve_transport([1, 2, 3], [2, 1, 1, 2], np.arange(12.0).reshape(3, 4))
+            assert (models[0].b_eq.size, models[0].tails.size) == (7, 12)
+        else:
+            params = CostParams(r=0.7, s=1.3, e=float(network[2:]))
+            for b_dist in range(1, 6):
+                for b_dir in range(1, 6):
+                    n_nodes, arc_cost, tails, heads = transport._flow_network(
+                        BinSpec(b_dist=b_dist, b_dir=b_dir), params)
+                    transport._FlowModel(arc_cost, tails, heads, np.zeros(n_nodes))
+        assert models
+        for model in models:
+            tails, heads = model.tails, model.heads
+            lp = model.highs.getLp()
+            assert (lp.num_row_, lp.num_col_) == (model.b_eq.size, tails.size)
+            matrix = lp.a_matrix_
+            assert matrix.format_ == transport.MatrixFormat.kColwise
+            np.testing.assert_array_equal(matrix.start_, np.arange(0, 2 * tails.size + 1, 2))
+            rows = np.asarray(matrix.index_).reshape(-1, 2)
+            values = np.asarray(matrix.value_).reshape(-1, 2)
+            assert (rows[:, 0] < rows[:, 1]).all()
+            assert (np.sort(values, axis=1) == [-1.0, 1.0]).all()
+            np.testing.assert_array_equal(rows[values == 1], tails)
+            np.testing.assert_array_equal(rows[values == -1], heads)
 
 
 class TestSolveTransport:
