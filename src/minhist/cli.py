@@ -123,9 +123,13 @@ def _read_templates_dir(path: str, label: Optional[str] = None) -> List[MinutiaT
 
 
 def cmd_histogram(args, config: dict) -> int:
-    spec = _spec_from(args, config)
+    # A 4D histogram is the identification descriptor, so it is binned as
+    # identify enroll bins it.
+    if args.dims == 2:
+        build, spec = build_2dmh, _spec_from(args, config)
+    else:
+        build, spec = build_4dmh, _spec_from(args, config, "identify_spec", IDENTIFICATION_SPEC)
     t = _read(load_template, args.template, EXIT_PARSE)
-    build = build_2dmh if args.dims == 2 else build_4dmh
     h = build(t, spec, normalize=args.normalize)
     json.dump(h.to_dict(), sys.stdout)
     sys.stdout.write("\n")

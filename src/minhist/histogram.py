@@ -18,7 +18,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .template import BIFURCATION, ENDING, UNKNOWN, MinutiaTemplate, rescale_to_500dpi
+from .template import BIFURCATION, ENDING, MinutiaTemplate, rescale_to_500dpi
 from .template import _flag, _int, _numbers, _object, _real
 
 
@@ -166,6 +166,25 @@ def _pair_bins(t: MinutiaTemplate, spec: BinSpec):
     return xy, dirs, i, j, di * spec.b_dir + ai
 
 
+def _histogram(spec: BinSpec, dims: int, bins: np.ndarray, pair_count: int,
+               normalize: bool) -> MinutiaeHistogram:
+    """The histogram counting one unit of mass per entry of bins, the flat
+    bin index of each binned pair ordering. Normalized, the counts are
+    divided by the number of orderings, their exact total; with none, that
+    raises TooFewMinutiaeError."""
+    mass = np.zeros(_mass_shape(spec, dims))
+    # Adding into fresh zeros touches only the occupied bins of a mostly
+    # empty array, unlike a bincount.
+    np.add.at(mass.reshape(-1), bins, 1.0)
+    if normalize:
+        if len(bins) == 0:
+            raise TooFewMinutiaeError("no minutiae pair within d_max")
+        mass /= len(bins)
+    return MinutiaeHistogram(
+        spec=spec, dims=dims, mass=mass, normalized=normalize, pair_count=pair_count
+    )
+
+
 def build_2dmh(
     t: MinutiaTemplate, spec: BinSpec = BinSpec(), normalize: bool = True
 ) -> MinutiaeHistogram:
@@ -177,16 +196,7 @@ def build_2dmh(
     TooFewMinutiaeError.
     """
     *_, bins = _pair_bins(t, spec)
-    shape = _mass_shape(spec, 2)
-    mass = np.bincount(bins, minlength=shape[0] * shape[1]).astype(float).reshape(shape)
-    pair_count = len(bins)
-    if normalize:
-        if pair_count == 0:
-            raise TooFewMinutiaeError("no minutiae pair within d_max")
-        mass /= pair_count
-    return MinutiaeHistogram(
-        spec=spec, dims=2, mass=mass, normalized=normalize, pair_count=pair_count
-    )
+    return _histogram(spec, 2, bins, len(bins), normalize)
 
 
 _TYPE_INDEX = {ENDING: 0, BIFURCATION: 1}
@@ -206,7 +216,8 @@ def build_4dmh(
     d_max raises TooFewMinutiaeError.
     """
     xy, dirs, i, j, bins = _pair_bins(t, spec)
-    if any(m.mtype == UNKNOWN for m in t.minutiae):
+    types = np.array([_TYPE_INDEX.get(m.mtype, -1) for m in t.minutiae])
+    if (types < 0).any():
         raise ValueError("4D histogram requires all minutiae typed (E or B)")
     # (i, j) and (j, i) share distance and direction difference.
     src, dst, bins = np.concatenate([i, j]), np.concatenate([j, i]), np.tile(bins, 2)
@@ -215,18 +226,6 @@ def build_4dmh(
     relangle = (pos_angle - dirs[src]) % 360.0
     # The modulo can round up to exactly 360.
     ri = np.minimum((relangle / spec.relangle_width).astype(np.intp), spec.b_relangle - 1)
-
-    types = np.array([_TYPE_INDEX[m.mtype] for m in t.minutiae])
     ti = 2 * types[src] + types[dst]
-    # Unlike a bincount, adding into fresh zeros touches only the occupied
-    # bins of the mostly empty array.
-    mass = np.zeros(_mass_shape(spec, 4))
-    np.add.at(mass.reshape(-1), (bins * spec.b_relangle + ri) * spec.b_type + ti, 1.0)
-    pair_count = len(i)
-    if normalize:
-        if pair_count == 0:
-            raise TooFewMinutiaeError("no minutiae pair within d_max")
-        mass /= 2 * pair_count  # the raw total, exactly
-    return MinutiaeHistogram(
-        spec=spec, dims=4, mass=mass, normalized=normalize, pair_count=pair_count
-    )
+    return _histogram(spec, 4, (bins * spec.b_relangle + ri) * spec.b_type + ti, len(i),
+                      normalize)

@@ -293,18 +293,12 @@ def split_by_finger(
     if any(t.finger_id is None for t in templates):
         raise ValueError("a template has no finger id: name its file <finger>_<impression>.mnt")
     fingers = sorted({t.finger_id for t in templates}, key=_finger_sort_key)
+    rank = {finger: k for k, finger in enumerate(fingers)}
     n1, n2, _ = split
-    set1 = set(fingers[:n1])
-    set2 = set(fingers[n1 : n1 + n2])
-    set3 = set(fingers[n1 + n2 :])
     out: Tuple[List[MinutiaTemplate], ...] = ([], [], [])
     for t in templates:
-        if t.finger_id in set1:
-            out[0].append(t)
-        elif t.finger_id in set2:
-            out[1].append(t)
-        elif t.finger_id in set3:
-            out[2].append(t)
+        k = rank[t.finger_id]
+        out[0 if k < n1 else 1 if k < n1 + n2 else 2].append(t)
     return out
 
 

@@ -59,8 +59,6 @@ class OrientationField:
         if self.kind == "constant":
             return self.angle % 180.0
         dx, dy = x - self.center[0], y - self.center[1]
-        if dx == 0.0 and dy == 0.0:
-            return 0.0
         return float(np.degrees(np.arctan2(dy, dx))) % 180.0
 
 
@@ -150,8 +148,6 @@ def _deletion_weights(
         bin_cost[i] += mass * cost[i, j]
 
     weights = np.zeros(len(t.minutiae))
-    if bin_cost.sum() <= 0:
-        return weights
     _, _, iu, ju, flat = _pair_bins(t, spec)
     per_bin_pairs = np.bincount(flat, minlength=spec.b_dist * spec.b_dir)
     blame = bin_cost[flat] / per_bin_pairs[flat]
@@ -164,7 +160,7 @@ def _propose(
     rng: np.random.Generator,
     t: MinutiaTemplate,
     cfg: RefineConfig,
-    delete_weights: np.ndarray,
+    delete_p: np.ndarray,
 ) -> Tuple[MinutiaTemplate, str]:
     # Never shrink below 2 minutiae.
     moves = ("add", "flip") if len(t) <= 2 else ("add", "delete", "flip")
@@ -174,12 +170,7 @@ def _propose(
         minutiae.append(_draw_minutia(rng, cfg))
         desc = "add"
     elif move == "delete":
-        total = delete_weights.sum()
-        if total > 0:
-            p = 0.5 * delete_weights / total + 0.5 / len(minutiae)
-            idx = int(rng.choice(len(minutiae), p=p / p.sum()))
-        else:
-            idx = int(rng.integers(0, len(minutiae)))
+        idx = int(rng.choice(len(minutiae), p=delete_p))
         del minutiae[idx]
         desc = f"delete:{idx}"
     else:
@@ -215,12 +206,17 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     while status == "timeout" and iteration < cfg.max_iters:
         iteration += 1
         plan = transport_plan(current_hist, cfg.target, cfg.params)
+        # Half the deletion draw follows the blame, half is uniform. The
+        # blame sums to twice the plan cost, which is positive while the
+        # EMD is above the threshold.
         delete_weights = _deletion_weights(current, plan, cfg)
+        delete_p = 0.5 * delete_weights / delete_weights.sum() + 0.5 / len(current)
+        delete_p /= delete_p.sum()
         # The whole batch is drawn before any is scored; _propose never sees
         # a score, so the generator is used as it would be either way.
         scored = []
         for index in range(cfg.batch_size):
-            candidate, desc = _propose(rng, current, cfg, delete_weights)
+            candidate, desc = _propose(rng, current, cfg, delete_p)
             try:
                 cand_hist = build_2dmh(candidate, spec)
             except TooFewMinutiaeError:

@@ -76,12 +76,20 @@ class TestHistogramCommand:
         assert sum(payload["mass"]) == pytest.approx(1.0)
         assert payload["normalized"] is True
 
-    def test_4d_identification_binning(self, data, capsys):
-        code = main(["histogram", str(data["real_template"]), "--dims", "4",
-                     "--bins-dist", "20", "--bins-dir", "20"])
+    # --dims 4 bins as identify enroll does: the identification spec (20 x
+    # 20 x 20 x 4) under the config's "identify_spec" and the spec flags.
+    @pytest.mark.parametrize("config, flags, bins", [
+        (False, ["--bins-dist", "20", "--bins-dir", "20"], 32000),
+        (False, [], 32000),
+        (True, [], 10 * 10 * 12 * 4),
+        (True, ["--bins-dist", "20"], 20 * 10 * 12 * 4),
+    ], ids=["flags", "default", "config", "config-and-flag"])
+    def test_4d_identification_binning(self, data, capsys, config, flags, bins):
+        prefix = ["--config", str(data["config"])] if config else []
+        code = main([*prefix, "histogram", str(data["real_template"]), "--dims", "4", *flags])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["mass"]) == 32000
+        assert len(payload["mass"]) == bins
         assert payload["dims"] == 4
 
     def test_spec_flags_override(self, data, capsys):
@@ -306,6 +314,15 @@ class TestMdsCommand:
         assert lines[0] == "label,dim1,dim2"
         coords = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
         assert np.linalg.norm(coords[0] - coords[1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_negative_eigenvalues_warned_and_blank_rows_skipped(self, tmp_path, capsys):
+        matrix = tmp_path / "d.csv"
+        matrix.write_text("w,0,1,2,1\n\nx,1,0,1,2\ny,2,1,0,1\n\nz,1,2,1,0\n")
+        out = tmp_path / "coords.csv"
+        assert main(["mds", str(matrix), "--dims", "4", "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("warning: dimensions [") and "have negative eigenvalues" in err
 
     def test_unreadable_matrix_exits_2(self, tmp_path):
         assert main(["mds", str(tmp_path / "missing.csv"), "--out",
@@ -566,6 +583,11 @@ ERROR_CASES = {
     "config-spec-d-max-not-a-number": (64, lambda d, tmp: [
         *_config(tmp, {"spec": {"d_max": "200"}}), "histogram", str(d["real_template"])],
         "d_max"),
+    # A first token that parses as a number makes a minutia line, not an
+    # ignored header line.
+    "histogram-first-minutia-x-inf": (2, lambda d, tmp: [
+        "histogram", _file(tmp, "inf.mnt", "dpi 500\ninf 20 30 E\n4 5 6 B\n")],
+        "line 2: minutia x must be a finite number >= 0, got inf"),
     "histogram-4d-untyped": (64, lambda d, tmp: [
         "histogram", _file(tmp, "u.mnt", UNTYPED), "--dims", "4"], "typed"),
     "search-untyped": (64, lambda d, tmp: [
@@ -581,6 +603,12 @@ ERROR_CASES = {
         d["model"], tmp, _avg_real(_setitem(0, 0.5))), NO_IRD), "sum to 1"),
     "model-spec-mismatch": (5, lambda d, tmp: _classify(tmp, _edited(
         d["model"], tmp, lambda p: p["spec"].update(b_dist=5)), NO_IRD), "bin specification"),
+    "model-four-weights": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p.update(weights=[0, 1, 0, 0])), NO_IRD),
+        "expected 5 fusion weights"),
+    "model-average-raw": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, lambda p: p["avg_real"].update(normalized=False)), NO_IRD),
+        "class averages must be normalized 2D histograms"),
     "model-nan-weight": (5, lambda d, tmp: _classify(tmp, _edited(
         d["model"], tmp, lambda p: p.update(weights=[float("nan"), 1, 0, 0, 0])), NO_IRD),
         "finite"),
@@ -642,6 +670,9 @@ ERROR_CASES = {
         d, tmp, "--threshold", "nan", "--max-iters", "3"), "threshold"),
     "index-mass-idx-too-large": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, _first_entry("mass_idx", _setitem(0, 10 ** 7)))), "mass_idx"),
+    "index-mass-idx-beyond-int64": (5, lambda d, tmp: _search(d, tmp, _edited(
+        d["index"], tmp, _first_entry("mass_idx", _setitem(0, 2 ** 64)))),
+        "mass_idx must be a list of integers"),
     "index-mass-idx-negative": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, _first_entry("mass_idx", _setitem(0, -1)))), "mass_idx"),
     # A repeated bin used to keep one of its masses, and search exited 0.

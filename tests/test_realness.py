@@ -77,6 +77,11 @@ class TestAverageHistogram:
         with pytest.raises(ValueError, match="normalized"):
             average_histogram([raw])
 
+    def test_mixed_specs_rejected(self):
+        h1, h2 = one_hot(BinSpec(b_dist=4, b_dir=4), 0), one_hot(BinSpec(b_dist=4, b_dir=5), 0)
+        with pytest.raises(ValueError, match="mixed bin specifications"):
+            average_histogram([h1, h2])
+
 
 class TestEmdDifferenceScore:
     def test_closer_to_real_average(self):
@@ -109,6 +114,11 @@ class TestEmdDifferenceScore:
         score = emd_difference_score(h, simple_model(avg, avg))
         assert score.a == pytest.approx(0.0, abs=1e-12)
         assert score.decision == SYNTHETIC
+
+    def test_spec_mismatch_rejected(self):
+        avg = one_hot(BinSpec(b_dist=4, b_dir=4), 1)
+        with pytest.raises(ValueError, match="does not match the model"):
+            emd_difference_score(one_hot(BinSpec(b_dist=4, b_dir=5), 0), simple_model(avg, avg))
 
 
 class TestFuseFeatures:

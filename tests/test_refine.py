@@ -93,6 +93,7 @@ class TestRefineConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iters": -1}, "max_iters"),
         ({"batch_size": 0}, "batch_size"),
+        ({"count_distribution": ()}, "count distribution is empty"),
     ])
     def test_counts_that_cannot_work_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

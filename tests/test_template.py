@@ -73,6 +73,8 @@ def test_parse_unknown_header_fields_ignored():
         ("dpi 500\n10 20 nan E\n", "line 2"),
         ("dpi 500\n10 20 30 X\n", "line 2"),
         ("dpi 500\n-5 20 30 E\n", "line 2"),
+        # A first token that parses as a number makes a minutia line.
+        ("dpi 500\nnan 20 30 E\n", "line 2: minutia x must be a finite number >= 0, got nan"),
         ("dpi zero\n", "line 1"),
         ("dpi 500\nlabel\n", "line 2"),
         ("dpi 0\n", "dpi"),
@@ -258,6 +260,7 @@ def test_invalid_minutia_rejected():
         ({"x": True}, "minutia x"),
         ({"y": float("-inf")}, "minutia y"),
         ({"direction": "90"}, "minutia direction"),
+        ({"mtype": "loop"}, "unknown minutia type: 'loop'"),
     ],
 )
 def test_minutia_fields_are_checked(kwargs, name):
@@ -275,6 +278,7 @@ def test_minutia_fields_are_checked(kwargs, name):
         ({"mean_ird": 0.0}, "mean_ird"),
         ({"var_ird": float("nan")}, "var_ird"),
         ({"var_ird": -1.0}, "var_ird"),
+        ({"label": "fake"}, "label must be 'real' or 'synthetic', got 'fake'"),
     ],
 )
 def test_template_fields_are_checked(kwargs, name):

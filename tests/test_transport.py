@@ -382,6 +382,13 @@ class TestEmd:
         with pytest.raises(ValueError, match="specification"):
             emd(h1, h2)
 
+    def test_4d_histograms_rejected(self):
+        spec = BinSpec(b_dist=2, b_dir=2, b_relangle=2)
+        h = MinutiaeHistogram(spec=spec, dims=4, mass=np.full((2, 2, 2, 4), 1 / 32),
+                              normalized=True, pair_count=16)
+        with pytest.raises(ValueError, match="defined for 2D histograms"):
+            emd(h, h)
+
     def test_unequal_totals_rejected(self):
         mass1 = np.zeros((10, 10))
         mass1[0, 0] = 3.0
