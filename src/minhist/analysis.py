@@ -2,8 +2,8 @@
 
 mds_embed performs classical (Torgerson) multidimensional scaling of a
 symmetric distance matrix: double-center -0.5 * J D^2 J, keep the leading
-eigenpairs with non-negative eigenvalues, and fix each eigenvector's sign so
-its first nonzero coordinate is positive.
+eigenpairs whose eigenvalues are positive beyond rounding error, and fix
+each eigenvector's sign so its first nonzero coordinate is positive.
 
 bootstrap_neighborhood estimates an EMD radius around a finger's mean
 histogram such that a fresh impression of the same finger falls inside with
@@ -86,7 +86,9 @@ class MDSResult:
 def mds_embed(dm: DistanceMatrix, dims: int = 2) -> MDSResult:
     """Classical MDS embedding of a distance matrix into `dims` coordinates.
 
-    Dimensions whose eigenvalue is negative get all-zero coordinates and are
+    An eigenvalue within tol = max |eigenvalue| * n * machine epsilon of 0
+    is taken as 0, and its dimension gets all-zero coordinates. Dimensions
+    whose eigenvalue is below -tol get all-zero coordinates too and are
     reported in flagged_dims (the distances are then not fully Euclidean).
     """
     if isinstance(dims, numbers.Integral) and dims < 1:
@@ -99,11 +101,14 @@ def mds_embed(dm: DistanceMatrix, dims: int = 2) -> MDSResult:
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
 
+    # An eigenvalue within tol of 0 is 0 up to rounding: the rank rule of
+    # numpy.linalg.matrix_rank.
+    tol = float(np.abs(evals).max(initial=0.0)) * n * np.finfo(float).eps
     coords = np.zeros((n, dims))
     flagged: List[int] = []
     for k in range(min(dims, n)):
-        if evals[k] <= 0:
-            if evals[k] < 0:
+        if evals[k] <= tol:
+            if evals[k] < -tol:
                 flagged.append(k)
             continue
         vec = evecs[:, k]

@@ -8,17 +8,20 @@ direction, which keeps the feature rotation invariant) and the ordered type
 combination; each unordered pair contributes through both orderings.
 
 A template at another resolution is binned as its rescale_to_500dpi, so
-every histogram is in 500-DPI pixels.
+every histogram is in 500-DPI pixels. One kernel (_bin_pairs) bins every
+pair; _PairCounts counts a template that differs from another by one
+minutia by binning only that minutia's pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from .template import BIFURCATION, ENDING, MinutiaTemplate, rescale_to_500dpi
+from .template import BIFURCATION, ENDING, Minutia, MinutiaTemplate, rescale_to_500dpi
 from .template import _flag, _int, _numbers, _object, _real
 
 
@@ -139,50 +142,131 @@ class TooFewMinutiaeError(ValueError):
     """A template has fewer than 2 minutiae, or no minutiae pair within d_max."""
 
 
+def _arrays(t: MinutiaTemplate):
+    """The positions at 500 DPI, shape (n, 2), and the directions of t's
+    minutiae."""
+    t = rescale_to_500dpi(t)
+    xy = np.array([[m.x, m.y] for m in t.minutiae], dtype=float).reshape(-1, 2)
+    dirs = np.array([m.direction for m in t.minutiae], dtype=float)
+    return xy, dirs
+
+
+def _bin_pairs(xy: np.ndarray, dirs: np.ndarray, i, j, spec: BinSpec):
+    """The pair-binning kernel: of the pairs (i, j) of minutiae with
+    positions xy and directions dirs (i may be one index for all), which lie
+    within spec.d_max, and the flat 2D bin dist_bin * b_dir + dir_bin of
+    each of those, the row-major layout of the 2D mass array. The boundary
+    values d = d_max and alpha = 180 land in the last bin of their axis.
+    Swapping i and j negates both coordinate differences exactly, so a pair
+    gets the same bin either way round."""
+    d = np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1])
+    keep = d <= spec.d_max
+    alpha = _fold(np.abs((dirs[i] - dirs[j])[keep]))
+    # Features are non-negative, so truncation is the floor.
+    di = np.minimum((d[keep] / spec.dist_width).astype(np.intp), spec.b_dist - 1)
+    ai = np.minimum((alpha / spec.dir_width).astype(np.intp), spec.b_dir - 1)
+    return keep, di * spec.b_dir + ai
+
+
+def _minutia_bins(xy: np.ndarray, dirs: np.ndarray, k: int, spec: BinSpec) -> np.ndarray:
+    """The bins of the pairs of minutia k with each other minutia within
+    spec.d_max (_bin_pairs)."""
+    others = np.flatnonzero(np.arange(len(dirs)) != k)
+    return _bin_pairs(xy, dirs, k, others, spec)[1]
+
+
 def _pair_bins(t: MinutiaTemplate, spec: BinSpec):
     """The unordered minutiae pairs i < j within spec.d_max and their 2D bins.
 
     Returns (xy, dirs, i, j, bins): the minutiae positions at 500 DPI and
-    directions, the pair member indices and the flat 2D bin index
-    dist_bin * b_dir + dir_bin of each pair, the row-major layout of the 2D
-    mass array. The boundary values d = d_max and alpha = 180 land in the
-    last bin of their axis. Raises TooFewMinutiaeError for fewer than 2
+    directions (_arrays), the pair member indices and the flat 2D bin of
+    each pair (_bin_pairs). Raises TooFewMinutiaeError for fewer than 2
     minutiae.
     """
     if len(t.minutiae) < 2:
         raise TooFewMinutiaeError(
             "pair features undefined: template has fewer than 2 minutiae, needs at least 2")
-    t = rescale_to_500dpi(t)
-    xy = np.array([[m.x, m.y] for m in t.minutiae], dtype=float)
-    dirs = np.array([m.direction for m in t.minutiae], dtype=float)
+    xy, dirs = _arrays(t)
     i, j = np.triu_indices(len(xy), k=1)
-    d = np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1])
-    keep = d <= spec.d_max
-    i, j, d = i[keep], j[keep], d[keep]
-    alpha = _fold(np.abs(dirs[i] - dirs[j]))
-    # Features are non-negative, so truncation is the floor.
-    di = np.minimum((d / spec.dist_width).astype(np.intp), spec.b_dist - 1)
-    ai = np.minimum((alpha / spec.dir_width).astype(np.intp), spec.b_dir - 1)
-    return xy, dirs, i, j, di * spec.b_dir + ai
+    keep, bins = _bin_pairs(xy, dirs, i, j, spec)
+    return xy, dirs, i[keep], j[keep], bins
 
 
-def _histogram(spec: BinSpec, dims: int, bins: np.ndarray, pair_count: int,
-               normalize: bool) -> MinutiaeHistogram:
-    """The histogram counting one unit of mass per entry of bins, the flat
-    bin index of each binned pair ordering. Normalized, the counts are
-    divided by the number of orderings, their exact total; with none, that
-    raises TooFewMinutiaeError."""
-    mass = np.zeros(_mass_shape(spec, dims))
+def _count(spec: BinSpec, dims: int, bins: np.ndarray) -> np.ndarray:
+    """One unit of mass per entry of bins, the flat bin index of each binned
+    pair ordering, as a flat array."""
+    mass = np.zeros(math.prod(_mass_shape(spec, dims)))
     # Adding into fresh zeros touches only the occupied bins of a mostly
     # empty array, unlike a bincount.
-    np.add.at(mass.reshape(-1), bins, 1.0)
+    np.add.at(mass, bins, 1.0)
+    return mass
+
+
+def _histogram(spec: BinSpec, dims: int, counts: np.ndarray, pair_count: int,
+               normalize: bool) -> MinutiaeHistogram:
+    """The histogram of counts, the flat count of binned pair orderings per
+    bin, which it takes over: pair_count of them in 2D, both orderings of
+    each pair in 4D. Normalized, the counts are divided by that exact
+    total; with none, that raises TooFewMinutiaeError."""
     if normalize:
-        if len(bins) == 0:
+        orderings = pair_count if dims == 2 else 2 * pair_count
+        if orderings == 0:
             raise TooFewMinutiaeError("no minutiae pair within d_max")
-        mass /= len(bins)
-    return MinutiaeHistogram(
-        spec=spec, dims=dims, mass=mass, normalized=normalize, pair_count=pair_count
-    )
+        counts /= orderings
+    return MinutiaeHistogram(spec=spec, dims=dims, mass=counts.reshape(_mass_shape(spec, dims)),
+                             normalized=normalize, pair_count=pair_count)
+
+
+@dataclass(frozen=True)
+class _PairCounts:
+    """The raw 2D counts of a template's pairs, kept with what they were
+    binned from: the template's dpi, and its minutiae's positions at 500
+    DPI and directions (_arrays). counts is flat and holds pair_count pairs.
+
+    A template that differs by one minutia is counted by re-binning that
+    minutia's pairs alone, through the kernel of _pair_bins: an add bins n
+    pairs, a delete takes n - 1 away, and a replacement does both. So the
+    counts, and the histogram, are those build_2dmh gives the new template.
+    """
+
+    spec: BinSpec
+    dpi: int
+    xy: np.ndarray
+    dirs: np.ndarray
+    counts: np.ndarray
+    pair_count: int
+
+    @classmethod
+    def from_pairs(cls, dpi: int, spec: BinSpec, pairs) -> "_PairCounts":
+        """The counts of pairs = _pair_bins(t, spec) of a template t at dpi."""
+        xy, dirs, _, _, bins = pairs
+        return cls(spec, dpi, xy, dirs, _count(spec, 2, bins), len(bins))
+
+    def __len__(self) -> int:
+        return len(self.dirs)
+
+    def replaced(self, k: int, m: Optional[Minutia]) -> "_PairCounts":
+        """The counts of the template whose minutia k is m, given at the
+        template's dpi: k == len(self) appends m, and m None deletes
+        minutia k."""
+        counts, pair_count = self.counts, self.pair_count
+        if k < len(self):
+            gone = _minutia_bins(self.xy, self.dirs, k, self.spec)
+            counts = counts - np.bincount(gone, minlength=counts.size)
+            pair_count -= gone.size
+        xy, dirs = _arrays(MinutiaTemplate(minutiae=() if m is None else (m,), dpi=self.dpi))
+        xy = np.concatenate([self.xy[:k], xy, self.xy[k + 1:]])
+        dirs = np.concatenate([self.dirs[:k], dirs, self.dirs[k + 1:]])
+        if m is not None:
+            added = _minutia_bins(xy, dirs, k, self.spec)
+            counts = counts + np.bincount(added, minlength=counts.size)
+            pair_count += added.size
+        return _PairCounts(self.spec, self.dpi, xy, dirs, counts, pair_count)
+
+    def histogram(self, normalize: bool = True) -> MinutiaeHistogram:
+        """build_2dmh of the template counted, with its errors for a
+        template without a pair within d_max."""
+        return _histogram(self.spec, 2, self.counts.copy(), self.pair_count, normalize)
 
 
 def build_2dmh(
@@ -196,7 +280,7 @@ def build_2dmh(
     TooFewMinutiaeError.
     """
     *_, bins = _pair_bins(t, spec)
-    return _histogram(spec, 2, bins, len(bins), normalize)
+    return _histogram(spec, 2, _count(spec, 2, bins), len(bins), normalize)
 
 
 _TYPE_INDEX = {ENDING: 0, BIFURCATION: 1}
@@ -227,5 +311,5 @@ def build_4dmh(
     # The modulo can round up to exactly 360.
     ri = np.minimum((relangle / spec.relangle_width).astype(np.intp), spec.b_relangle - 1)
     ti = 2 * types[src] + types[dst]
-    return _histogram(spec, 4, (bins * spec.b_relangle + ri) * spec.b_type + ti, len(i),
-                      normalize)
+    bins = (bins * spec.b_relangle + ri) * spec.b_type + ti
+    return _histogram(spec, 4, _count(spec, 4, bins), len(i), normalize)

@@ -6,14 +6,19 @@ by a coin flip. It is then refined by greedy hill climbing: per iteration a
 batch of candidate moves (add a minutia, delete one, flip a direction by
 180 degrees) is scored by the EMD of the candidate's 2D histogram to a
 target histogram, and the best strictly improving move is accepted: the
-lowest EMD, then the earliest in the batch. An optimal transport plan of
-the current histogram, the only plan built per iteration, identifies the
-bins that contribute the most cost, and deletions are biased toward
-minutiae whose pairs populate those bins. The plan comes from
-`transport_plan`, which decomposes an optimal flow on the network `emd`
-solves, on a fresh model, so it depends only on the current histogram and
-the target. Where several plans are optimal, the one returned sets the
-deletion blame.
+lowest EMD, then the earliest in the batch. A candidate differs from the
+current template by one minutia, so its histogram comes from the current
+template's pair counts by re-binning that minutia's pairs alone
+(`_PairCounts`); only the accepted candidate is built as a template. An
+optimal transport plan of the current histogram, the only plan built per
+iteration, identifies the bins that contribute the most cost, and
+deletions are biased toward minutiae whose pairs populate those bins. The
+plan comes from `transport_plan`, which decomposes an optimal flow on the
+network `emd` solves. Each run owns one HiGHS model for its plans: each
+plan restarts the dual simplex from the run's previous plan (`warm=`).
+Where several plans are optimal, the one returned sets the deletion blame,
+so it depends on the current histogram, the target and the run's own
+earlier plans, and on nothing solved outside the run.
 
 The plan's `lower_bound` holds the node potentials y of the same solve, and
 by weak duality b · y is a lower bound on the EMD of any candidate whose
@@ -25,7 +30,7 @@ the first whose bound is not below the current EMD, or whose (bound, index)
 is above the best (EMD, index) so far: no later one could win. The accepted
 move, and so the run, is the one scoring the whole batch would give.
 Everything is seeded and fully deterministic: a run does not depend on what
-was solved before it.
+was solved before it, or on other runs interleaved with it.
 """
 
 from __future__ import annotations
@@ -33,11 +38,17 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .histogram import MinutiaeHistogram, TooFewMinutiaeError, _pair_bins, build_2dmh
+from .histogram import (
+    MinutiaeHistogram,
+    TooFewMinutiaeError,
+    _pair_bins,
+    _PairCounts,
+    build_2dmh,
+)
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate, _int, _real
 from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
 
@@ -133,10 +144,9 @@ def write_trace_csv(trace: Sequence[TraceRow], path: Path | str) -> None:
             writer.writerow([row.iteration, row.emd, row.move])
 
 
-def _deletion_weights(
-    t: MinutiaTemplate, plan: TransportPlan, cfg: RefineConfig
-) -> np.ndarray:
-    """Per-minutia cost blame from the optimal flow out of each source bin.
+def _deletion_weights(pairs, plan: TransportPlan, cfg: RefineConfig) -> np.ndarray:
+    """Per-minutia cost blame from the optimal flow out of each source bin,
+    for the template of pairs = _pair_bins(t, cfg.target.spec).
 
     Each pair's bin inherits the outgoing transport cost of that bin, split
     evenly over the pairs inside it and credited to both pair members.
@@ -147,8 +157,8 @@ def _deletion_weights(
     for (i, j), mass in plan.flow.items():
         bin_cost[i] += mass * cost[i, j]
 
-    weights = np.zeros(len(t.minutiae))
-    _, _, iu, ju, flat = _pair_bins(t, spec)
+    xy, _, iu, ju, flat = pairs
+    weights = np.zeros(len(xy))
     per_bin_pairs = np.bincount(flat, minlength=spec.b_dist * spec.b_dir)
     blame = bin_cost[flat] / per_bin_pairs[flat]
     np.add.at(weights, iu, blame)
@@ -161,24 +171,27 @@ def _propose(
     t: MinutiaTemplate,
     cfg: RefineConfig,
     delete_p: np.ndarray,
-) -> Tuple[MinutiaTemplate, str]:
+) -> Tuple[str, int, Optional[Minutia]]:
+    """A move (desc, k, m): minutia k of t becomes m, where k == len(t)
+    adds m and m None deletes minutia k."""
     # Never shrink below 2 minutiae.
     moves = ("add", "flip") if len(t) <= 2 else ("add", "delete", "flip")
     move = moves[rng.integers(0, len(moves))]
-    minutiae = list(t.minutiae)
     if move == "add":
-        minutiae.append(_draw_minutia(rng, cfg))
-        desc = "add"
-    elif move == "delete":
-        idx = int(rng.choice(len(minutiae), p=delete_p))
-        del minutiae[idx]
-        desc = f"delete:{idx}"
-    else:
-        idx = int(rng.integers(0, len(minutiae)))
-        m = minutiae[idx]
-        minutiae[idx] = replace(m, direction=(m.direction + 180.0) % 360.0)
-        desc = f"flip:{idx}"
-    return replace(t, minutiae=tuple(minutiae)), desc
+        return "add", len(t), _draw_minutia(rng, cfg)
+    if move == "delete":
+        idx = int(rng.choice(len(t), p=delete_p))
+        return f"delete:{idx}", idx, None
+    idx = int(rng.integers(0, len(t)))
+    m = t.minutiae[idx]
+    return f"flip:{idx}", idx, replace(m, direction=(m.direction + 180.0) % 360.0)
+
+
+def _moved(t: MinutiaTemplate, k: int, m: Optional[Minutia]) -> MinutiaTemplate:
+    """t after the move (k, m) of _propose."""
+    minutiae = list(t.minutiae)
+    minutiae[k:k + 1] = () if m is None else (m,)
+    return replace(t, minutiae=tuple(minutiae))
 
 
 def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
@@ -197,7 +210,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     rng = np.random.default_rng([cfg.rng_seed, 1])
     spec = cfg.target.spec
 
-    current, current_hist = t, build_2dmh(t, spec)
+    current, current_hist, plan = t, build_2dmh(t, spec), None
     current_emd = emd(current_hist, cfg.target, cfg.params)
     trace = [TraceRow(iteration=0, emd=current_emd, move="init")]
     # "timeout" stands until a move reaches the threshold or a batch stalls.
@@ -205,38 +218,44 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     iteration = 0
     while status == "timeout" and iteration < cfg.max_iters:
         iteration += 1
-        plan = transport_plan(current_hist, cfg.target, cfg.params)
+        # Each plan restarts from the basis of this run's previous one.
+        plan = transport_plan(current_hist, cfg.target, cfg.params, warm=plan)
+        # One binning of the current template's pairs gives the deletion
+        # blame and the counts every candidate is moved from.
+        pairs = _pair_bins(current, spec)
+        counts = _PairCounts.from_pairs(current.dpi, spec, pairs)
         # Half the deletion draw follows the blame, half is uniform. The
         # blame sums to twice the plan cost, which is positive while the
         # EMD is above the threshold.
-        delete_weights = _deletion_weights(current, plan, cfg)
+        delete_weights = _deletion_weights(pairs, plan, cfg)
         delete_p = 0.5 * delete_weights / delete_weights.sum() + 0.5 / len(current)
         delete_p /= delete_p.sum()
         # The whole batch is drawn before any is scored; _propose never sees
         # a score, so the generator is used as it would be either way.
         scored = []
         for index in range(cfg.batch_size):
-            candidate, desc = _propose(rng, current, cfg, delete_p)
+            move = _propose(rng, current, cfg, delete_p)
             try:
-                cand_hist = build_2dmh(candidate, spec)
+                cand_hist = counts.replaced(*move[1:]).histogram()
             except TooFewMinutiaeError:
                 continue  # all pairs beyond d_max; histogram undefined as a distribution
-            scored.append((plan.lower_bound(cand_hist), index, cand_hist, candidate, desc))
+            scored.append((plan.lower_bound(cand_hist), index, cand_hist, move))
         # The lowest EMD wins, then the earliest batch index; the sentinel
         # (current EMD, -1) admits only strict improvements. In (bound,
         # index) order, once a candidate's bound and index cannot beat the
         # best so far, neither can any later one's.
-        best = (current_emd, -1, None, None, None)
-        for bound, index, cand_hist, candidate, desc in sorted(scored, key=lambda c: c[:2]):
+        best = (current_emd, -1, None, None)
+        for bound, index, cand_hist, move in sorted(scored, key=lambda c: c[:2]):
             if (bound, index) > best[:2]:
                 break
             cand_emd = emd(cand_hist, cfg.target, cfg.params)
             if (cand_emd, index) < best[:2]:
-                best = (cand_emd, index, cand_hist, candidate, desc)
+                best = (cand_emd, index, cand_hist, move)
         if best[2] is None:
             status = "stall"
         else:
-            current_emd, _, current_hist, current, desc = best
+            current_emd, _, current_hist, (desc, k, m) = best
+            current = _moved(current, k, m)
             trace.append(TraceRow(iteration=iteration, emd=current_emd, move=desc))
             if current_emd <= cfg.threshold:
                 status = "success"

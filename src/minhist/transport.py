@@ -25,10 +25,10 @@ ground cost is the shortest-path length on the bin grid, so arcs between
 neighbouring bins suffice (Ling & Okada, IEEE TPAMI 2007); otherwise every
 unit moves along the distance axis and then along the direction axis
 through a middle layer of nodes (Auricchio et al., NeurIPS 2018). `emd`
-solves it for the value. `transport_plan` solves it on a fresh model and
-splits the optimal flow into source-to-sink paths. Every arc costs more
-than 0 at e = 1, and the three-layer network has no cycle, so an optimal
-flow has no cycle either. Every path of an optimal flow is a shortest
+solves it for the value. `transport_plan` solves it and splits the optimal
+flow into source-to-sink paths. Every arc costs more than 0 at e = 1, and
+the three-layer network has no cycle, so an optimal flow has no cycle
+either. Every path of an optimal flow is a shortest
 path, so it costs the ground cost of its ends, and the paths form an
 optimal plan of the dense problem. The plan need not be a basic solution
 of the dense problem, so it has no size bound. The plan comes with its
@@ -44,12 +44,16 @@ HiGHS is driven through the binding SciPy bundles for `linprog`
 model alive between solves. Every solve runs on a `_FlowModel`, which owns
 the HiGHS model, its options (HIGHS_OPTIONS), its supplies and the checks
 of each solve.
-`solve_transport` and `transport_plan` build a fresh model per call, so a
-plan depends only on its inputs: the optimal vertex a warm model ends on
-depends on what it solved before. `emd` keeps one model, for the most
-recent (spec, params): successive calls differ only in their supplies, so
-the previous optimal basis stays dual feasible and the dual simplex
-restarts from it (Huangfu & Hall, Math. Prog. Comp. 2018). Against a fresh
+`solve_transport` builds a fresh model per call, and so does
+`transport_plan` by default, so a plan depends only on its inputs: the
+optimal vertex a warm model ends on depends on what it solved before.
+`transport_plan(..., warm=plan)` instead takes over the model of an earlier
+plan, which no other caller can reach: a chain of plans (one refine run)
+restarts each solve from the one before, and each plan depends on its
+inputs and on the plans before it in the chain. `emd` keeps one model, for
+the most recent (spec, params): successive calls differ only in their
+supplies, so the previous optimal basis stays dual feasible and the dual
+simplex restarts from it (Huangfu & Hall, Math. Prog. Comp. 2018). Against a fresh
 model per call this cuts the benchmark's realness op by about 30%; there
 97% of the `emd` calls find the model of their (spec, params) kept,
 and on refine and population all but the first do. A lock serialises the
@@ -125,13 +129,18 @@ class TransportPlan:
     entries are stored. total_cost is the exact optimum, correctly rounded.
     lower_bound is set by transport_plan (None otherwise): the _DualBound of
     the same solve. It is a result, not an argument, and takes no part in
-    == or repr.
+    == or repr; nor does the HiGHS model a plan keeps for a later
+    transport_plan(..., warm=plan).
     """
 
     flow: Dict[Tuple[int, int], float]
     total_cost: float
     lower_bound: Optional[_DualBound] = field(default=None, init=False, repr=False,
                                               compare=False)
+    # transport_plan's model, with its network's (spec, params), until a
+    # later plan takes it over (warm=).
+    _model: Optional[Tuple[Tuple[BinSpec, CostParams], _FlowModel]] = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 def _axis_costs(spec: BinSpec, params: CostParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -520,28 +529,46 @@ class _DualBound:
 
 
 def transport_plan(
-    h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams = CostParams()
+    h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams = CostParams(),
+    warm: Optional[TransportPlan] = None,
 ) -> TransportPlan:
     """Optimal transport plan from h1 to h2 under the bin-index ground cost.
 
-    The flow is solved on the network of _flow_network, on a fresh HiGHS
-    model, so the plan does not depend on earlier solves, and decomposed
-    into paths (_paths); each path from node i to node j moves its units
-    from bin i % n to bin j % n. At e = 1 the network sees only the net
-    supply, so min(supply, demand) of each bin stays in place. Every path
-    of an optimal flow is a shortest path, whose length is the ground cost
-    of its ends, so the plan is optimal for the dense problem on
+    The flow is solved on the network of _flow_network and decomposed into
+    paths (_paths); each path from node i to node j moves its units from
+    bin i % n to bin j % n. At e = 1 the network sees only the net supply,
+    so min(supply, demand) of each bin stays in place. Every path of an
+    optimal flow is a shortest path, whose length is the ground cost of its
+    ends, so the plan is optimal for the dense problem on
     build_cost_matrix. Masses are exact multiples of 1 / MASS_SCALE with
     the scaled marginals of _integer_marginals as their sums; the plan need
     not be a basic solution of the dense problem. total_cost is the
     network's exact optimum, the same value as emd. Raises ValueError as
-    emd does.
+    emd does, and for a warm plan of another (spec, params).
+
+    With warm None the solve runs on a fresh HiGHS model, so the plan
+    depends only on its inputs. The plan keeps that model (about 0.4 MB on
+    the default bins at e = 1, 1 MB at e = 2) until a later plan takes it
+    over or the plan is dropped. Given a plan of the same (spec, params) as
+    warm, the new plan takes warm's model over, and the dual simplex
+    restarts from warm's optimal basis: a chain of plans, each warm on the
+    one before, solves faster, but where several flows are optimal, which
+    one a plan returns depends on the plans before it in the chain as well,
+    and on nothing else. A model passes on once, also through a plan that
+    needed no solve; a warm plan that holds none gives a fresh model. A
+    failed solve drops the model.
 
     The plan's lower_bound is the _DualBound of the row duals and slack of
     the same solve: a lower bound on emd(h, h2, params) for every h, tight
     at h1.
     """
     marginals, b_eq = _node_supplies(h1, h2, params)
+    network = (h1.spec, params)
+    held = None if warm is None else warm._model
+    if held is not None:
+        if held[0] != network:
+            raise ValueError("the warm plan is of another bin specification or cost parameters")
+        warm._model = None
     units, total_cost, potentials, slack = {}, 0.0, None, 0.0
     # Zero mass (no marginals) needs no solve; b_eq is None then too.
     if marginals is not None and (b_eq is None or params.e == 1):
@@ -552,8 +579,12 @@ def transport_plan(
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        _, arc_cost, tails, heads = _flow_network(h1.spec, params)
-        model = _FlowModel(arc_cost, tails, heads, b_eq)
+        _, arc_cost, tails, heads = _flow_network(*network)
+        if held is None:
+            held = (network, _FlowModel(arc_cost, tails, heads, b_eq))
+        else:
+            held[1].supply(b_eq)
+        model = held[1]
         arcs, arc_flow, total_cost = model.solve()
         solution = model.highs.getSolution()
         if solution.dual_valid:
@@ -570,6 +601,7 @@ def transport_plan(
     flow = {key: moved / MASS_SCALE for key, moved in sorted(units.items()) if moved}
     plan = TransportPlan(flow=flow, total_cost=total_cost)
     plan.lower_bound = _DualBound(h2, params, potentials, slack)
+    plan._model = held
     return plan
 
 

@@ -93,6 +93,10 @@ def embedded_distances(coords):
     return out
 
 
+FOUR_CYCLE = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]], dtype=float)
+COLLINEAR = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+
+
 class TestMdsEmbed:
     def test_equilateral_triangle(self):
         d = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
@@ -152,6 +156,19 @@ class TestMdsEmbed:
         assert 3 in res.flagged_dims
         assert res.eigenvalues[3] < 0
         np.testing.assert_array_equal(res.coords[:, 3], 0.0)
+
+    # Eigenvalues that are 0 in exact arithmetic come out as rounding
+    # errors of either sign: the 4-cycle's third (-5.6e-16) and the
+    # collinear points' second and third (1.5e-16, -4.1e-17). They get no
+    # coordinates and no flag; only the 4-cycle's -1 is non-Euclidean.
+    def test_rounding_errors_neither_flagged_nor_embedded(self):
+        res = mds_embed(DistanceMatrix(labels=list("wxyz"), d=FOUR_CYCLE), dims=4)
+        assert res.flagged_dims == [3]
+        np.testing.assert_array_equal(res.coords[:, 2:], 0.0)
+        res = mds_embed(DistanceMatrix(labels=list("uvw"), d=COLLINEAR), dims=3)
+        assert res.flagged_dims == []
+        np.testing.assert_array_equal(res.coords[:, 1:], 0.0)
+        np.testing.assert_allclose(res.coords[:, 0], [1.0, 0.0, -1.0], atol=1e-9)
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -323,6 +324,25 @@ class TestMdsCommand:
         assert len(out.read_text().strip().splitlines()) == 5
         err = capsys.readouterr().err
         assert err.startswith("warning: dimensions [") and "have negative eigenvalues" in err
+
+    # Eigenvalues that are 0 up to rounding are neither warned about nor
+    # embedded: the 4-cycle spans 2 dimensions and the collinear points 1.
+    @pytest.mark.parametrize("rows, dims, warning, embedded", [
+        ("w,0,1,2,1\nx,1,0,1,2\ny,2,1,0,1\nz,1,2,1,0\n", "4",
+         "warning: dimensions [3] have negative eigenvalues\n", 2),
+        ("u,0,1,2\nv,1,0,1\nw,2,1,0\n", "3", "", 1),
+    ], ids=["four-cycle", "collinear"])
+    def test_only_non_euclidean_dimensions_warned(self, tmp_path, capsys, rows, dims,
+                                                  warning, embedded):
+        matrix = tmp_path / "d.csv"
+        matrix.write_text(rows)
+        out = tmp_path / "coords.csv"
+        assert main(["mds", str(matrix), "--dims", dims, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == warning
+        with open(out, newline="") as fh:
+            coords = np.array([row[1:] for row in list(csv.reader(fh))[1:]], dtype=float)
+        assert (coords[:, :embedded] != 0).any(axis=0).all()
+        assert (coords[:, embedded:] == 0).all()
 
     def test_unreadable_matrix_exits_2(self, tmp_path):
         assert main(["mds", str(tmp_path / "missing.csv"), "--out",

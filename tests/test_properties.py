@@ -2,6 +2,8 @@
 laws of the EMD against the dense transportation LP and `linprog`, and the
 transport plan built from the EMD's flow network."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,9 @@ from minhist.histogram import (
     IDENTIFICATION_SPEC,
     BinSpec,
     MinutiaeHistogram,
+    TooFewMinutiaeError,
+    _pair_bins,
+    _PairCounts,
     build_2dmh,
     build_4dmh,
 )
@@ -90,10 +95,73 @@ def test_builders_equal_pair_loop(t, spec):
     for b in sorted(occupied) + [next(b for b in range(n_bins) if b not in occupied)]:
         sink = n_bins - 1 if b == 0 else 0
         plan = TransportPlan(flow={(b, sink): 0.5}, total_cost=0.5 * cost[b, sink])
-        weights = _deletion_weights(t, plan, cfg)
+        weights = _deletion_weights(_pair_bins(t, spec), plan, cfg)
         members = {m for i, j, di, ai in pairs if di * spec.b_dir + ai == b for m in (i, j)}
         assert set(np.flatnonzero(weights)) == members
         assert weights.sum() == pytest.approx(2 * plan.total_cost if members else 0.0)
+
+
+# A one-minutia move: ("add", _, m) appends m, ("delete", k, _) deletes
+# minutia k % n while more than 2 are left, ("flip", k, _) turns minutia
+# k % n by 180 degrees and ("replace", k, m) puts m in its place.
+MOVES = st.lists(st.tuples(st.sampled_from(["add", "delete", "flip", "replace"]),
+                           st.integers(0, 11), MINUTIAE), min_size=1, max_size=4)
+# Only minutiae 0 and 1 are within d_max of each other: deleting either
+# leaves no pair.
+ONE_PAIR = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0), Minutia(10.0, 0.0, 180.0),
+                                     Minutia(1000.0, 1000.0, 45.0)), dpi=500)
+
+
+def _move(t, kind, k, m):
+    """(template after the move, (k, m) for _PairCounts.replaced)."""
+    minutiae, n = list(t.minutiae), len(t)
+    if kind == "add":
+        return replace(t, minutiae=(*minutiae, m)), (n, m)
+    k %= n
+    if kind == "delete" and n > 2:
+        del minutiae[k]
+        return replace(t, minutiae=tuple(minutiae)), (k, None)
+    if kind != "replace":
+        m = replace(minutiae[k], direction=(minutiae[k].direction + 180.0) % 360.0)
+    minutiae[k] = m
+    return replace(t, minutiae=tuple(minutiae)), (k, m)
+
+
+# Counts moved by one minutia at a time re-bin only that minutia's pairs;
+# after each move, raw and normalized, they are build_2dmh of the moved
+# template bit for bit. Coordinates are in the template's dpi: at 250 DPI
+# the grid points of COORDS lie 2x as far apart at 500 DPI, at 1000 and 333
+# DPI closer.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=TEMPLATES, dpi=st.sampled_from([500, 250, 1000, 333]), spec=SPECS, moves=MOVES)
+@example(t=ON_EDGES, dpi=500, spec=BinSpec(),
+         moves=[("add", 6, Minutia(200.0, 0.0, 180.0)), ("flip", 0, None),
+                ("delete", 1, None), ("replace", 2, Minutia(0.0, 200.0, 0.0))])
+@example(t=ON_EDGES, dpi=500, spec=ODD_SPEC,
+         moves=[("add", 0, Minutia(150.0, 0.0, 0.0)), ("flip", 4, None), ("delete", 0, None)])
+@example(t=ON_EDGES, dpi=250, spec=BinSpec(),
+         moves=[("add", 6, Minutia(100.0, 0.0, 180.0)), ("flip", 0, None)])
+@example(t=ONE_PAIR, dpi=500, spec=BinSpec(), moves=[("delete", 0, None)])
+@example(t=ONE_PAIR, dpi=500, spec=BinSpec(),
+         moves=[("delete", 1, None), ("add", 0, Minutia(0.0, 40.0, 90.0))])
+def test_one_minutia_moves_equal_the_builder(t, dpi, spec, moves):
+    t = replace(t, dpi=dpi)
+    counts = _PairCounts.from_pairs(dpi, spec, _pair_bins(t, spec))
+    for kind, k, m in moves:
+        t, move = _move(t, kind, k, m)
+        counts = counts.replaced(*move)
+        assert len(counts) == len(t)
+        for normalize in (False, True):
+            try:
+                want = build_2dmh(t, spec, normalize)
+            except TooFewMinutiaeError:
+                assert normalize  # no pair left
+                with pytest.raises(TooFewMinutiaeError):
+                    counts.histogram(normalize)
+                continue
+            got = counts.histogram(normalize)
+            assert got.mass.tobytes() == want.mass.tobytes()
+            assert (got.pair_count, got.normalized) == (want.pair_count, want.normalized)
 
 
 # Normalized 2D histograms on specs from 1x1 to 10x10, sparse (mostly empty
@@ -312,6 +380,25 @@ def test_plan_potentials_bound_every_emd(hists, params):
     solved = emd(h1, target, params)
     if solved > 0:
         assert abs(bound(h1) - solved) <= 1e-12 * solved
+
+
+# A chain of plans, each warm on the one before, ends on an optimal vertex
+# of each problem: a plan costs the EMD, and its potentials bound every EMD
+# to the same target, tightly at its own histogram.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hists=_histograms(4), params=PARAMS)
+def test_warm_plans_are_optimal_and_bound_every_emd(hists, params):
+    *chain, target = hists
+    cost = build_cost_matrix(target.spec, params)
+    plan = None
+    for h in chain:
+        plan = transport_plan(h, target, params, warm=plan)
+        solved = emd(h, target, params)
+        assert exact_plan_cost(plan, cost) == plan.total_cost == solved
+        for other in hists:
+            assert plan.lower_bound(other) <= emd(other, target, params)
+        if solved > 0:
+            assert abs(plan.lower_bound(h) - solved) <= 1e-12 * solved
 
 
 def test_failed_solve_drops_the_kept_model():

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from minhist import transport
-from minhist.histogram import BinSpec, MinutiaeHistogram, TooFewMinutiaeError, build_2dmh
+from minhist.histogram import (
+    BinSpec,
+    MinutiaeHistogram,
+    TooFewMinutiaeError,
+    _pair_bins,
+    _PairCounts,
+    build_2dmh,
+)
 from minhist.realness import average_histogram
 from minhist.refine import (
     OrientationField,
@@ -191,17 +198,17 @@ class TestRefine:
         # Only minutiae 0 and 1 lie within d_max of each other, so deleting
         # either draws a candidate without a pair: it has no normalized
         # histogram, and the batch goes on without it.
-        module = importlib.import_module("minhist.refine")
         pairless = []
+        histogram = _PairCounts.histogram
 
-        def recording_build(t, spec):
+        def recording_histogram(counts, normalize=True):
             try:
-                return build_2dmh(t, spec)
+                return histogram(counts, normalize)
             except TooFewMinutiaeError:
-                pairless.append(t)
+                pairless.append(counts)
                 raise
 
-        monkeypatch.setattr(module, "build_2dmh", recording_build)
+        monkeypatch.setattr(_PairCounts, "histogram", recording_histogram)
         t = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0), Minutia(10.0, 0.0, 90.0),
                                       Minutia(1000.0, 1000.0, 45.0)), dpi=500)
         cfg = base_config(threshold=1e-6, max_iters=3, batch_size=10)
@@ -242,9 +249,9 @@ class TestRefine:
         module = importlib.import_module("minhist.refine")
         planned = []
 
-        def counting_plan(h1, h2, params):
+        def counting_plan(h1, h2, params, warm):
             planned.append(h1.mass.copy())
-            return transport_plan(h1, h2, params)
+            return transport_plan(h1, h2, params, warm=warm)
 
         # refine looks up the public, traced name.
         monkeypatch.setattr(module, "transport_plan", counting_plan)
@@ -302,8 +309,8 @@ class TestRefine:
             m.setattr(transport, "SLACK_TOL", -np.inf)
             want = refine(init_template(cfg), cfg)
 
-        def reversed_order(h1, h2, params):
-            plan = transport_plan(h1, h2, params)
+        def reversed_order(h1, h2, params, warm):
+            plan = transport_plan(h1, h2, params, warm=warm)
             later = itertools.count()
             plan.lower_bound = lambda h: -1e9 - next(later)
             return plan
@@ -398,6 +405,36 @@ class TestRefine:
             before()
             assert run() == alone
 
+    # At these seeds run A's plans depend on the basis each solve starts
+    # from, so a model shared between the runs would change them.
+    @pytest.mark.parametrize("seed", [4, 18])
+    def test_interleaved_runs_equal_runs_made_alone(self, seed, monkeypatch):
+        # Each plan is warm on the model of the run's own previous plan. So
+        # run B, made in full after each plan of run A, must change neither
+        # A's plans and result nor its own.
+        module = importlib.import_module("minhist.refine")
+        cfg_a = base_config(threshold=1e-6, max_iters=12, rng_seed=seed)
+        cfg_b = replace(cfg_a, rng_seed=seed + 100)
+
+        def run(cfg, after_each_plan=lambda: None):
+            plans = []
+
+            def recording_plan(h1, h2, params, warm):
+                plan = transport_plan(h1, h2, params, warm=warm)
+                plans.append(plan.flow)
+                after_each_plan()
+                return plan
+
+            with monkeypatch.context() as m:
+                m.setattr(module, "transport_plan", recording_plan)
+                result = refine(init_template(cfg), cfg)
+            return result.status, result.trace, result.template, plans
+
+        alone_a, alone_b = run(cfg_a), run(cfg_b)
+        runs_b = []
+        assert run(cfg_a, lambda: runs_b.append(run(cfg_b))) == alone_a
+        assert runs_b and all(b == alone_b for b in runs_b)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_deletion_blame_is_twice_the_plan_cost(self, seed):
         # Every source bin of the plan holds pairs of the current template,
@@ -406,7 +443,7 @@ class TestRefine:
         cfg = base_config(rng_seed=seed, count_distribution=(12, 30))
         current = init_template(cfg)
         plan = transport_plan(build_2dmh(current, SPEC), cfg.target, cfg.params)
-        weights = _deletion_weights(current, plan, cfg)
+        weights = _deletion_weights(_pair_bins(current, SPEC), plan, cfg)
         assert plan.total_cost > 0
         assert weights.sum() == pytest.approx(2 * plan.total_cost, rel=1e-12, abs=0)
 

@@ -628,6 +628,47 @@ class TestEmd:
         emd(h3, h2, params)
         assert transport._warm_model.cache_info().misses == misses
 
+    @pytest.mark.parametrize("change", ["params", "spec"])
+    def test_warm_plan_of_another_network_rejected(self, change):
+        rng = np.random.default_rng(30)
+        h1, h2 = (random_normalized_hist(rng, 4, 5) for _ in range(2))
+        plan = transport_plan(h1, h2)
+        if change == "params":
+            args = (h2, h1, CostParams(1.0, 2.0, 1.0))
+        else:
+            args = (make_hist(h2.mass.T), make_hist(h1.mass.T))
+        with pytest.raises(ValueError, match="warm plan is of another bin specification"):
+            transport_plan(*args, warm=plan)
+        # The refused call leaves the model with the plan.
+        assert transport_plan(h2, h1, warm=plan).total_cost == emd(h2, h1)
+        assert plan._model is None
+
+    def test_a_plan_passes_its_model_on_once(self):
+        rng = np.random.default_rng(31)
+        h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
+        first = transport_plan(h1, h3)
+        model = first._model[1]
+        second = transport_plan(h2, h3, warm=first)
+        assert first._model is None and second._model[1] is model
+        third = transport_plan(h1, h3, warm=first)  # nothing left to take over
+        assert third._model[1] is not model
+        assert third == transport_plan(h1, h3) == first
+
+    def test_failed_warm_solve_drops_the_model(self):
+        # A failed solve leaves no trusted basis: neither plan keeps the
+        # model, and a plan warm on the failed one starts afresh.
+        rng = np.random.default_rng(32)
+        h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
+        params = CostParams(1.0, 2.0, 2.0)
+        first = transport_plan(h1, h3, params)
+        first._model[1].highs.setOptionValue("simplex_iteration_limit", 0)
+        with pytest.raises(RuntimeError, match="transportation solve failed"):
+            transport_plan(h2, h3, params, warm=first)
+        assert first._model is None
+        again = transport_plan(h2, h3, params, warm=first)
+        assert again == transport_plan(h2, h3, params)
+        assert again.total_cost == emd(h2, h3, params)
+
     def test_triangle_inequality_e1(self):
         rng = np.random.default_rng(17)
         params = CostParams(e=1.0)
