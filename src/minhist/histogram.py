@@ -9,14 +9,16 @@ combination; each unordered pair contributes through both orderings.
 
 A template at another resolution is binned as its rescale_to_500dpi, so
 every histogram is in 500-DPI pixels. One kernel (_bin_pairs) bins every
-pair; _PairCounts counts a template that differs from another by one
-minutia by binning only that minutia's pairs.
+pair, and one record (_Pairs) holds a template's binned pairs for both
+builders. It also counts a template that differs by one minutia by binning
+only that minutia's pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -175,23 +177,6 @@ def _minutia_bins(xy: np.ndarray, dirs: np.ndarray, k: int, spec: BinSpec) -> np
     return _bin_pairs(xy, dirs, k, others, spec)[1]
 
 
-def _pair_bins(t: MinutiaTemplate, spec: BinSpec):
-    """The unordered minutiae pairs i < j within spec.d_max and their 2D bins.
-
-    Returns (xy, dirs, i, j, bins): the minutiae positions at 500 DPI and
-    directions (_arrays), the pair member indices and the flat 2D bin of
-    each pair (_bin_pairs). Raises TooFewMinutiaeError for fewer than 2
-    minutiae.
-    """
-    if len(t.minutiae) < 2:
-        raise TooFewMinutiaeError(
-            "pair features undefined: template has fewer than 2 minutiae, needs at least 2")
-    xy, dirs = _arrays(t)
-    i, j = np.triu_indices(len(xy), k=1)
-    keep, bins = _bin_pairs(xy, dirs, i, j, spec)
-    return xy, dirs, i[keep], j[keep], bins
-
-
 def _count(spec: BinSpec, dims: int, bins: np.ndarray) -> np.ndarray:
     """One unit of mass per entry of bins, the flat bin index of each binned
     pair ordering, as a flat array."""
@@ -218,55 +203,62 @@ def _histogram(spec: BinSpec, dims: int, counts: np.ndarray, pair_count: int,
 
 
 @dataclass(frozen=True)
-class _PairCounts:
-    """The raw 2D counts of a template's pairs, kept with what they were
-    binned from: the template's dpi, and its minutiae's positions at 500
-    DPI and directions (_arrays). counts is flat and holds pair_count pairs.
-
-    A template that differs by one minutia is counted by re-binning that
-    minutia's pairs alone, through the kernel of _pair_bins: an add bins n
-    pairs, a delete takes n - 1 away, and a replacement does both. So the
-    counts, and the histogram, are those build_2dmh gives the new template.
-    """
+class _Pairs:
+    """The binned pairs of a template that every 2D binning reads: the
+    spec, the template's dpi, its minutiae's positions at 500 DPI and
+    directions (_arrays), the members i < j of each unordered pair within
+    spec.d_max, and the flat 2D bin of each of those pairs (_bin_pairs)."""
 
     spec: BinSpec
     dpi: int
     xy: np.ndarray
     dirs: np.ndarray
-    counts: np.ndarray
-    pair_count: int
+    i: np.ndarray
+    j: np.ndarray
+    bins: np.ndarray
 
     @classmethod
-    def from_pairs(cls, dpi: int, spec: BinSpec, pairs) -> "_PairCounts":
-        """The counts of pairs = _pair_bins(t, spec) of a template t at dpi."""
-        xy, dirs, _, _, bins = pairs
-        return cls(spec, dpi, xy, dirs, _count(spec, 2, bins), len(bins))
+    def of(cls, t: MinutiaTemplate, spec: BinSpec) -> "_Pairs":
+        """The pairs of t on spec. Raises TooFewMinutiaeError for fewer than
+        2 minutiae."""
+        if len(t.minutiae) < 2:
+            raise TooFewMinutiaeError(
+                "pair features undefined: template has fewer than 2 minutiae, needs at least 2")
+        xy, dirs = _arrays(t)
+        i, j = np.triu_indices(len(xy), k=1)
+        keep, bins = _bin_pairs(xy, dirs, i, j, spec)
+        return cls(spec, t.dpi, xy, dirs, i[keep], j[keep], bins)
 
-    def __len__(self) -> int:
-        return len(self.dirs)
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The flat 2D count of pairs per bin (_count)."""
+        return _count(self.spec, 2, self.bins)
 
-    def replaced(self, k: int, m: Optional[Minutia]) -> "_PairCounts":
-        """The counts of the template whose minutia k is m, given at the
-        template's dpi: k == len(self) appends m, and m None deletes
-        minutia k."""
-        counts, pair_count = self.counts, self.pair_count
-        if k < len(self):
-            gone = _minutia_bins(self.xy, self.dirs, k, self.spec)
-            counts = counts - np.bincount(gone, minlength=counts.size)
+    def histogram(self, normalize: bool) -> MinutiaeHistogram:
+        """The 2D histogram of the pairs (build_2dmh)."""
+        return _histogram(self.spec, 2, self.counts.copy(), len(self.bins), normalize)
+
+    def moved(self, k: int, m: Optional[Minutia]) -> MinutiaeHistogram:
+        """The normalized 2D histogram of the template whose minutia k is m,
+        given at the template's dpi: k == len(self.dirs) appends m, and m
+        None deletes minutia k. Only minutia k's pairs are binned again: an
+        add bins n pairs, a delete takes n - 1 away, and a replacement does
+        both. The counts are integers, so the histogram is build_2dmh's of
+        that template, with its error for one without a pair within d_max."""
+        counts, pair_count = self.counts.copy(), len(self.bins)
+        xy, dirs = self.xy, self.dirs
+        if k < len(dirs):
+            gone = _minutia_bins(xy, dirs, k, self.spec)
+            np.subtract.at(counts, gone, 1.0)
             pair_count -= gone.size
-        xy, dirs = _arrays(MinutiaTemplate(minutiae=() if m is None else (m,), dpi=self.dpi))
-        xy = np.concatenate([self.xy[:k], xy, self.xy[k + 1:]])
-        dirs = np.concatenate([self.dirs[:k], dirs, self.dirs[k + 1:]])
         if m is not None:
+            mxy, mdirs = _arrays(MinutiaTemplate(minutiae=(m,), dpi=self.dpi))
+            xy = np.concatenate([xy[:k], mxy, xy[k + 1:]])
+            dirs = np.concatenate([dirs[:k], mdirs, dirs[k + 1:]])
             added = _minutia_bins(xy, dirs, k, self.spec)
-            counts = counts + np.bincount(added, minlength=counts.size)
+            np.add.at(counts, added, 1.0)
             pair_count += added.size
-        return _PairCounts(self.spec, self.dpi, xy, dirs, counts, pair_count)
-
-    def histogram(self, normalize: bool = True) -> MinutiaeHistogram:
-        """build_2dmh of the template counted, with its errors for a
-        template without a pair within d_max."""
-        return _histogram(self.spec, 2, self.counts.copy(), self.pair_count, normalize)
+        return _histogram(self.spec, 2, counts, pair_count, normalize=True)
 
 
 def build_2dmh(
@@ -279,8 +271,7 @@ def build_2dmh(
     normalize, a template without a pair within d_max raises
     TooFewMinutiaeError.
     """
-    *_, bins = _pair_bins(t, spec)
-    return _histogram(spec, 2, _count(spec, 2, bins), len(bins), normalize)
+    return _Pairs.of(t, spec).histogram(normalize)
 
 
 _TYPE_INDEX = {ENDING: 0, BIFURCATION: 1}
@@ -299,17 +290,17 @@ def build_4dmh(
     unordered pair count. With normalize, a template without a pair within
     d_max raises TooFewMinutiaeError.
     """
-    xy, dirs, i, j, bins = _pair_bins(t, spec)
+    p = _Pairs.of(t, spec)
     types = np.array([_TYPE_INDEX.get(m.mtype, -1) for m in t.minutiae])
     if (types < 0).any():
         raise ValueError("4D histogram requires all minutiae typed (E or B)")
     # (i, j) and (j, i) share distance and direction difference.
-    src, dst, bins = np.concatenate([i, j]), np.concatenate([j, i]), np.tile(bins, 2)
-    delta = xy[dst] - xy[src]
+    src, dst = np.concatenate([p.i, p.j]), np.concatenate([p.j, p.i])
+    delta = p.xy[dst] - p.xy[src]
     pos_angle = np.degrees(np.arctan2(delta[:, 1], delta[:, 0]))
-    relangle = (pos_angle - dirs[src]) % 360.0
+    relangle = (pos_angle - p.dirs[src]) % 360.0
     # The modulo can round up to exactly 360.
     ri = np.minimum((relangle / spec.relangle_width).astype(np.intp), spec.b_relangle - 1)
     ti = 2 * types[src] + types[dst]
-    bins = (bins * spec.b_relangle + ri) * spec.b_type + ti
-    return _histogram(spec, 4, _count(spec, 4, bins), len(i), normalize)
+    bins = (np.tile(p.bins, 2) * spec.b_relangle + ri) * spec.b_type + ti
+    return _histogram(spec, 4, _count(spec, 4, bins), len(p.i), normalize)

@@ -8,8 +8,8 @@ batch of candidate moves (add a minutia, delete one, flip a direction by
 target histogram, and the best strictly improving move is accepted: the
 lowest EMD, then the earliest in the batch. A candidate differs from the
 current template by one minutia, so its histogram comes from the current
-template's pair counts by re-binning that minutia's pairs alone
-(`_PairCounts`); only the accepted candidate is built as a template. An
+template's binned pairs (`_Pairs`) by re-binning that minutia's pairs
+alone; only the accepted candidate is built as a template. An
 optimal transport plan of the current histogram, the only plan built per
 iteration, identifies the bins that contribute the most cost, and
 deletions are biased toward minutiae whose pairs populate those bins. The
@@ -45,8 +45,7 @@ import numpy as np
 from .histogram import (
     MinutiaeHistogram,
     TooFewMinutiaeError,
-    _pair_bins,
-    _PairCounts,
+    _Pairs,
     build_2dmh,
 )
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate, _int, _real
@@ -64,6 +63,9 @@ class OrientationField:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "radial"):
             raise ValueError("field kind must be 'constant' or 'radial'")
+        _real(self.angle, "field angle")
+        for value in self.center:
+            _real(value, "each field center coordinate")
 
     def orientation(self, x: float, y: float) -> float:
         """Local ridge orientation in [0, 180) degrees."""
@@ -91,6 +93,9 @@ class RefineConfig:
         _real(self.threshold, "threshold", positive=True)
         _int(self.max_iters, "max_iters", 0)
         _int(self.batch_size, "batch_size", 1)
+        _int(self.rng_seed, "rng_seed", 0)
+        for value in self.foreground:
+            _real(value, "each foreground value", minimum=0)
         x0, y0, x1, y1 = self.foreground
         if x1 <= x0 or y1 <= y0:
             raise ValueError("foreground rectangle is empty")
@@ -144,9 +149,9 @@ def write_trace_csv(trace: Sequence[TraceRow], path: Path | str) -> None:
             writer.writerow([row.iteration, row.emd, row.move])
 
 
-def _deletion_weights(pairs, plan: TransportPlan, cfg: RefineConfig) -> np.ndarray:
+def _deletion_weights(pairs: _Pairs, plan: TransportPlan, cfg: RefineConfig) -> np.ndarray:
     """Per-minutia cost blame from the optimal flow out of each source bin,
-    for the template of pairs = _pair_bins(t, cfg.target.spec).
+    for the template of pairs = _Pairs.of(t, cfg.target.spec).
 
     Each pair's bin inherits the outgoing transport cost of that bin, split
     evenly over the pairs inside it and credited to both pair members.
@@ -157,12 +162,10 @@ def _deletion_weights(pairs, plan: TransportPlan, cfg: RefineConfig) -> np.ndarr
     for (i, j), mass in plan.flow.items():
         bin_cost[i] += mass * cost[i, j]
 
-    xy, _, iu, ju, flat = pairs
-    weights = np.zeros(len(xy))
-    per_bin_pairs = np.bincount(flat, minlength=spec.b_dist * spec.b_dir)
-    blame = bin_cost[flat] / per_bin_pairs[flat]
-    np.add.at(weights, iu, blame)
-    np.add.at(weights, ju, blame)
+    weights = np.zeros(len(pairs.dirs))
+    blame = bin_cost[pairs.bins] / pairs.counts[pairs.bins]
+    np.add.at(weights, pairs.i, blame)
+    np.add.at(weights, pairs.j, blame)
     return weights
 
 
@@ -222,8 +225,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
         plan = transport_plan(current_hist, cfg.target, cfg.params, warm=plan)
         # One binning of the current template's pairs gives the deletion
         # blame and the counts every candidate is moved from.
-        pairs = _pair_bins(current, spec)
-        counts = _PairCounts.from_pairs(current.dpi, spec, pairs)
+        pairs = _Pairs.of(current, spec)
         # Half the deletion draw follows the blame, half is uniform. The
         # blame sums to twice the plan cost, which is positive while the
         # EMD is above the threshold.
@@ -236,7 +238,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
         for index in range(cfg.batch_size):
             move = _propose(rng, current, cfg, delete_p)
             try:
-                cand_hist = counts.replaced(*move[1:]).histogram()
+                cand_hist = pairs.moved(*move[1:])
             except TooFewMinutiaeError:
                 continue  # all pairs beyond d_max; histogram undefined as a distribution
             scored.append((plan.lower_bound(cand_hist), index, cand_hist, move))
@@ -269,6 +271,7 @@ def assign_types(
     probability, else ending; seeded."""
     if not (0.0 <= p_bif_target <= 1.0):
         raise ValueError("p_bif_target must lie in [0, 1]")
+    _int(seed, "seed", 0)
     rng = np.random.default_rng([seed, 2])
     draws = rng.random(len(t.minutiae))
     minutiae = tuple(

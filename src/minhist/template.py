@@ -285,7 +285,11 @@ def load_template(path: Path | str) -> MinutiaTemplate:
     """Read one template file; finger/impression ids default from the filename
     <finger>_<impression>.mnt. A malformed file or id is a TemplateParseError."""
     path = Path(path)
-    t = parse_template(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TemplateParseError(f"not UTF-8 text: {exc}") from exc
+    t = parse_template(text)
     if (t.finger_id is None or t.impression_id is None) and "_" in path.stem:
         finger, impression = path.stem.rsplit("_", 1)
         try:

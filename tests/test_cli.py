@@ -445,10 +445,11 @@ def _edited(path, tmp_path, edit):
 
 
 def _dir_plus(src, tmp_path, text, name="99_1.mnt"):
-    """A copy of the template directory `src` with one more template."""
+    """A copy of the template directory `src` with one more template, given
+    as text or bytes."""
     copy = tmp_path / f"{src.name}_plus"
     shutil.copytree(src, copy)
-    (copy / name).write_text(text)
+    (copy / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(copy)
 
 
@@ -563,6 +564,11 @@ ERROR_CASES = {
     "report-malformed-in-dir": (2, lambda d, tmp: [
         "identify", "report", str(d["index"]), _dir_plus(d["gallery_dir"], tmp, MALFORMED)],
         "99_1.mnt"),
+    # A UnicodeDecodeError used to escape the loader, so the error named no
+    # file.
+    "enroll-not-utf8-in-dir": (2, lambda d, tmp: [
+        "identify", "enroll", _dir_plus(d["gallery_dir"], tmp, b"\xff" + NO_IRD.encode()),
+        "--out", str(tmp / "i.json")], "99_1.mnt: not UTF-8 text"),
     "train-template-without-finger-id": (64, lambda d, tmp: [
         "--config", str(d["config"]), "train", _dir_plus(d["real_dir"], tmp, NO_IRD, "loose.mnt"),
         str(d["synth_dir"]), "--out", str(tmp / "m.json")], "no finger id"),
@@ -688,6 +694,22 @@ ERROR_CASES = {
         d, tmp, "--threshold", "1", "--max-iters", "-3"), "max_iters"),
     "refine-threshold-nan": (64, lambda d, tmp: _refine(
         d, tmp, "--threshold", "nan", "--max-iters", "3"), "threshold"),
+    # Each of these used to exit 70 with a traceback from the draw, or 64
+    # with NumPy's message, which names no value.
+    "refine-foreground-nan": (64, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "0.01", "--foreground", "nan", "0", "100", "100"),
+        "foreground value must be a finite number >= 0, got nan"),
+    "refine-foreground-infinite": (64, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "0.01", "--foreground", "0", "0", "inf", "100"),
+        "foreground value must be a finite number >= 0, got inf"),
+    "refine-foreground-negative": (64, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "0.01", "--foreground", "-1", "0", "100", "100"),
+        "foreground value must be a finite number >= 0, got -1.0"),
+    "refine-seed-negative": (64, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "0.01", "--seed", "-1"),
+        "rng_seed must be an integer >= 0, got -1"),
+    "refine-field-angle-infinite": (64, lambda d, tmp: _refine(
+        d, tmp, "--threshold", "0.01", "--field-angle", "inf"), "field angle"),
     "index-mass-idx-too-large": (5, lambda d, tmp: _search(d, tmp, _edited(
         d["index"], tmp, _first_entry("mass_idx", _setitem(0, 10 ** 7)))), "mass_idx"),
     "index-mass-idx-beyond-int64": (5, lambda d, tmp: _search(d, tmp, _edited(

@@ -15,8 +15,7 @@ from minhist.histogram import (
     BinSpec,
     MinutiaeHistogram,
     TooFewMinutiaeError,
-    _pair_bins,
-    _PairCounts,
+    _Pairs,
     build_2dmh,
     build_4dmh,
 )
@@ -95,7 +94,7 @@ def test_builders_equal_pair_loop(t, spec):
     for b in sorted(occupied) + [next(b for b in range(n_bins) if b not in occupied)]:
         sink = n_bins - 1 if b == 0 else 0
         plan = TransportPlan(flow={(b, sink): 0.5}, total_cost=0.5 * cost[b, sink])
-        weights = _deletion_weights(_pair_bins(t, spec), plan, cfg)
+        weights = _deletion_weights(_Pairs.of(t, spec), plan, cfg)
         members = {m for i, j, di, ai in pairs if di * spec.b_dir + ai == b for m in (i, j)}
         assert set(np.flatnonzero(weights)) == members
         assert weights.sum() == pytest.approx(2 * plan.total_cost if members else 0.0)
@@ -113,7 +112,7 @@ ONE_PAIR = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0), Minutia(10.0, 0.0, 
 
 
 def _move(t, kind, k, m):
-    """(template after the move, (k, m) for _PairCounts.replaced)."""
+    """(template after the move, (k, m) for _Pairs.moved)."""
     minutiae, n = list(t.minutiae), len(t)
     if kind == "add":
         return replace(t, minutiae=(*minutiae, m)), (n, m)
@@ -127,9 +126,9 @@ def _move(t, kind, k, m):
     return replace(t, minutiae=tuple(minutiae)), (k, m)
 
 
-# Counts moved by one minutia at a time re-bin only that minutia's pairs;
-# after each move, raw and normalized, they are build_2dmh of the moved
-# template bit for bit. Coordinates are in the template's dpi: at 250 DPI
+# A move re-bins only the moved minutia's pairs; each move's histogram, from
+# the pairs of the template before it, is build_2dmh of the moved template
+# bit for bit. Coordinates are in the template's dpi: at 250 DPI
 # the grid points of COORDS lie 2x as far apart at 500 DPI, at 1000 and 333
 # DPI closer.
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -146,22 +145,18 @@ def _move(t, kind, k, m):
          moves=[("delete", 1, None), ("add", 0, Minutia(0.0, 40.0, 90.0))])
 def test_one_minutia_moves_equal_the_builder(t, dpi, spec, moves):
     t = replace(t, dpi=dpi)
-    counts = _PairCounts.from_pairs(dpi, spec, _pair_bins(t, spec))
     for kind, k, m in moves:
+        pairs = _Pairs.of(t, spec)
         t, move = _move(t, kind, k, m)
-        counts = counts.replaced(*move)
-        assert len(counts) == len(t)
-        for normalize in (False, True):
-            try:
-                want = build_2dmh(t, spec, normalize)
-            except TooFewMinutiaeError:
-                assert normalize  # no pair left
-                with pytest.raises(TooFewMinutiaeError):
-                    counts.histogram(normalize)
-                continue
-            got = counts.histogram(normalize)
-            assert got.mass.tobytes() == want.mass.tobytes()
-            assert (got.pair_count, got.normalized) == (want.pair_count, want.normalized)
+        try:
+            want = build_2dmh(t, spec)
+        except TooFewMinutiaeError:  # no pair left
+            with pytest.raises(TooFewMinutiaeError):
+                pairs.moved(*move)
+            continue
+        got = pairs.moved(*move)
+        assert got.mass.tobytes() == want.mass.tobytes()
+        assert (got.pair_count, got.normalized) == (want.pair_count, want.normalized)
 
 
 # Normalized 2D histograms on specs from 1x1 to 10x10, sparse (mostly empty

@@ -10,8 +10,7 @@ from minhist.histogram import (
     BinSpec,
     MinutiaeHistogram,
     TooFewMinutiaeError,
-    _pair_bins,
-    _PairCounts,
+    _Pairs,
     build_2dmh,
 )
 from minhist.realness import average_histogram
@@ -85,6 +84,17 @@ class TestOrientationField:
         with pytest.raises(ValueError):
             OrientationField(kind="swirl")
 
+    # An infinite angle or center used to surface only later, as a minutia
+    # direction of nan.
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"angle": float("inf")}, "field angle .* got inf"),
+        ({"angle": True}, "field angle"),
+        ({"kind": "radial", "center": (0.0, float("nan"))}, "field center .* got nan"),
+    ])
+    def test_angle_and_center_must_be_finite(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            OrientationField(**kwargs)
+
 
 class TestRefineConfig:
     def test_validation(self):
@@ -116,6 +126,26 @@ class TestRefineConfig:
     def test_threshold_must_be_finite(self, threshold):
         with pytest.raises(ValueError, match="threshold"):
             RefineConfig(target=target_histogram(), threshold=threshold)
+
+    # A non-finite corner used to overflow in the draw, and a negative one
+    # to fail mid-run or not, depending on the seed.
+    @pytest.mark.parametrize("foreground, shown", [
+        ((float("nan"), 0.0, 100.0, 100.0), "nan"),
+        ((0.0, 0.0, float("inf"), 100.0), "inf"),
+        ((-1.0, 0.0, 100.0, 100.0), "-1.0"),
+        ((0.0, 0.0, 100.0, "100"), "'100'"),
+    ])
+    def test_foreground_values_must_be_finite_and_non_negative(self, foreground, shown):
+        with pytest.raises(ValueError, match=f"foreground value must be a finite number >= 0,"
+                                             f" got {shown}"):
+            RefineConfig(target=target_histogram(), threshold=0.1, foreground=foreground)
+
+    # A seed is used as is by the generator, so a fraction or a string is
+    # refused, not coerced, and a negative one is named here, not by NumPy.
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+            RefineConfig(target=target_histogram(), threshold=0.1, rng_seed=seed)
 
 
 class TestInitTemplate:
@@ -199,21 +229,22 @@ class TestRefine:
         # either draws a candidate without a pair: it has no normalized
         # histogram, and the batch goes on without it.
         pairless = []
-        histogram = _PairCounts.histogram
+        moved = _Pairs.moved
 
-        def recording_histogram(counts, normalize=True):
+        def recording_moved(pairs, k, m):
             try:
-                return histogram(counts, normalize)
+                return moved(pairs, k, m)
             except TooFewMinutiaeError:
-                pairless.append(counts)
+                n = len(pairs.dirs)
+                pairless.append(n + (k == n) - (m is None))
                 raise
 
-        monkeypatch.setattr(_PairCounts, "histogram", recording_histogram)
+        monkeypatch.setattr(_Pairs, "moved", recording_moved)
         t = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0), Minutia(10.0, 0.0, 90.0),
                                       Minutia(1000.0, 1000.0, 45.0)), dpi=500)
         cfg = base_config(threshold=1e-6, max_iters=3, batch_size=10)
         result = refine(t, cfg)
-        assert pairless and all(len(c) == 2 for c in pairless)
+        assert pairless and all(n == 2 for n in pairless)
         assert all(row.move not in ("delete:0", "delete:1") for row in result.trace[:2])
         final = build_2dmh(result.template, SPEC)
         assert emd(final, cfg.target, cfg.params) == result.final_emd
@@ -443,7 +474,7 @@ class TestRefine:
         cfg = base_config(rng_seed=seed, count_distribution=(12, 30))
         current = init_template(cfg)
         plan = transport_plan(build_2dmh(current, SPEC), cfg.target, cfg.params)
-        weights = _deletion_weights(_pair_bins(current, SPEC), plan, cfg)
+        weights = _deletion_weights(_Pairs.of(current, SPEC), plan, cfg)
         assert plan.total_cost > 0
         assert weights.sum() == pytest.approx(2 * plan.total_cost, rel=1e-12, abs=0)
 
@@ -489,6 +520,11 @@ class TestAssignTypes:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             assign_types(self._template(), 1.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            assign_types(self._template(), 0.5, seed=seed)
 
     def test_geometry_untouched(self):
         t = self._template()

@@ -158,6 +158,12 @@ class TestFlowNetwork:
                 np.testing.assert_allclose(
                     paths, build_cost_matrix(spec, params), rtol=1e-12, atol=0)
 
+    def test_flow_with_a_cycle_is_rejected(self):
+        # Each node of a two-arc cycle waits for the other, so neither is
+        # ever ready: the flow cannot be taken apart into paths.
+        with pytest.raises(RuntimeError, match="transport flow has a cycle"):
+            transport._paths(np.array([0, 1]), np.array([1, 0]), np.array([1, 1]), np.zeros(2))
+
     @pytest.mark.parametrize("network", ["e=1", "e=1.5", "e=2", "solve_transport"])
     def test_model_matrix_is_the_incidence_matrix(self, monkeypatch, network):
         # HiGHS gets the node-arc incidence matrix column-wise, two entries
@@ -564,6 +570,23 @@ class TestEmd:
         return {"emd": lambda: emd(h1, h2, params),
                 "transport_plan": lambda: transport_plan(h1, h2, params),
                 "solve_transport": lambda: solve_transport(h1.mass, h2.mass, cost)}
+
+    @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
+    def test_rejected_model_raises(self, monkeypatch, solver):
+        # A binding that refuses the model: the error says so and no model
+        # is kept.
+        class NoModel(transport._Highs):
+            def passModel(self, lp):
+                return transport.HighsStatus.kError
+
+        rng = np.random.default_rng(27)
+        h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
+        solve = self._solvers(h1, h2, CostParams(1.0, 2.0, 2.0))[solver]
+        monkeypatch.setattr(transport, "_Highs", NoModel)
+        transport._warm_model.cache_clear()
+        with pytest.raises(RuntimeError, match="^transportation model rejected by HiGHS$"):
+            solve()
+        assert transport._warm_model.cache_info().currsize == 0
 
     @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
     def test_every_option_reaches_the_model(self, monkeypatch, solver):
