@@ -86,9 +86,11 @@ class MinutiaeHistogram:
 
     def __post_init__(self) -> None:
         shape = _mass_shape(self.spec, self.dims)
-        if np.shape(self.mass) != shape:
+        # A float64 array passes through as it is; a non-numeric mass raises.
+        self.mass = np.asarray(self.mass, dtype=float)
+        if self.mass.shape != shape:
             raise ValueError(f"mass of a {self.dims}D histogram on this spec must have shape"
-                             f" {shape}, got {np.shape(self.mass)}")
+                             f" {shape}, got {self.mass.shape}")
 
     def total(self) -> float:
         return float(self.mass.sum())

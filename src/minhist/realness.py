@@ -49,7 +49,8 @@ _WEIGHT_GRIDS = ("w0_grid", "w1_grid", "side_grid")
 
 
 class EmptyClassError(ValueError):
-    """A class has no templates in a set that training needs."""
+    """A class has no templates in a set that training needs, or a test set
+    has no template that evaluation can score."""
 
 
 @dataclass
@@ -440,7 +441,8 @@ class EvaluationReport:
 
 def evaluate(model: ClassModel, templates: Sequence[MinutiaTemplate]) -> EvaluationReport:
     """Percent-correct report over a labeled test set; templates without a
-    minutiae pair within d_max are skipped and counted."""
+    minutiae pair within d_max are skipped and counted. Raises
+    EmptyClassError when no template is left to score."""
     rows: List[Tuple[str, str, RealnessScore]] = []
     correct: Dict[str, int] = {REAL: 0, SYNTHETIC: 0}
     totals: Dict[str, int] = {REAL: 0, SYNTHETIC: 0}
@@ -459,7 +461,8 @@ def evaluate(model: ClassModel, templates: Sequence[MinutiaTemplate]) -> Evaluat
             correct[t.label] += 1
     n = sum(totals.values())
     if n == 0:
-        raise ValueError("empty test set")
+        raise EmptyClassError(
+            f"empty test set: {skipped} skipped without a minutiae pair within d_max")
     per_class = {
         label: (100.0 * correct[label] / totals[label]) if totals[label] else float("nan")
         for label in (REAL, SYNTHETIC)

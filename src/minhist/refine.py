@@ -48,7 +48,7 @@ from .histogram import (
     _Pairs,
     build_2dmh,
 )
-from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate, _int, _real
+from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate, _int, _mod, _real
 from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
 
 
@@ -70,9 +70,9 @@ class OrientationField:
     def orientation(self, x: float, y: float) -> float:
         """Local ridge orientation in [0, 180) degrees."""
         if self.kind == "constant":
-            return self.angle % 180.0
+            return _mod(self.angle, 180.0)
         dx, dy = x - self.center[0], y - self.center[1]
-        return float(np.degrees(np.arctan2(dy, dx))) % 180.0
+        return _mod(float(np.degrees(np.arctan2(dy, dx))), 180.0)
 
 
 @dataclass
@@ -112,7 +112,7 @@ def _draw_minutia(rng: np.random.Generator, cfg: RefineConfig) -> Minutia:
     x = float(rng.uniform(x0, x1))
     y = float(rng.uniform(y0, y1))
     theta = cfg.orientation_field.orientation(x, y)
-    direction = (theta + 180.0 * rng.integers(0, 2)) % 360.0
+    direction = theta + 180.0 * rng.integers(0, 2)
     return Minutia(x=x, y=y, direction=float(direction), mtype=UNKNOWN)
 
 
@@ -187,7 +187,7 @@ def _propose(
         return f"delete:{idx}", idx, None
     idx = int(rng.integers(0, len(t)))
     m = t.minutiae[idx]
-    return f"flip:{idx}", idx, replace(m, direction=(m.direction + 180.0) % 360.0)
+    return f"flip:{idx}", idx, replace(m, direction=m.direction + 180.0)
 
 
 def _moved(t: MinutiaTemplate, k: int, m: Optional[Minutia]) -> MinutiaTemplate:

@@ -72,6 +72,13 @@ def _int(value, name: str, minimum: int):
     return value
 
 
+def _mod(angle, period: float):
+    """angle modulo period, in [0, period): the float remainder of a tiny
+    negative angle rounds up to period itself, which wraps to 0.0."""
+    angle %= period
+    return 0.0 if angle == period else angle
+
+
 def _token(value, name: str) -> str:
     """An id: it is written as one header token, and '#' starts a comment."""
     if not (isinstance(value, str) and value.split() == [value] and "#" not in value):
@@ -123,7 +130,8 @@ class Minutia:
     def __post_init__(self) -> None:
         _real(self.x, "minutia x", minimum=0)
         _real(self.y, "minutia y", minimum=0)
-        object.__setattr__(self, "direction", _real(self.direction, "minutia direction") % 360.0)
+        direction = _mod(_real(self.direction, "minutia direction"), 360.0)
+        object.__setattr__(self, "direction", direction)
         if self.mtype not in (ENDING, BIFURCATION, UNKNOWN):
             raise ValueError(f"unknown minutia type: {self.mtype!r}")
 

@@ -41,23 +41,25 @@ duals.
 
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
-model alive between solves. Every solve runs on a `_FlowModel`, which owns
-the HiGHS model, its options (HIGHS_OPTIONS), its supplies and the checks
-of each solve.
-`solve_transport` builds a fresh model per call, and so does
-`transport_plan` by default, so a plan depends only on its inputs: the
-optimal vertex a warm model ends on depends on what it solved before.
-`transport_plan(..., warm=plan)` instead takes over the model of an earlier
-plan, which no other caller can reach: a chain of plans (one refine run)
-restarts each solve from the one before, and each plan depends on its
-inputs and on the plans before it in the chain. `emd` keeps one model, for
-the most recent (spec, params): successive calls differ only in their
-supplies, so the previous optimal basis stays dual feasible and the dual
-simplex restarts from it (Huangfu & Hall, Math. Prog. Comp. 2018). Against a fresh
-model per call this cuts the benchmark's realness op by about 30%; there
-97% of the `emd` calls find the model of their (spec, params) kept,
-and on refine and population all but the first do. A lock serialises the
-calls that share that model: threads calling `emd` solve one at a time.
+model alive between solves. Every solve runs on a `_FlowModel`, the only
+code that calls the binding: it owns the HiGHS model, its options
+(HIGHS_OPTIONS), its supplies and the checks of each solve.
+`solve_transport` builds a fresh model per call. On histograms one rule,
+`_model`, builds or reuses every model: a model held for the same (spec,
+params) takes the new supplies, and the dual simplex restarts from its
+previous optimal basis, which stays dual feasible (Huangfu & Hall, Math.
+Prog. Comp. 2018); otherwise a fresh model is built with them. Where
+several flows are optimal, the vertex a reused model ends on depends on
+what it solved before, so a model is held only where that history is
+wanted. `emd` holds one model, for the most recent (spec, params), and
+reads only the value; against a fresh model per call this cuts the
+benchmark's realness op by about 30%, and there 97% of the `emd` calls find
+the model of their (spec, params) held, and on refine and population all
+but the first do. A lock serialises the calls that share it: threads
+calling `emd` solve one at a time. A plan holds the model of its own solve,
+which only `transport_plan(..., warm=plan)` can take over, so a chain of
+plans (one refine run) depends on nothing solved outside it. A model whose
+solve failed or was interrupted is dropped, never held.
 """
 
 from __future__ import annotations
@@ -129,18 +131,15 @@ class TransportPlan:
     entries are stored. total_cost is the exact optimum, correctly rounded.
     lower_bound is set by transport_plan (None otherwise): the _DualBound of
     the same solve. It is a result, not an argument, and takes no part in
-    == or repr; nor does the HiGHS model a plan keeps for a later
-    transport_plan(..., warm=plan).
+    == or repr; nor does _model, the model of the solve, which the plan
+    holds until a later transport_plan(..., warm=plan) takes it over.
     """
 
     flow: Dict[Tuple[int, int], float]
     total_cost: float
     lower_bound: Optional[_DualBound] = field(default=None, init=False, repr=False,
                                               compare=False)
-    # transport_plan's model, with its network's (spec, params), until a
-    # later plan takes it over (warm=).
-    _model: Optional[Tuple[Tuple[BinSpec, CostParams], _FlowModel]] = field(
-        default=None, init=False, repr=False, compare=False)
+    _model: Optional[_FlowModel] = field(default=None, init=False, repr=False, compare=False)
 
 
 def _axis_costs(spec: BinSpec, params: CostParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -249,11 +248,14 @@ class _FlowModel:
     and costs more time than that saves. A node-arc incidence matrix is
     totally unimodular and b_eq, of which the model keeps a copy, integral,
     so an integral optimal vertex exists. The binding reports failures by
-    status, not by exception: each is checked."""
+    status, not by exception: each is checked. network is the (spec, params)
+    of the _flow_network modelled, or None for a dense problem."""
 
     def __init__(self, arc_cost: np.ndarray, tails: np.ndarray, heads: np.ndarray,
-                 b_eq: np.ndarray):
+                 b_eq: np.ndarray, network: Optional[Tuple[BinSpec, CostParams]] = None):
         self.arc_cost, self.tails, self.heads, self.b_eq = arc_cost, tails, heads, b_eq.copy()
+        self.network = network
+        self.solution = None
         lp = HighsLp()
         lp.num_col_, lp.num_row_ = arc_cost.size, b_eq.size
         lp.col_cost_ = arc_cost
@@ -284,7 +286,8 @@ class _FlowModel:
 
     def solve(self):
         """Returns (arcs, flow, total_cost): the arcs with nonzero flow,
-        their integral flows, and the exact optimum / MASS_SCALE. Raises
+        their integral flows, and the exact optimum / MASS_SCALE; the HiGHS
+        solution, with its row duals, is kept as self.solution. Raises
         RuntimeError unless HiGHS reports an optimum and the snapped flow is
         feasible: non-negative, with a net flow out of each node equal to
         its supply, summed in int64."""
@@ -294,7 +297,7 @@ class _FlowModel:
             raise RuntimeError(
                 f"transportation solve failed: {self.highs.modelStatusToString(model_status)}"
             )
-        solution = self.highs.getSolution()
+        self.solution = solution = self.highs.getSolution()
         # Integral supplies imply an integral optimal vertex; snap off float fuzz.
         flow_int = np.rint(np.asarray(solution.col_value)).astype(np.int64)
         arcs = np.flatnonzero(flow_int)
@@ -379,14 +382,21 @@ def _flow_network(spec: BinSpec, params: CostParams):
     return n_nodes, arc_cost, tails, heads
 
 
-@lru_cache(maxsize=1)
-def _warm_model(spec: BinSpec, params: CostParams) -> _FlowModel:
-    """The one model emd keeps, on the network of _flow_network(spec,
-    params). Only the most recent (spec, params) is kept: an e = 2 model
-    holds about 2 MB. Use it only under _WARM_LOCK."""
-    n_nodes, arc_cost, tails, heads = _flow_network(spec, params)
-    return _FlowModel(arc_cost, tails, heads, np.zeros(n_nodes))
+def _model(network: Tuple[BinSpec, CostParams], b_eq: np.ndarray,
+           held: Optional[_FlowModel]) -> _FlowModel:
+    """The model to solve the network of _flow_network(*network) on, with
+    supplies b_eq: held, re-supplied, when it models that network, else a
+    fresh model built with them."""
+    if held is not None and held.network == network:
+        held.supply(b_eq)
+        return held
+    _, arc_cost, tails, heads = _flow_network(*network)
+    return _FlowModel(arc_cost, tails, heads, b_eq, network)
 
+
+# The one model emd holds, for the most recent (spec, params): an e = 2
+# model holds about 2 MB. Read and replaced only under _WARM_LOCK.
+_kept_model: Optional[_FlowModel] = None
 
 # Two threads driving one HiGHS model at once can crash the process.
 _WARM_LOCK = threading.Lock()
@@ -546,17 +556,16 @@ def transport_plan(
     network's exact optimum, the same value as emd. Raises ValueError as
     emd does, and for a warm plan of another (spec, params).
 
-    With warm None the solve runs on a fresh HiGHS model, so the plan
-    depends only on its inputs. The plan keeps that model (about 0.4 MB on
-    the default bins at e = 1, 1 MB at e = 2) until a later plan takes it
-    over or the plan is dropped. Given a plan of the same (spec, params) as
-    warm, the new plan takes warm's model over, and the dual simplex
-    restarts from warm's optimal basis: a chain of plans, each warm on the
-    one before, solves faster, but where several flows are optimal, which
-    one a plan returns depends on the plans before it in the chain as well,
-    and on nothing else. A model passes on once, also through a plan that
-    needed no solve; a warm plan that holds none gives a fresh model. A
-    failed solve drops the model.
+    The solve runs on the model _model gives for warm's: a fresh one when
+    warm is None or holds no model, so the plan depends only on its inputs;
+    else warm's model, which must be of the same (spec, params) and which
+    the new plan takes over. So a chain of plans, each warm on the one
+    before, solves faster, but where several flows are optimal, which one a
+    plan returns depends on the plans before it in the chain as well, and
+    on nothing else. A plan holds its model (about 0.4 MB on the default
+    bins at e = 1, 1 MB at e = 2) until a later plan takes it over or the
+    plan is dropped. A model passes on once, also through a plan that
+    needed no solve, and a failed solve drops it.
 
     The plan's lower_bound is the _DualBound of the row duals and slack of
     the same solve: a lower bound on emd(h, h2, params) for every h, tight
@@ -564,9 +573,9 @@ def transport_plan(
     """
     marginals, b_eq = _node_supplies(h1, h2, params)
     network = (h1.spec, params)
-    held = None if warm is None else warm._model
-    if held is not None:
-        if held[0] != network:
+    model = None if warm is None else warm._model
+    if model is not None:
+        if model.network != network:
             raise ValueError("the warm plan is of another bin specification or cost parameters")
         warm._model = None
     units, total_cost, potentials, slack = {}, 0.0, None, 0.0
@@ -579,16 +588,11 @@ def transport_plan(
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        _, arc_cost, tails, heads = _flow_network(*network)
-        if held is None:
-            held = (network, _FlowModel(arc_cost, tails, heads, b_eq))
-        else:
-            held[1].supply(b_eq)
-        model = held[1]
+        model = _model(network, b_eq, model)
         arcs, arc_flow, total_cost = model.solve()
-        solution = model.highs.getSolution()
-        if solution.dual_valid:
-            y = np.asarray(solution.row_dual, dtype=float)
+        arc_cost, tails, heads = model.arc_cost, model.tails, model.heads
+        if model.solution.dual_valid:
+            y = np.asarray(model.solution.row_dual, dtype=float)
             slack = float(np.max(y[tails] - y[heads] - arc_cost, initial=0.0))
             # Potentials far from dual feasible would give a useless bound.
             if np.isfinite(y).all() and slack <= SLACK_TOL * arc_cost.max():
@@ -601,7 +605,7 @@ def transport_plan(
     flow = {key: moved / MASS_SCALE for key, moved in sorted(units.items()) if moved}
     plan = TransportPlan(flow=flow, total_cost=total_cost)
     plan.lower_bound = _DualBound(h2, params, potentials, slack)
-    plan._model = held
+    plan._model = model
     return plan
 
 
@@ -612,21 +616,22 @@ def emd(
 
     The optimal value of the problem transport_plan solves, found on the
     smaller network of _flow_network without building a plan. The solve
-    restarts from the basis of the previous call with the same (spec,
-    params); the value is the correctly rounded optimum whatever was solved
-    before. Raises ValueError for parameters outside check_cost_range, even
-    where the value would be 0.
+    runs on the model emd holds, when the previous call had the same (spec,
+    params), and restarts from its basis (_model); the value is the
+    correctly rounded optimum whatever was solved before. Raises
+    ValueError for parameters outside check_cost_range, even where the
+    value would be 0.
     """
+    global _kept_model
     b_eq = _node_supplies(h1, h2, params)[1]
     if b_eq is None:
         return 0.0
     with _WARM_LOCK:
-        model = _warm_model(h1.spec, params)
-        try:
-            model.supply(b_eq)
-            return model.solve()[2]
-        except BaseException:
-            # A failed or interrupted solve leaves no trusted basis: the
-            # next call builds the model afresh.
-            _warm_model.cache_clear()
-            raise
+        # Out of the slot until its solve succeeds: a failed or interrupted
+        # solve leaves no trusted basis, and so no model. A model of another
+        # network is freed before the new one solves.
+        model, _kept_model = _kept_model, None
+        model = _model((h1.spec, params), b_eq, model)
+        value = model.solve()[2]
+        _kept_model = model
+    return value

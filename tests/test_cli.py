@@ -453,6 +453,15 @@ def _dir_plus(src, tmp_path, text, name="99_1.mnt"):
     return str(copy)
 
 
+def _dir_of(tmp_path, name, *texts):
+    """A template directory holding the given texts, as 1_1.mnt, 2_1.mnt, ..."""
+    path = tmp_path / name
+    path.mkdir()
+    for k, text in enumerate(texts, 1):
+        (path / f"{k}_1.mnt").write_text(text)
+    return str(path)
+
+
 def _avg_real(edit):
     return lambda payload: edit(payload["avg_real"]["mass"])
 
@@ -558,6 +567,13 @@ ERROR_CASES = {
     "evaluate-malformed-in-dir": (2, lambda d, tmp: [
         "evaluate", str(d["model"]), _dir_plus(d["real_dir"], tmp, MALFORMED),
         str(d["synth_dir"])], "99_1.mnt"),
+    # Nothing to score used to exit 64, as if the command line were wrong.
+    "evaluate-nothing-scorable": (4, lambda d, tmp: [
+        "evaluate", str(d["model"]), _dir_of(tmp, "real", FAR_PAIR),
+        _dir_of(tmp, "synth", FAR_PAIR, FAR_PAIR)], "empty test set: 3 skipped"),
+    "evaluate-empty-directories": (4, lambda d, tmp: [
+        "evaluate", str(d["model"]), _dir_of(tmp, "real"), _dir_of(tmp, "synth")],
+        "empty test set: 0 skipped"),
     "enroll-malformed-in-dir": (2, lambda d, tmp: [
         "identify", "enroll", _dir_plus(d["gallery_dir"], tmp, MALFORMED),
         "--out", str(tmp / "i.json")], "99_1.mnt"),

@@ -347,3 +347,19 @@ def test_mass_must_fit_the_spec(dims, shape, match):
     mass = np.full(shape, 1.0 / np.prod(shape))
     with pytest.raises(ValueError, match=match):
         MinutiaeHistogram(spec=BinSpec(), dims=dims, mass=mass, normalized=True, pair_count=1)
+
+
+def test_mass_is_held_as_a_float_array():
+    # A list of lists passed the shape check, then failed in total() and
+    # emd with "'list' object has no attribute 'sum'".
+    spec = BinSpec(b_dist=3, b_dir=3)
+    h = MinutiaeHistogram(spec=spec, dims=2, mass=[[0.0] * 3] * 3, normalized=True,
+                          pair_count=1)
+    assert h.mass.dtype == np.float64 and h.mass.shape == (3, 3)
+    assert h.total() == 0.0
+    array = np.full((3, 3), 1.0 / 9)
+    assert MinutiaeHistogram(spec=spec, dims=2, mass=array, normalized=True,
+                             pair_count=1).mass is array
+    with pytest.raises(ValueError):
+        MinutiaeHistogram(spec=spec, dims=2, mass=[["a"] * 3] * 3, normalized=True,
+                          pair_count=1)

@@ -291,7 +291,7 @@ def test_solve_transport_basic_on_tied_costs(problem):
 @given(hists=_histograms(4), params=PARAMS, other_params=PARAMS, other_spec=_histograms(2))
 def test_emd_independent_of_earlier_solves(hists, params, other_params, other_spec):
     a, b, c, d = hists
-    transport._warm_model.cache_clear()
+    transport._kept_model = None
     cold = emd(a, b, params)
     for before in ([(c, d, params)], [(c, d, other_params)],
                    [(*other_spec, params), (c, d, params)], [(b, a, params)]):
@@ -403,10 +403,10 @@ def test_failed_solve_drops_the_kept_model():
                                     pair_count=1)
                   for m in rng.random((3, 6, 6)))
     emd(h1, h2, params)
-    highs = transport._warm_model(spec, params).highs
+    highs = transport._kept_model.highs
     highs.setOptionValue("simplex_iteration_limit", 0)
     with pytest.raises(RuntimeError, match="transportation solve failed"):
         emd(h3, h2, params)
-    assert transport._warm_model.cache_info().currsize == 0
+    assert transport._kept_model is None
     want = linprog_transport_cost(h3.mass.ravel(), h2.mass.ravel(), build_cost_matrix(spec, params))
     assert emd(h3, h2, params) == want

@@ -84,6 +84,14 @@ class TestOrientationField:
         with pytest.raises(ValueError):
             OrientationField(kind="swirl")
 
+    # The float remainder of a tiny negative angle by 180 rounds up to 180.0.
+    @pytest.mark.parametrize("field, x, y", [
+        (OrientationField(angle=-1e-20), 0.0, 0.0),
+        (OrientationField(kind="radial"), 1.0, -1e-300),
+    ])
+    def test_orientation_lies_in_0_180(self, field, x, y):
+        assert field.orientation(x, y) == 0.0
+
     # An infinite angle or center used to surface only later, as a minutia
     # direction of nan.
     @pytest.mark.parametrize("kwargs, message", [
@@ -381,7 +389,7 @@ class TestRefine:
         # behind the deletion blame must not, or the trajectory would follow
         # whatever was solved before. The first run starts on no kept model.
         cfg = base_config(threshold=1e-6, max_iters=12, rng_seed=seed)
-        transport._warm_model.cache_clear()
+        transport._kept_model = None
         first = refine(init_template(cfg), cfg)
         rng = np.random.default_rng(52)
         other_spec = BinSpec(b_dist=6, b_dir=7)
@@ -427,12 +435,15 @@ class TestRefine:
             other = replace(cfg, rng_seed=seed + 100)
             refine(init_template(other), other)
 
-        transport._warm_model.cache_clear()
+        def no_kept_model():
+            transport._kept_model = None
+
+        no_kept_model()
         alone = run()
         for before in (solves((SPEC, cfg.params)),
                        solves((SPEC, CostParams(0.5, 2.0, 1.0)),
                               (BinSpec(b_dist=6, b_dir=7), CostParams(1.0, 2.0, 2.0))),
-                       other_run, transport._warm_model.cache_clear):
+                       other_run, no_kept_model):
             before()
             assert run() == alone
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from minhist.histogram import fold_direction_difference
 from minhist.template import (
     BIFURCATION,
     ENDING,
@@ -243,6 +244,18 @@ class TestBifurcationPercentage:
 def test_direction_normalized_on_construction():
     assert Minutia(0.0, 0.0, -10.0).direction == 350.0
     assert Minutia(0.0, 0.0, 360.0).direction == 0.0
+
+
+# The float remainder of -1e-20 by 360 rounds up to 360.0 itself, which used
+# to be kept, serialized as 360.0 and parsed back as 0.0.
+@pytest.mark.parametrize("direction", [-1e-20, -0.0, 360.0, -360.0])
+def test_direction_lies_in_0_360_and_round_trips(direction):
+    parsed = parse_template(f"dpi 500\n1 2 {direction!r} E\n").minutiae[0]
+    for m in (Minutia(x=1.0, y=2.0, direction=direction), parsed):
+        assert 0.0 <= m.direction < 360.0
+        assert fold_direction_difference(m.direction, 10.0) == 10.0 - m.direction
+        t = MinutiaTemplate(minutiae=(m,))
+        assert parse_template(serialize_template(t)) == t
 
 
 def test_invalid_minutia_rejected():

@@ -459,7 +459,7 @@ class TestEmd:
         problems = [(h, hists[0], CostParams(e=e)) for h in hists[1:] for e in (1.0, 2.0)]
         want = []
         for h1, h2, params in problems:
-            transport._warm_model.cache_clear()
+            transport._kept_model = None
             want.append(emd(h1, h2, params))
         wrong = []
 
@@ -499,18 +499,19 @@ class TestEmd:
                 return super().changeRowBounds(row, lower, upper)
 
         monkeypatch.setattr(transport, "_Highs", RefusesOnce)
-        transport._warm_model.cache_clear()
+        transport._kept_model = None
         rng = np.random.default_rng(24)
         params = CostParams(1.0, 2.0, 2.0)
         h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
+        emd(h3, h2, params)  # a fresh model is built with its supplies
         with pytest.raises(RuntimeError, match="rejected the supply"):
             emd(h1, h2, params)
-        assert transport._warm_model.cache_info().currsize == 0
+        assert transport._kept_model is None
         cost = build_cost_matrix(h1.spec, params)
         for a, b in ((h3, h2), (h1, h2)):
             want = linprog_transport_cost(a.mass.ravel(), b.mass.ravel(), cost)
             assert emd(a, b, params) == want
-        transport._warm_model.cache_clear()
+        transport._kept_model = None
 
     @pytest.mark.parametrize("e", [1.0, 2.0])
     def test_infeasible_flow_is_rejected(self, monkeypatch, e):
@@ -528,13 +529,13 @@ class TestEmd:
                 return solution
 
         monkeypatch.setattr(transport, "_Highs", Shifted)
-        transport._warm_model.cache_clear()
+        transport._kept_model = None
         rng = np.random.default_rng(25)
         h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
         params = CostParams(1.0, 2.0, e)
         with pytest.raises(RuntimeError, match="does not meet the supplies"):
             emd(h1, h2, params)
-        assert transport._warm_model.cache_info().currsize == 0
+        assert transport._kept_model is None
         with pytest.raises(RuntimeError, match="does not meet the supplies"):
             transport_plan(h1, h2, params)
         with pytest.raises(RuntimeError, match="does not meet the supplies"):
@@ -556,10 +557,10 @@ class TestEmd:
                  "transport_plan": lambda: transport_plan(h1, h2, params),
                  "solve_transport": lambda: solve_transport(h1.mass, h2.mass, cost)}[solver]
         monkeypatch.setattr(transport, "_Highs", NoOptions)
-        transport._warm_model.cache_clear()
+        transport._kept_model = None
         with pytest.raises(RuntimeError, match="output_flag"):
             solve()
-        assert transport._warm_model.cache_info().currsize == 0
+        assert transport._kept_model is None
         monkeypatch.undo()
         assert emd(h1, h2, params) == linprog_transport_cost(h1.mass.ravel(), h2.mass.ravel(),
                                                              cost)
@@ -583,10 +584,10 @@ class TestEmd:
         h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
         solve = self._solvers(h1, h2, CostParams(1.0, 2.0, 2.0))[solver]
         monkeypatch.setattr(transport, "_Highs", NoModel)
-        transport._warm_model.cache_clear()
+        transport._kept_model = None
         with pytest.raises(RuntimeError, match="^transportation model rejected by HiGHS$"):
             solve()
-        assert transport._warm_model.cache_info().currsize == 0
+        assert transport._kept_model is None
 
     @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
     def test_every_option_reaches_the_model(self, monkeypatch, solver):
@@ -608,15 +609,15 @@ class TestEmd:
         h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
         params = CostParams(1.0, 2.0, 2.0)
         monkeypatch.setattr(transport, "_Highs", Recording)
-        transport._warm_model.cache_clear()
+        transport._kept_model = None
         self._solvers(h1, h2, params)[solver]()
         assert len(models) == 1
         assert models[0].options == list(transport.HIGHS_OPTIONS)
         for name, value in transport.HIGHS_OPTIONS:
             assert models[0].getOptionValue(name) == (transport.HighsStatus.kOk, value)
         if solver == "emd":
-            assert transport._warm_model(h1.spec, params).highs is models[0]
-        transport._warm_model.cache_clear()
+            assert transport._kept_model.highs is models[0]
+        transport._kept_model = None
 
     @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
     @pytest.mark.parametrize("refused", [name for name, _ in transport.HIGHS_OPTIONS])
@@ -633,10 +634,10 @@ class TestEmd:
         h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
         solve = self._solvers(h1, h2, CostParams(1.0, 2.0, 1.0))[solver]
         monkeypatch.setattr(transport, "_Highs", RefusesOne)
-        transport._warm_model.cache_clear()
+        transport._kept_model = None
         with pytest.raises(RuntimeError, match=f"rejected the option {refused}$"):
             solve()
-        assert transport._warm_model.cache_info().currsize == 0
+        assert transport._kept_model is None
 
     def test_plans_do_not_evict_the_kept_model(self):
         # Refine alternates transport_plan and emd on one (spec, params);
@@ -645,11 +646,85 @@ class TestEmd:
         h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
         params = CostParams(1.0, 2.0, 2.0)
         emd(h1, h2, params)
-        misses = transport._warm_model.cache_info().misses
+        kept = transport._kept_model
         transport_plan(h3, h2, params)
         solve_transport(h3.mass, h2.mass, build_cost_matrix(h1.spec, params))
         emd(h3, h2, params)
-        assert transport._warm_model.cache_info().misses == misses
+        assert transport._kept_model is kept
+
+    @pytest.mark.parametrize("solver", ["emd", "transport_plan"])
+    def test_a_fresh_model_is_built_with_its_supplies(self, monkeypatch, solver):
+        # One rule builds or reuses a model: a fresh one gets its supplies
+        # from passModel, and only a reused one changes row bounds.
+        changes = []
+
+        class Recording(transport._Highs):
+            def changeRowBounds(self, row, lower, upper):
+                changes.append(row)
+                return super().changeRowBounds(row, lower, upper)
+
+        rng = np.random.default_rng(33)
+        h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
+        params = CostParams(1.0, 2.0, 2.0)
+        monkeypatch.setattr(transport, "_Highs", Recording)
+        transport._kept_model = None
+        if solver == "emd":
+            emd(h1, h2, params)
+            assert changes == []
+            assert emd(h3, h2, params) == transport_plan(h3, h2, params).total_cost
+        else:
+            first = transport_plan(h1, h2, params)
+            assert changes == []
+            transport_plan(h3, h2, params, warm=first)
+        assert changes
+        transport._kept_model = None
+
+    def test_a_plan_reads_the_solution_once(self, monkeypatch):
+        reads = []
+
+        class Recording(transport._Highs):
+            def getSolution(self):
+                reads.append(self)
+                return super().getSolution()
+
+        rng = np.random.default_rng(34)
+        h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
+        monkeypatch.setattr(transport, "_Highs", Recording)
+        first = transport_plan(h1, h2)
+        assert len(reads) == 1
+        second = transport_plan(h3, h2, warm=first)
+        assert len(reads) == 2 and reads[1] is reads[0]
+        assert second.lower_bound.potentials is not None
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_interrupted_solve_leaves_no_kept_model(self, monkeypatch, held):
+        # An interrupt inside HiGHS leaves the model at an unknown basis: it
+        # propagates, the model is not kept, and the next value is exact.
+        class Interruptible(transport._Highs):
+            interrupt = False
+
+            def run(self):
+                if Interruptible.interrupt:
+                    raise KeyboardInterrupt
+                return super().run()
+
+        rng = np.random.default_rng(35)
+        h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
+        params = CostParams(1.0, 2.0, 2.0)
+        monkeypatch.setattr(transport, "_Highs", Interruptible)
+        transport._kept_model = None
+        if held:
+            emd(h1, h2, params)
+            assert transport._kept_model is not None
+        Interruptible.interrupt = True
+        with pytest.raises(KeyboardInterrupt):
+            emd(h3, h2, params)
+        assert transport._kept_model is None
+        Interruptible.interrupt = False
+        cost = build_cost_matrix(h1.spec, params)
+        assert emd(h3, h2, params) == linprog_transport_cost(h3.mass.ravel(), h2.mass.ravel(),
+                                                             cost)
+        transport._kept_model = None
 
     @pytest.mark.parametrize("change", ["params", "spec"])
     def test_warm_plan_of_another_network_rejected(self, change):
@@ -670,11 +745,11 @@ class TestEmd:
         rng = np.random.default_rng(31)
         h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
         first = transport_plan(h1, h3)
-        model = first._model[1]
+        model = first._model
         second = transport_plan(h2, h3, warm=first)
-        assert first._model is None and second._model[1] is model
+        assert first._model is None and second._model is model
         third = transport_plan(h1, h3, warm=first)  # nothing left to take over
-        assert third._model[1] is not model
+        assert third._model is not model
         assert third == transport_plan(h1, h3) == first
 
     def test_failed_warm_solve_drops_the_model(self):
@@ -684,7 +759,7 @@ class TestEmd:
         h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
         params = CostParams(1.0, 2.0, 2.0)
         first = transport_plan(h1, h3, params)
-        first._model[1].highs.setOptionValue("simplex_iteration_limit", 0)
+        first._model.highs.setOptionValue("simplex_iteration_limit", 0)
         with pytest.raises(RuntimeError, match="transportation solve failed"):
             transport_plan(h2, h3, params, warm=first)
         assert first._model is None
