@@ -24,7 +24,7 @@ import numpy as np
 
 from .histogram import MinutiaeHistogram
 from .realness import average_histogram
-from .template import _int, _real
+from .template import _int, _real, _write_csv
 from .transport import CostParams, emd
 
 
@@ -61,10 +61,7 @@ class DistanceMatrix:
         return cls(labels=labels, d=np.array(rows))
 
     def to_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for label, row in zip(self.labels, self.d):
-                writer.writerow([label, *row.tolist()])
+        _write_csv(path, ([label, *row.tolist()] for label, row in zip(self.labels, self.d)))
 
 
 @dataclass
@@ -75,12 +72,9 @@ class MDSResult:
     flagged_dims: List[int]  # requested dims backed by negative eigenvalues
 
     def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            dims = self.coords.shape[1]
-            writer.writerow(["label"] + [f"dim{k}" for k in range(1, dims + 1)])
-            for label, row in zip(self.labels, self.coords):
-                writer.writerow([label, *row.tolist()])
+        header = ["label"] + [f"dim{k}" for k in range(1, self.coords.shape[1] + 1)]
+        rows = [[label, *row.tolist()] for label, row in zip(self.labels, self.coords)]
+        _write_csv(path, [header, *rows])
 
 
 def mds_embed(dm: DistanceMatrix, dims: int = 2) -> MDSResult:

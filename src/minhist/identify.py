@@ -191,7 +191,7 @@ def access_rate_report(
     index: GalleryIndex, queries: Sequence[MinutiaTemplate]
 ) -> AccessRateReport:
     """Mean accessed fraction and rank-1 rates over a query set whose fingers
-    are all enrolled."""
+    are all enrolled, each with an impression other than the query's own."""
     if not queries:
         raise ValueError("empty query set")
     fractions = []
@@ -200,6 +200,11 @@ def access_rate_report(
     for query in queries:
         result = search(index, query)
         if result.true_rank is None:
+            if query.finger_id in index.finger_ids():
+                raise ValueError(
+                    f"query finger {query.finger_id!r} has no gallery impression but the"
+                    f" query's own ({query.impression_id!r}), which search leaves out"
+                )
             raise ValueError(
                 f"query finger {query.finger_id!r} is not enrolled in the gallery"
             )

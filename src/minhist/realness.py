@@ -15,7 +15,6 @@ for evaluation and never seen during training.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import warnings
@@ -35,7 +34,7 @@ from .template import (
     bifurcation_percentage,
     rescale_to_500dpi,
 )
-from .template import _flag, _int, _numbers, _object, _real
+from .template import _flag, _int, _numbers, _object, _real, _write_csv
 from .transport import BALANCE_RTOL, CostParams, check_cost_range, emd
 
 SIDE_FEATURES = ("mean_ird", "var_ird", "pct_bif")
@@ -432,11 +431,8 @@ class EvaluationReport:
     skipped: int = 0  # templates without a minutiae pair within d_max
 
     def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["template", *(f.name for f in fields(RealnessScore)), "label"])
-            for template_id, label, score in self.rows:
-                writer.writerow([template_id, *astuple(score), label])
+        rows = [[template_id, *astuple(score), label] for template_id, label, score in self.rows]
+        _write_csv(path, [["template", *(f.name for f in fields(RealnessScore)), "label"], *rows])
 
 
 def evaluate(model: ClassModel, templates: Sequence[MinutiaTemplate]) -> EvaluationReport:

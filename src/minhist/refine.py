@@ -35,8 +35,8 @@ was solved before it, or on other runs interleaved with it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,8 +48,9 @@ from .histogram import (
     _Pairs,
     build_2dmh,
 )
-from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate, _int, _mod, _real
-from .transport import CostParams, TransportPlan, build_cost_matrix, emd, transport_plan
+from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
+from .template import _int, _mod, _real, _write_csv
+from .transport import CostParams, TransportPlan, _ground_cost, emd, transport_plan
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,8 @@ class RefineResult:
 
 
 def write_trace_csv(trace: Sequence[TraceRow], path: Path | str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "emd", "move"])
-        for row in trace:
-            writer.writerow([row.iteration, row.emd, row.move])
+    rows = [[row.iteration, row.emd, row.move] for row in trace]
+    _write_csv(path, [["iteration", "emd", "move"], *rows])
 
 
 def _deletion_weights(pairs: _Pairs, plan: TransportPlan, cfg: RefineConfig) -> np.ndarray:
@@ -154,13 +152,16 @@ def _deletion_weights(pairs: _Pairs, plan: TransportPlan, cfg: RefineConfig) -> 
     for the template of pairs = _Pairs.of(t, cfg.target.spec).
 
     Each pair's bin inherits the outgoing transport cost of that bin, split
-    evenly over the pairs inside it and credited to both pair members.
+    evenly over the pairs inside it and credited to both pair members. A
+    flow entry (i, j) is priced by the ground cost of bins i and j, and the
+    entries are summed per source bin in plan.flow order.
     """
     spec = cfg.target.spec
-    cost = build_cost_matrix(spec, cfg.params)
+    n_flow = len(plan.flow)
+    src, dst = np.fromiter(chain.from_iterable(plan.flow), np.intp, 2 * n_flow).reshape(-1, 2).T
+    mass = np.fromiter(plan.flow.values(), float, n_flow)
     bin_cost = np.zeros(spec.b_dist * spec.b_dir)
-    for (i, j), mass in plan.flow.items():
-        bin_cost[i] += mass * cost[i, j]
+    np.add.at(bin_cost, src, mass * _ground_cost(spec, cfg.params, src, dst))
 
     weights = np.zeros(len(pairs.dirs))
     blame = bin_cost[pairs.bins] / pairs.counts[pairs.bins]

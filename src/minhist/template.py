@@ -22,11 +22,12 @@ reduced modulo 360 into [0, 360) on parse. Datasets on disk follow the
 
 from __future__ import annotations
 
+import csv
 import numbers
 from dataclasses import dataclass, is_dataclass, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -310,6 +311,12 @@ def load_template(path: Path | str) -> MinutiaTemplate:
 
 def save_template(t: MinutiaTemplate, path: Path | str) -> None:
     Path(path).write_text(serialize_template(t), encoding="utf-8")
+
+
+def _write_csv(path: Path | str, rows: Iterable[Sequence]) -> None:
+    """Write rows, each a sequence of cells, as a UTF-8 CSV file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def load_directory(directory: Path | str) -> List[MinutiaTemplate]:

@@ -19,10 +19,12 @@ checks the optima against a brute-force vertex-enumeration oracle and
 against `linprog`.
 
 `solve_transport` solves the dense transportation problem for any cost
-matrix and returns an explicit plan. On histograms, the separable ground
-cost allows a far smaller network with the same optimum: at e = 1 the
-ground cost is the shortest-path length on the bin grid, so arcs between
-neighbouring bins suffice (Ling & Okada, IEEE TPAMI 2007); otherwise every
+matrix and returns an explicit plan. The dense n x n matrix of ground costs
+between histogram bins is only its input: no other solve, and no caller in
+the package, reads it. On histograms, the separable ground cost allows a
+far smaller network with the same optimum: at e = 1 the ground cost is the
+shortest-path length on the bin grid, so arcs between neighbouring bins
+suffice (Ling & Okada, IEEE TPAMI 2007); otherwise every
 unit moves along the distance axis and then along the direction axis
 through a middle layer of nodes (Auricchio et al., NeurIPS 2018). `emd`
 solves it for the value. `transport_plan` solves it and splits the optimal
@@ -179,17 +181,15 @@ def check_cost_range(spec: BinSpec, params: CostParams) -> None:
             )
 
 
-@lru_cache(maxsize=64)
 def build_cost_matrix(spec: BinSpec, params: CostParams) -> np.ndarray:
     """Ground cost between all pairs of 2D histogram bins, row-major
     (distance-major) flattening: bin (x, u) has flat index x * b_dir + u.
-    The cached array is shared by every caller, so it is read-only.
-    Raises ValueError for parameters outside check_cost_range."""
+    The dense cost input of solve_transport; each call returns a fresh
+    array, which the caller may change. Raises ValueError for parameters
+    outside check_cost_range."""
     check_cost_range(spec, params)
     bins = np.arange(spec.b_dist * spec.b_dir)
-    cost = _ground_cost(spec, params, bins[:, None], bins[None, :])
-    cost.flags.writeable = False
-    return cost
+    return _ground_cost(spec, params, bins[:, None], bins[None, :])
 
 
 def _integer_marginals(supply: np.ndarray, demand: np.ndarray):
@@ -347,9 +347,10 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
 def _flow_network(spec: BinSpec, params: CostParams):
     """(n_nodes, arc_cost, tails, heads): the number of nodes, and the cost,
     tail node and head node of each arc, of a min-cost-flow network with the
-    optimum of the transport problem on build_cost_matrix(spec, params).
+    optimum of the dense transport problem on the ground cost of (spec,
+    params).
 
-    Node k stands for bin k % n in the flat order of build_cost_matrix, and
+    Node k stands for bin k % n in the flat (distance-major) bin order, and
     each arc costs the ground cost between the bins of its ends. The first n
     nodes are the sources and the last n the sinks. At e = 1 they are the
     same n nodes, and arcs join neighbouring bins both ways. Otherwise there
@@ -549,10 +550,10 @@ def transport_plan(
     bin i % n to bin j % n. At e = 1 the network sees only the net supply,
     so min(supply, demand) of each bin stays in place. Every path of an
     optimal flow is a shortest path, whose length is the ground cost of its
-    ends, so the plan is optimal for the dense problem on
-    build_cost_matrix. Masses are exact multiples of 1 / MASS_SCALE with
-    the scaled marginals of _integer_marginals as their sums; the plan need
-    not be a basic solution of the dense problem. total_cost is the
+    ends, so the plan is optimal for the dense problem on the ground cost.
+    Masses are exact multiples of 1 / MASS_SCALE with the scaled marginals
+    of _integer_marginals as their sums; the plan need not be a basic
+    solution of the dense problem. total_cost is the
     network's exact optimum, the same value as emd. Raises ValueError as
     emd does, and for a warm plan of another (spec, params).
 

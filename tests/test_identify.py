@@ -160,6 +160,18 @@ class TestAccessRateReport:
         with pytest.raises(ValueError, match="not enrolled"):
             access_rate_report(index, [stranger])
 
+    def test_query_of_its_finger_only_impression_rejected(self):
+        # finger 1 is enrolled, but only through the query's own impression,
+        # which leave-one-out removes from the ranking
+        templates = duplicate_gallery(31, 3, n_impressions=1)
+        index = build_index(templates, SMALL_SPEC)
+        with pytest.raises(ValueError) as info:
+            access_rate_report(index, [templates[0]])
+        message = str(info.value)
+        assert "not enrolled" not in message
+        assert message == ("query finger '1' has no gallery impression but the"
+                           " query's own ('1'), which search leaves out")
+
     def test_empty_query_set_rejected(self):
         index = build_index(duplicate_gallery(41, 2), SMALL_SPEC)
         with pytest.raises(ValueError, match="empty query"):

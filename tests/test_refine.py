@@ -489,6 +489,35 @@ class TestRefine:
         assert plan.total_cost > 0
         assert weights.sum() == pytest.approx(2 * plan.total_cost, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("e", [1.0, 2.0])
+    @pytest.mark.parametrize("spec", [BinSpec(), BinSpec(b_dist=7, b_dir=13)],
+                             ids=["10x10", "7x13"])
+    def test_deletion_blame_is_the_dense_cost_loop(self, spec, e):
+        # The blame prices each flow entry by the ground cost and sums the
+        # entries per source bin in plan order: the same bits as this loop
+        # over the dense cost matrix.
+        params = CostParams(e=e)
+        target = average_histogram(
+            [build_2dmh(t, spec) for t in make_population(51, 3, 1, "broad", None)])
+        cost = build_cost_matrix(spec, params)
+        for seed in range(3):
+            cfg = RefineConfig(target=target, threshold=1.0, params=params, rng_seed=seed,
+                               count_distribution=(12, 30))
+            current = init_template(cfg)
+            plan = transport_plan(build_2dmh(current, spec), target, params)
+            sources = [i for i, _ in plan.flow]
+            assert len(set(sources)) < len(sources)  # some bin ships to several
+            bin_cost = np.zeros(spec.b_dist * spec.b_dir)
+            for (i, j), mass in plan.flow.items():
+                bin_cost[i] += mass * cost[i, j]
+            pairs = _Pairs.of(current, spec)
+            want = np.zeros(len(current))
+            blame = bin_cost[pairs.bins] / pairs.counts[pairs.bins]
+            np.add.at(want, pairs.i, blame)
+            np.add.at(want, pairs.j, blame)
+            got = _deletion_weights(pairs, plan, cfg)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_too_small_template_rejected(self):
         cfg = base_config()
         t = MinutiaTemplate(minutiae=init_template(cfg).minutiae[:1], dpi=500)

@@ -124,22 +124,25 @@ class TestBuildCostMatrix:
         cm = build_cost_matrix(spec, CostParams())
         assert cm[0, 9] == 9.0  # ends of the folded axis are far apart
 
-    def test_cached_cost_is_read_only(self):
+    def test_returned_cost_is_a_fresh_array(self):
+        # The caller owns the matrix: editing it changes neither the next
+        # matrix nor any EMD.
         spec = BinSpec(b_dist=4, b_dir=4)
-        params = CostParams(r=1, s=2, e=1)
         mass1 = np.zeros((4, 4))
         mass2 = np.zeros((4, 4))
         mass1[0, 0] = 1.0
         mass2[1, 1] = 1.0
         h1, h2 = make_hist(mass1), make_hist(mass2)
-        before = emd(h1, h2, params)
-        assert before == pytest.approx(3.0, abs=1e-9)
-        cost = build_cost_matrix(spec, params)
-        with pytest.raises(ValueError):
+        for params, want in ((CostParams(r=1, s=2, e=1), 3.0), (CostParams(r=1, s=2, e=2), 5.0)):
+            before = emd(h1, h2, params)
+            assert before == pytest.approx(want, abs=1e-9)
+            cost = build_cost_matrix(spec, params)
+            fresh = cost.copy()
             cost[0, 5] = 0.0
-        with pytest.raises(ValueError):
             cost *= 0.0
-        assert emd(h1, h2, params) == before
+            assert np.array_equal(build_cost_matrix(spec, params), fresh)
+            assert fresh[0, 5] == want
+            assert emd(h1, h2, params) == before
 
 
 class TestFlowNetwork:

@@ -4,9 +4,9 @@
 
 SRC is the root of a source checkout (default: the checkout holding this
 script). minhist is imported from SRC/src, and SRC/perfbench's Refine,
-Realness and Population workloads generate the inputs and run the program,
-untimed, in a temporary directory; nothing under SRC is written. The output
-is five lines:
+Realness, Population and Identify workloads generate the inputs and run the
+program, untimed, in a temporary directory; nothing under SRC is written.
+The output is six lines:
 
     refine      sha256 of the 150 refine runs of seeds 11-15, ops k < 30: per
                 run its status, the trace rows (iteration, EMD in hex, move),
@@ -17,7 +17,11 @@ is five lines:
     population  sha256 of seed 11's stage (the EMD matrix and the MDS
                 coordinates and eigenvalues as float64 bytes) and its first 12
                 bootstrap ops
-    emd_calls   calls of minhist.transport.emd over the three digests
+    identify    sha256 of seed 11's stage (whether the built and the loaded
+                index give equal finger_ids(), and those ids) and its first
+                40 search ops: the query key, the ranked finger ids with
+                their scores in hex, and the true rank
+    emd_calls   calls of minhist.transport.emd over the four digests
     plan_calls  calls of minhist.transport.transport_plan over them
 
 Run it on a parent tree and on a change tree, from either tree:
@@ -40,7 +44,7 @@ import tempfile
 from pathlib import Path
 
 REFINE_SEEDS, REFINE_OPS = range(11, 16), 30
-REALNESS_OPS, POPULATION_OPS = 40, 12
+REALNESS_OPS, POPULATION_OPS, IDENTIFY_OPS = 40, 12, 40
 SEED = 11
 
 
@@ -117,6 +121,20 @@ def _population(mh, workloads, tmp: Path) -> str:
     return digest.hexdigest()
 
 
+def _identify(mh, workloads, tmp: Path) -> str:
+    digest = hashlib.sha256()
+    wl = workloads.Identify(mh, SEED)
+    ctx = wl.setup(tmp / "identify")
+    state, _ = wl.stage(ctx, lambda: None)
+    ids = state["index"].finger_ids()
+    digest.update(repr((ids == state["loaded"].finger_ids(), ids)).encode())
+    for k in range(IDENTIFY_OPS):
+        key, ranked, true_rank = wl.op(ctx, state, k, lambda: None)
+        digest.update(repr((key, [(f, _hex(score)) for f, score in ranked],
+                            true_rank)).encode())
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) > 1:
@@ -129,7 +147,7 @@ def main(argv=None) -> int:
     counts = _count_calls(mh, ("emd", "transport_plan"))
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("refine", _refine), ("realness", _realness),
-                          ("population", _population)):
+                          ("population", _population), ("identify", _identify)):
             print(f"{name:<11} {run(mh, workloads, Path(tmp))[:16]}")
     print(f"{'emd_calls':<11} {counts['emd']}")
     print(f"{'plan_calls':<11} {counts['transport_plan']}")
