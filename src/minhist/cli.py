@@ -6,9 +6,10 @@ report}, refine, mds. Models and scores are JSON, tabular reports are CSV.
 Exit codes: 0 and 1 are reserved for classification outcomes (real /
 synthetic); errors use 2 (unreadable or malformed template, template
 directory or distance matrix), 3 (too few minutiae, or no minutiae pair
-within d_max), 4 (empty class), 5 (corrupt model or index), 64 (usage: a
-bad command line, config or argument value), 70 (internal error; the
-traceback is printed) and 73 (cannot write output).
+within d_max), 4 (empty class), 5 (corrupt model or index, or a model that
+gives a template a non-finite score), 64 (usage: a bad command line, config
+or argument value), 70 (internal error; the traceback is printed) and 73
+(cannot write output).
 
 A JSON config file may provide defaults for the bin spec and the training
 protocol; its path comes from --config or the MINHIST_CONFIG environment
@@ -30,7 +31,15 @@ from typing import List, Optional
 from .analysis import DistanceMatrix, mds_embed
 from .histogram import IDENTIFICATION_SPEC, BinSpec, TooFewMinutiaeError, build_2dmh, build_4dmh
 from .identify import GalleryIndex, access_rate_report, build_index, search
-from .realness import ClassModel, EmptyClassError, TrainConfig, classify_template, evaluate, train
+from .realness import (
+    ClassModel,
+    EmptyClassError,
+    NonFiniteScoreError,
+    TrainConfig,
+    classify_template,
+    evaluate,
+    train,
+)
 from .refine import OrientationField, RefineConfig, init_template, refine, write_trace_csv
 from .template import (
     REAL,
@@ -345,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_STATUSES = (
     (TooFewMinutiaeError, EXIT_TOO_FEW),
     (EmptyClassError, EXIT_EMPTY_CLASS),
+    (NonFiniteScoreError, EXIT_BAD_MODEL),
     (ValueError, EXIT_USAGE),
     (OSError, EXIT_CANT_WRITE),
     (Exception, EXIT_INTERNAL),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from fractions import Fraction
@@ -50,6 +51,11 @@ _WEIGHT_GRIDS = ("w0_grid", "w1_grid", "side_grid")
 class EmptyClassError(ValueError):
     """A class has no templates in a set that training needs, or a test set
     has no template that evaluation can score."""
+
+
+class NonFiniteScoreError(ValueError):
+    """A model whose feature norms or fusion weights, each finite, give a
+    template a non-finite normalized feature or fused score."""
 
 
 @dataclass
@@ -191,7 +197,8 @@ def fuse_features(
     model: ClassModel,
 ) -> Tuple[Optional[float], Optional[float], Optional[float], float, str]:
     """Linear fusion s = w0 + w1*a + w2*b + w3*c + w4*d of the EMD difference
-    with z-scored side features. Returns (b, c, d, fused, decision)."""
+    with z-scored side features. Returns (b, c, d, fused, decision). Raises
+    NonFiniteScoreError where a z-scored feature or the score overflows."""
     normed: List[Optional[float]] = []
     for name, value, w in zip(SIDE_FEATURES, (mean_ird, var_ird, pct_bif), model.weights[2:]):
         if value is None:
@@ -200,10 +207,16 @@ def fuse_features(
             normed.append(None)
         else:
             offset, scale = model.feature_norms[name]
-            normed.append((value - offset) / scale)
-    fused = _fuse(model.weights, a, normed)
+            normed.append(_finite_score((value - offset) / scale, f"normalized {name}"))
+    fused = _finite_score(_fuse(model.weights, a, normed), "fused score")
     decision = REAL if fused > 0 else SYNTHETIC
     return (*normed, fused, decision)
+
+
+def _finite_score(value: float, name: str) -> float:
+    if math.isfinite(value):
+        return value
+    raise NonFiniteScoreError(f"the model gives a {name} of {value!r}")
 
 
 def template_side_features(

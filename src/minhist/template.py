@@ -161,6 +161,16 @@ class MinutiaTemplate:
         for key, value in (("finger", self.finger_id), ("impression", self.impression_id)):
             if value is not None:
                 _token(value, key)
+        # Every value rescale_to_500dpi scales must pass its check there too.
+        factor = 500.0 / self.dpi
+        if factor != 1.0:
+            for axis in ("x", "y") if self.minutiae else ():
+                top = max(getattr(m, axis) for m in self.minutiae)
+                _real(top * factor, f"minutia {axis} at 500 dpi", minimum=0)
+            if self.mean_ird is not None:
+                _real(self.mean_ird * factor, "mean_ird at 500 dpi", positive=True)
+            if self.var_ird is not None:
+                _real(self.var_ird * factor * factor, "var_ird at 500 dpi", minimum=0)
 
     def __len__(self) -> int:
         return len(self.minutiae)
@@ -189,9 +199,11 @@ def parse_template(text: str) -> MinutiaTemplate:
 
     Before the first minutia, a line that starts with a word is a header
     line, and an unknown header field is ignored. Minutiae order is
-    preserved.
+    preserved. One leading byte order mark (U+FEFF) is dropped.
     Raises TemplateParseError naming the line number on malformed input.
     """
+    if text.startswith("\ufeff"):
+        text = text[1:]
     header: dict = {}
     minutiae: List[Minutia] = []
     seen_minutiae = False

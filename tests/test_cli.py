@@ -93,6 +93,15 @@ class TestHistogramCommand:
         assert len(payload["mass"]) == bins
         assert payload["dims"] == 4
 
+    def test_byte_order_mark_is_skipped(self, data, tmp_path, capsys):
+        text = data["real_template"].read_bytes()
+        bom = tmp_path / "bom_1.mnt"
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["histogram", str(data["real_template"])]) == 0
+        plain = capsys.readouterr().out
+        assert main(["histogram", str(bom)]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_spec_flags_override(self, data, capsys):
         assert main(["histogram", str(data["real_template"]),
                      "--bins-dist", "5", "--bins-dir", "4"]) == 0
@@ -185,6 +194,12 @@ class TestClassifyCommand:
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
         assert main(["classify", str(broken), str(data["real_template"])]) == 5
+
+    def test_non_finite_score_prints_nothing(self, data, tmp_path, capsys):
+        model = _edited(data["model"], tmp_path, _overflowing_fusion(1e-300))
+        assert main(["classify", model, str(data["real_template"])]) == 5
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the model gives a fused score of -inf\n"
 
     def test_single_minutia_template_exits_3(self, data, tmp_path):
         tiny = tmp_path / "tiny.mnt"
@@ -517,6 +532,15 @@ def _norm(name, offset, scale):
     return lambda payload: payload["feature_norms"].update({name: [offset, scale]})
 
 
+def _overflowing_fusion(pct_bif_scale):
+    """Weights (0, 0, 0, 0, -1e308) and a pct_bif norm scale of
+    pct_bif_scale: finite values, whose score is not."""
+    def edit(payload):
+        payload["weights"] = [0.0, 0.0, 0.0, 0.0, -1e308]
+        _norm("pct_bif", 0.0, pct_bif_scale)(payload)
+    return edit
+
+
 # (exit status, argv builder, a substring of stderr or None)
 ERROR_CASES = {
     "config-not-object": (64, lambda d, tmp: [
@@ -660,6 +684,23 @@ ERROR_CASES = {
     "model-nan-feature-norm": (5, lambda d, tmp: [
         "classify", _edited(d["model"], tmp, _norm("mean_ird", float("nan"), 1.0)),
         str(d["real_template"])], "finite"),
+    # Every value of these models passes the load checks, but the template's
+    # z-scored bifurcation percentage or its fused score overflows: classify
+    # used to print "fused": -Infinity or NaN and exit 1.
+    "model-fused-score-overflows": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, _overflowing_fusion(1e-300)), NO_IRD),
+        "the model gives a fused score of -inf"),
+    "model-feature-norm-overflows": (5, lambda d, tmp: _classify(tmp, _edited(
+        d["model"], tmp, _overflowing_fusion(1e-320)), NO_IRD),
+        "the model gives a normalized pct_bif of inf"),
+    "evaluate-fused-score-overflows": (5, lambda d, tmp: [
+        "evaluate", _edited(d["model"], tmp, _overflowing_fusion(1e-300)), str(d["real_dir"]),
+        str(d["synth_dir"])], "fused score"),
+    # Rescaled to 500 DPI, x = 1e306 at 1 DPI overflows: a malformed
+    # template, where it used to be a usage error (64).
+    "histogram-rescale-overflows": (2, lambda d, tmp: [
+        "histogram", _file(tmp, "big.mnt", "dpi 1\n1e306 5 10 E\n3 4 20 B\n")],
+        "minutia x at 500 dpi must be a finite number >= 0, got inf"),
     "model-unknown-feature-norm": (5, lambda d, tmp: [
         "classify", _edited(d["model"], tmp, _norm("pct_BIF", 35.0, 10.0)),
         str(d["real_template"])], "pct_BIF"),

@@ -284,20 +284,98 @@ def test_solve_transport_basic_on_tied_costs(problem):
     assert plan.total_cost == linprog_transport_cost(supply, demand, cost)
 
 
-# emd restarts from the basis of whatever it solved last; the value must not
-# depend on that, whether the last solve had other masses, other params or
-# another spec, or there was none.
+# emd restarts from the basis of whatever its model of the target, or the
+# model it takes over, solved last; the value must not depend on that,
+# whether the last solve had other masses, other params or another spec, or
+# there was none.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(hists=_histograms(4), params=PARAMS, other_params=PARAMS, other_spec=_histograms(2))
 def test_emd_independent_of_earlier_solves(hists, params, other_params, other_spec):
     a, b, c, d = hists
-    transport._kept_model = None
+    transport._emd_models.clear()
     cold = emd(a, b, params)
     for before in ([(c, d, params)], [(c, d, other_params)],
                    [(*other_spec, params), (c, d, params)], [(b, a, params)]):
         for h1, h2, p in before:
             emd(h1, h2, p)
         assert emd(a, b, params) == cold
+
+
+def _random_hist(rng, spec):
+    mass = rng.random((spec.b_dist, spec.b_dir)) * (rng.random((spec.b_dist, spec.b_dir)) < 0.7)
+    mass[0, 0] += 0.01
+    return MinutiaeHistogram(spec=spec, dims=2, mass=mass / mass.sum(), normalized=True,
+                             pair_count=1)
+
+
+def test_emd_equals_a_cold_solve_after_any_interleaving():
+    # emd's two slots hold models of its last targets. Over seeded call
+    # sequences that mix three targets per spec, two specs and e = 1 and 2,
+    # with runs of one target and constant switching, every value has the
+    # bits of a cold solve, and no more than two models are ever held.
+    rng = np.random.default_rng(60)
+    problems = []
+    for spec in (BinSpec(b_dist=5, b_dir=6), BinSpec(b_dist=4, b_dir=7)):
+        targets = [_random_hist(rng, spec) for _ in range(3)]
+        sources = [_random_hist(rng, spec) for _ in range(3)]
+        for e in (1.0, 2.0):
+            params = CostParams(r=float(rng.uniform(0.5, 2.0)), s=float(rng.uniform(0.5, 2.0)),
+                                e=e)
+            problems += [(h, t, params) for h in sources for t in targets]
+    cold = []
+    for problem in problems:
+        transport._emd_models.clear()
+        cold.append(emd(*problem).hex())
+    orders = [rng.permutation(len(problems)), rng.integers(0, len(problems), 3 * len(problems)),
+              np.repeat(rng.permutation(len(problems)), 2), np.arange(len(problems))[::-1]]
+    for order in orders:
+        for i in order.tolist():
+            assert emd(*problems[i]).hex() == cold[i]
+            assert len(transport._emd_models) <= 2
+    transport._emd_models.clear()
+
+
+def test_classify_bits_independent_of_earlier_calls():
+    # A classify solves to avg_real and then avg_synth, each on its own
+    # slot. Its EMDs and fused score must have the same bits alone, after
+    # other templates, after EMDs to other targets, params and specs, and
+    # in any order of templates.
+    from genpop import make_population
+    from minhist.realness import SIDE_FEATURES, ClassModel, average_histogram, classify_template
+
+    spec = BinSpec()
+    real = make_population(61, 3, 2, "broad", None)
+    synth = make_population(62, 3, 2, "cluster", None)
+    model = ClassModel(
+        avg_real=average_histogram([build_2dmh(t, spec) for t in real[:3]]),
+        avg_synth=average_histogram([build_2dmh(t, spec) for t in synth[:3]]),
+        weights=(0.1, 1.0, -0.5, 0.25, 0.01),
+        feature_norms={name: (1.0, 2.0) for name in SIDE_FEATURES},
+        params=CostParams(r=1.0, s=2.0, e=2.0), spec=spec)
+    probes = real[3:] + synth[3:]
+
+    def bits(t):
+        score = classify_template(t, model)
+        return score.emd_real.hex(), score.emd_synth.hex(), score.fused.hex()
+
+    want = []
+    for t in probes:
+        transport._emd_models.clear()
+        want.append(bits(t))
+    rng = np.random.default_rng(63)
+    others = [_random_hist(rng, spec) for _ in range(3)]
+    odd = BinSpec(b_dist=4, b_dir=5)
+    for _ in range(3):
+        for i in rng.permutation(len(probes)).tolist():
+            for h1, h2, params in ((others[0], others[1], model.params),
+                                   (others[2], model.avg_real, CostParams(e=1.0)),
+                                   (_random_hist(rng, odd), _random_hist(rng, odd), model.params),
+                                   (others[1], model.avg_synth, model.params)):
+                if rng.random() < 0.5:
+                    emd(h1, h2, params)
+            assert bits(probes[i]) == want[i]
+            assert len(transport._emd_models) <= 2
+    transport._emd_models.clear()
 
 
 def _normalized(mass):
@@ -402,11 +480,13 @@ def test_failed_solve_drops_the_kept_model():
     h1, h2, h3 = (MinutiaeHistogram(spec=spec, dims=2, mass=m / m.sum(), normalized=True,
                                     pair_count=1)
                   for m in rng.random((3, 6, 6)))
+    transport._emd_models.clear()
     emd(h1, h2, params)
-    highs = transport._kept_model.highs
+    (model,) = transport._emd_models.values()
+    highs = model.highs
     highs.setOptionValue("simplex_iteration_limit", 0)
     with pytest.raises(RuntimeError, match="transportation solve failed"):
         emd(h3, h2, params)
-    assert transport._kept_model is None
+    assert transport._emd_models == {}
     want = linprog_transport_cost(h3.mass.ravel(), h2.mass.ravel(), build_cost_matrix(spec, params))
     assert emd(h3, h2, params) == want

@@ -159,6 +159,19 @@ class TestFuseFeatures:
         with pytest.raises(ValueError, match="mean_ird"):
             fuse_features(0.0, None, 3.0, 30.0, model)
 
+    # Finite weights and norms whose products or quotients overflow: no
+    # decision comes from a non-finite score, whatever the feature's weight.
+    @pytest.mark.parametrize("weights, scale, a, name", [
+        ((0.0, 0.0, 0.0, 0.0, -1e308), 1e-300, 0.0, "fused score of -inf"),
+        ((0.0, 1e308, 0.0, 0.0, 0.0), 1.0, 1e10, "fused score of inf"),
+        ((0.0, 1e308, 0.0, 0.0, -1e308), 1.0, 10.0, "fused score of nan"),
+        ((0.0, 1.0, 0.0, 0.0, 0.0), 1e-320, 0.0, "normalized pct_bif of inf"),
+    ])
+    def test_non_finite_score_raises(self, weights, scale, a, name):
+        model = self._model(weights, norms={"pct_bif": (0.0, scale)})
+        with pytest.raises(realness.NonFiniteScoreError, match=name):
+            fuse_features(a, None, None, 40.0, model)
+
     def test_missing_unweighted_feature_is_fine(self):
         model = self._model((0.0, 1.0, 0.0, 0.0, 0.0))
         _, _, _, fused, _ = fuse_features(2.0, None, None, None, model)

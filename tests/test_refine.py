@@ -389,7 +389,7 @@ class TestRefine:
         # behind the deletion blame must not, or the trajectory would follow
         # whatever was solved before. The first run starts on no kept model.
         cfg = base_config(threshold=1e-6, max_iters=12, rng_seed=seed)
-        transport._kept_model = None
+        transport._emd_models.clear()
         first = refine(init_template(cfg), cfg)
         rng = np.random.default_rng(52)
         other_spec = BinSpec(b_dist=6, b_dir=7)
@@ -436,7 +436,7 @@ class TestRefine:
             refine(init_template(other), other)
 
         def no_kept_model():
-            transport._kept_model = None
+            transport._emd_models.clear()
 
         no_kept_model()
         alone = run()

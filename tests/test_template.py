@@ -157,6 +157,16 @@ def test_filename_id_that_breaks_the_id_rule_is_a_parse_error(tmp_path):
         load_directory(tmp_path)
 
 
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    text = "dpi 500\nmean_ird 9.5\nfinger 7\nimpression 2\n10 20 90 E\n55 81.5 310 B\n"
+    assert parse_template("\ufeff" + text) == parse_template(text)
+    (tmp_path / "bom.mnt").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_template(tmp_path / "bom.mnt") == parse_template(text)
+    # Only one: a second mark is not whitespace, so it is a malformed line.
+    with pytest.raises(TemplateParseError, match="line 1"):
+        parse_template("\ufeff\ufeff" + text)
+
+
 class TestRescale:
     def test_fvc2002_db2_example(self):
         t = MinutiaTemplate(minutiae=(Minutia(569.0, 0.0, 45.0, ENDING),), dpi=569)
@@ -205,6 +215,24 @@ class TestRescale:
                     (r.minutiae[i].x, r.minutiae[i].y), (r.minutiae[j].x, r.minutiae[j].y)
                 )
                 assert d_new == pytest.approx(d_old * factor, rel=1e-12)
+
+    # Each value rescale_to_500dpi scales is checked at its rescaled size
+    # when the template is made, so a parsed template always rescales.
+    @pytest.mark.parametrize("text, name", [
+        ("dpi 1\n1e306 5 10 E\n", "minutia x at 500 dpi"),
+        ("dpi 1\n5 1e306 10 E\n", "minutia y at 500 dpi"),
+        ("dpi 1\nmean_ird 1e306\n", "mean_ird at 500 dpi"),
+        ("dpi 1\nvar_ird 1e304\n", "var_ird at 500 dpi"),
+        ("dpi 1000\nmean_ird 5e-324\n", "mean_ird at 500 dpi"),
+    ])
+    def test_overflow_at_500dpi_is_a_parse_error(self, text, name):
+        with pytest.raises(TemplateParseError, match=f"^{name} must be a finite number"):
+            parse_template(text)
+
+    def test_largest_values_that_rescale_are_accepted(self):
+        t = parse_template("dpi 250\nmean_ird 8e307\nvar_ird 4e307\n8e307 1 10 E\n")
+        r = rescale_to_500dpi(t)
+        assert (r.minutiae[0].x, r.mean_ird, r.var_ird) == (1.6e308, 1.6e308, 1.6e308)
 
     def test_never_warns(self):
         # The interridge plausibility warning belongs to the realness side

@@ -454,15 +454,16 @@ class TestEmd:
             assert abs(exact_plan_cost(transport_plan(h1, h2, params), cost) - want) <= 1e-9
 
     def test_threads_share_the_kept_model_safely(self):
-        # Four threads, more than the cores, switch between two (params,
-        # target) problems on the one kept model; each value must equal its
-        # cold solve.
+        # Four threads, more than the cores, switch between problems of two
+        # params and three targets on emd's two model slots; each value must
+        # equal its cold solve.
         rng = np.random.default_rng(23)
         hists = [random_normalized_hist(rng, 6, 6) for _ in range(8)]
-        problems = [(h, hists[0], CostParams(e=e)) for h in hists[1:] for e in (1.0, 2.0)]
+        problems = [(h, hists[k % 3], CostParams(e=e))
+                    for k, h in enumerate(hists[3:]) for e in (1.0, 2.0)]
         want = []
         for h1, h2, params in problems:
-            transport._kept_model = None
+            transport._emd_models.clear()
             want.append(emd(h1, h2, params))
         wrong = []
 
@@ -487,34 +488,38 @@ class TestEmd:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+        assert len(transport._emd_models) <= transport._EMD_SLOTS == 2
 
     def test_rejected_supply_change_drops_the_kept_model(self, monkeypatch):
         # HiGHS reports a rejected bound change by status, not exception.
-        # Refuse the third change, after two have reached the model: the
+        # emd's model takes its supplies in one changeColsBounds call:
+        # refuse it after two of its changes have reached the model. The
         # half-changed model must go, and later values match the oracle.
         changes = []
 
         class RefusesOnce(transport._Highs):
-            def changeRowBounds(self, row, lower, upper):
-                changes.append(row)
-                if len(changes) == 3:
+            def changeColsBounds(self, count, columns, lower, upper):
+                changes.append(count)
+                if len(changes) == 1:
+                    assert count > 2
+                    super().changeColsBounds(2, columns[:2], lower[:2], upper[:2])
                     return transport.HighsStatus.kError
-                return super().changeRowBounds(row, lower, upper)
+                return super().changeColsBounds(count, columns, lower, upper)
 
         monkeypatch.setattr(transport, "_Highs", RefusesOnce)
-        transport._kept_model = None
+        transport._emd_models.clear()
         rng = np.random.default_rng(24)
         params = CostParams(1.0, 2.0, 2.0)
         h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
         emd(h3, h2, params)  # a fresh model is built with its supplies
-        with pytest.raises(RuntimeError, match="rejected the supply"):
+        with pytest.raises(RuntimeError, match="rejected the supplies"):
             emd(h1, h2, params)
-        assert transport._kept_model is None
+        assert changes and transport._emd_models == {}
         cost = build_cost_matrix(h1.spec, params)
         for a, b in ((h3, h2), (h1, h2)):
             want = linprog_transport_cost(a.mass.ravel(), b.mass.ravel(), cost)
             assert emd(a, b, params) == want
-        transport._kept_model = None
+        transport._emd_models.clear()
 
     @pytest.mark.parametrize("e", [1.0, 2.0])
     def test_infeasible_flow_is_rejected(self, monkeypatch, e):
@@ -532,13 +537,13 @@ class TestEmd:
                 return solution
 
         monkeypatch.setattr(transport, "_Highs", Shifted)
-        transport._kept_model = None
+        transport._emd_models.clear()
         rng = np.random.default_rng(25)
         h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
         params = CostParams(1.0, 2.0, e)
         with pytest.raises(RuntimeError, match="does not meet the supplies"):
             emd(h1, h2, params)
-        assert transport._kept_model is None
+        assert transport._emd_models == {}
         with pytest.raises(RuntimeError, match="does not meet the supplies"):
             transport_plan(h1, h2, params)
         with pytest.raises(RuntimeError, match="does not meet the supplies"):
@@ -560,10 +565,10 @@ class TestEmd:
                  "transport_plan": lambda: transport_plan(h1, h2, params),
                  "solve_transport": lambda: solve_transport(h1.mass, h2.mass, cost)}[solver]
         monkeypatch.setattr(transport, "_Highs", NoOptions)
-        transport._kept_model = None
+        transport._emd_models.clear()
         with pytest.raises(RuntimeError, match="output_flag"):
             solve()
-        assert transport._kept_model is None
+        assert transport._emd_models == {}
         monkeypatch.undo()
         assert emd(h1, h2, params) == linprog_transport_cost(h1.mass.ravel(), h2.mass.ravel(),
                                                              cost)
@@ -587,10 +592,10 @@ class TestEmd:
         h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
         solve = self._solvers(h1, h2, CostParams(1.0, 2.0, 2.0))[solver]
         monkeypatch.setattr(transport, "_Highs", NoModel)
-        transport._kept_model = None
+        transport._emd_models.clear()
         with pytest.raises(RuntimeError, match="^transportation model rejected by HiGHS$"):
             solve()
-        assert transport._kept_model is None
+        assert transport._emd_models == {}
 
     @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
     def test_every_option_reaches_the_model(self, monkeypatch, solver):
@@ -612,15 +617,15 @@ class TestEmd:
         h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
         params = CostParams(1.0, 2.0, 2.0)
         monkeypatch.setattr(transport, "_Highs", Recording)
-        transport._kept_model = None
+        transport._emd_models.clear()
         self._solvers(h1, h2, params)[solver]()
         assert len(models) == 1
         assert models[0].options == list(transport.HIGHS_OPTIONS)
         for name, value in transport.HIGHS_OPTIONS:
             assert models[0].getOptionValue(name) == (transport.HighsStatus.kOk, value)
         if solver == "emd":
-            assert transport._kept_model.highs is models[0]
-        transport._kept_model = None
+            assert [m.highs for m in transport._emd_models.values()] == [models[0]]
+        transport._emd_models.clear()
 
     @pytest.mark.parametrize("solver", ["emd", "transport_plan", "solve_transport"])
     @pytest.mark.parametrize("refused", [name for name, _ in transport.HIGHS_OPTIONS])
@@ -637,10 +642,10 @@ class TestEmd:
         h1, h2 = (random_normalized_hist(rng, 4, 4) for _ in range(2))
         solve = self._solvers(h1, h2, CostParams(1.0, 2.0, 1.0))[solver]
         monkeypatch.setattr(transport, "_Highs", RefusesOne)
-        transport._kept_model = None
+        transport._emd_models.clear()
         with pytest.raises(RuntimeError, match=f"rejected the option {refused}$"):
             solve()
-        assert transport._kept_model is None
+        assert transport._emd_models == {}
 
     def test_plans_do_not_evict_the_kept_model(self):
         # Refine alternates transport_plan and emd on one (spec, params);
@@ -648,39 +653,47 @@ class TestEmd:
         rng = np.random.default_rng(27)
         h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
         params = CostParams(1.0, 2.0, 2.0)
+        transport._emd_models.clear()
         emd(h1, h2, params)
-        kept = transport._kept_model
+        (kept,) = transport._emd_models.values()
         transport_plan(h3, h2, params)
         solve_transport(h3.mass, h2.mass, build_cost_matrix(h1.spec, params))
         emd(h3, h2, params)
-        assert transport._kept_model is kept
+        assert list(transport._emd_models.values()) == [kept]
 
     @pytest.mark.parametrize("solver", ["emd", "transport_plan"])
     def test_a_fresh_model_is_built_with_its_supplies(self, monkeypatch, solver):
         # One rule builds or reuses a model: a fresh one gets its supplies
-        # from passModel, and only a reused one changes row bounds.
+        # from passModel, and only a reused one changes bounds. emd's models
+        # take theirs as injection column bounds, all in one call, and
+        # plans as row bounds, one call per node.
         changes = []
 
         class Recording(transport._Highs):
             def changeRowBounds(self, row, lower, upper):
-                changes.append(row)
+                changes.append("row")
                 return super().changeRowBounds(row, lower, upper)
+
+            def changeColsBounds(self, count, columns, lower, upper):
+                changes.append("columns")
+                return super().changeColsBounds(count, columns, lower, upper)
 
         rng = np.random.default_rng(33)
         h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
         params = CostParams(1.0, 2.0, 2.0)
         monkeypatch.setattr(transport, "_Highs", Recording)
-        transport._kept_model = None
+        transport._emd_models.clear()
         if solver == "emd":
             emd(h1, h2, params)
             assert changes == []
             assert emd(h3, h2, params) == transport_plan(h3, h2, params).total_cost
+            assert changes == ["columns"]
         else:
             first = transport_plan(h1, h2, params)
             assert changes == []
             transport_plan(h3, h2, params, warm=first)
-        assert changes
-        transport._kept_model = None
+            assert len(changes) > 1 and set(changes) == {"row"}
+        transport._emd_models.clear()
 
     def test_a_plan_reads_the_solution_once(self, monkeypatch):
         reads = []
@@ -703,6 +716,7 @@ class TestEmd:
     def test_interrupted_solve_leaves_no_kept_model(self, monkeypatch, held):
         # An interrupt inside HiGHS leaves the model at an unknown basis: it
         # propagates, the model is not kept, and the next value is exact.
+        # The model of another target, in the other slot, stays.
         class Interruptible(transport._Highs):
             interrupt = False
 
@@ -715,19 +729,21 @@ class TestEmd:
         h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
         params = CostParams(1.0, 2.0, 2.0)
         monkeypatch.setattr(transport, "_Highs", Interruptible)
-        transport._kept_model = None
+        transport._emd_models.clear()
         if held:
+            emd(h3, h1, params)
             emd(h1, h2, params)
-            assert transport._kept_model is not None
+            assert len(transport._emd_models) == 2
+        other = transport._emd_models.get(h1.mass.tobytes())
         Interruptible.interrupt = True
         with pytest.raises(KeyboardInterrupt):
             emd(h3, h2, params)
-        assert transport._kept_model is None
+        assert list(transport._emd_models.values()) == ([other] if held else [])
         Interruptible.interrupt = False
         cost = build_cost_matrix(h1.spec, params)
         assert emd(h3, h2, params) == linprog_transport_cost(h3.mass.ravel(), h2.mass.ravel(),
                                                              cost)
-        transport._kept_model = None
+        transport._emd_models.clear()
 
     @pytest.mark.parametrize("change", ["params", "spec"])
     def test_warm_plan_of_another_network_rejected(self, change):
