@@ -164,8 +164,8 @@ class MinutiaTemplate:
         # Every value rescale_to_500dpi scales must pass its check there too.
         factor = 500.0 / self.dpi
         if factor != 1.0:
-            for axis in ("x", "y") if self.minutiae else ():
-                top = max(getattr(m, axis) for m in self.minutiae)
+            for axis in ("x", "y"):
+                top = max((getattr(m, axis) for m in self.minutiae), default=0.0)
                 _real(top * factor, f"minutia {axis} at 500 dpi", minimum=0)
             if self.mean_ird is not None:
                 _real(self.mean_ird * factor, "mean_ird at 500 dpi", positive=True)
