@@ -84,11 +84,14 @@ def mds_embed(dm: DistanceMatrix, dims: int = 2) -> MDSResult:
     is taken as 0, and its dimension gets all-zero coordinates. Dimensions
     whose eigenvalue is below -tol get all-zero coordinates too and are
     reported in flagged_dims (the distances are then not fully Euclidean).
+    n points span at most n dimensions, so dims above n raises ValueError.
     """
     if isinstance(dims, numbers.Integral) and dims < 1:
         raise ValueError("dims must be at least 1")
     _int(dims, "dims", 1)
     n = len(dm.labels)
+    if dims > n:
+        raise ValueError(f"dims must be at most the number of points, {n}, got {dims}")
     j = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * j @ (dm.d ** 2) @ j
     evals, evecs = np.linalg.eigh(b)

@@ -13,12 +13,12 @@ alone; only the accepted candidate is built as a template. An
 optimal transport plan of the current histogram, the only plan built per
 iteration, identifies the bins that contribute the most cost, and
 deletions are biased toward minutiae whose pairs populate those bins. The
-plan comes from `transport_plan`, which decomposes an optimal flow on the
-network `emd` solves. Each run owns one HiGHS model for its plans: each
-plan restarts the dual simplex from the run's previous plan (`warm=`).
-Where several plans are optimal, the one returned sets the deletion blame,
-so it depends on the current histogram, the target and the run's own
-earlier plans, and on nothing solved outside the run.
+plan comes from `transport._plan`, which decomposes an optimal flow on the
+network `emd` solves. Each run owns one HiGHS model for its plans, a local
+of the run: each plan restarts the dual simplex from the run's previous
+plan. Where several plans are optimal, the one returned sets the deletion
+blame, so it depends on the current histogram, the target and the run's
+own earlier plans, and on nothing solved outside the run.
 
 The plan's `lower_bound` holds the node potentials y of the same solve, and
 by weak duality b · y is a lower bound on the EMD of any candidate whose
@@ -50,7 +50,7 @@ from .histogram import (
 )
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
 from .template import _int, _mod, _real, _write_csv
-from .transport import CostParams, TransportPlan, _ground_cost, emd, transport_plan
+from .transport import CostParams, TransportPlan, _ground_cost, _plan, emd
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     rng = np.random.default_rng([cfg.rng_seed, 1])
     spec = cfg.target.spec
 
-    current, current_hist, plan = t, build_2dmh(t, spec), None
+    current, current_hist, model = t, build_2dmh(t, spec), None
     current_emd = emd(current_hist, cfg.target, cfg.params)
     trace = [TraceRow(iteration=0, emd=current_emd, move="init")]
     # "timeout" stands until a move reaches the threshold or a batch stalls.
@@ -223,7 +223,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     while status == "timeout" and iteration < cfg.max_iters:
         iteration += 1
         # Each plan restarts from the basis of this run's previous one.
-        plan = transport_plan(current_hist, cfg.target, cfg.params, warm=plan)
+        plan, model = _plan(current_hist, cfg.target, cfg.params, model)
         # One binning of the current template's pairs gives the deletion
         # blame and the counts every candidate is moved from.
         pairs = _Pairs.of(current, spec)

@@ -64,10 +64,10 @@ call re-supplies them; plans and `solve_transport` keep the supplies in
 the row bounds, and so keep their vertices. Against one held model with
 row bounds this cuts the dual simplex iterations of a benchmark realness
 classify solve from 87 to 49 on average. Threads calling `emd` solve one
-at a time. A plan holds the model of its own solve,
-which only `transport_plan(..., warm=plan)` can take over, so a chain of
-plans (one refine run) depends on nothing solved outside it. A model whose
-solve failed or was interrupted is dropped, never held.
+at a time. `transport_plan` solves on a fresh model. `_plan` solves on the
+model its caller passes in and returns it, so a chain of plans (one refine
+run) depends on nothing solved outside it; a plan holds no model. A model
+whose solve failed or was interrupted is dropped, never held.
 """
 
 from __future__ import annotations
@@ -139,15 +139,13 @@ class TransportPlan:
     entries are stored. total_cost is the exact optimum, correctly rounded.
     lower_bound is set by transport_plan (None otherwise): the _DualBound of
     the same solve. It is a result, not an argument, and takes no part in
-    == or repr; nor does _model, the model of the solve, which the plan
-    holds until a later transport_plan(..., warm=plan) takes it over.
+    == or repr.
     """
 
     flow: Dict[Tuple[int, int], float]
     total_cost: float
     lower_bound: Optional[_DualBound] = field(default=None, init=False, repr=False,
                                               compare=False)
-    _model: Optional[_FlowModel] = field(default=None, init=False, repr=False, compare=False)
 
 
 def _axis_costs(spec: BinSpec, params: CostParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -587,8 +585,7 @@ class _DualBound:
 
 
 def transport_plan(
-    h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams = CostParams(),
-    warm: Optional[TransportPlan] = None,
+    h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams = CostParams()
 ) -> TransportPlan:
     """Optimal transport plan from h1 to h2 under the bin-index ground cost.
 
@@ -602,30 +599,27 @@ def transport_plan(
     of _integer_marginals as their sums; the plan need not be a basic
     solution of the dense problem. total_cost is the
     network's exact optimum, the same value as emd. Raises ValueError as
-    emd does, and for a warm plan of another (spec, params).
-
-    The solve runs on the model _model gives for warm's: a fresh one when
-    warm is None or holds no model, so the plan depends only on its inputs;
-    else warm's model, which must be of the same (spec, params) and which
-    the new plan takes over. So a chain of plans, each warm on the one
-    before, solves faster, but where several flows are optimal, which one a
-    plan returns depends on the plans before it in the chain as well, and
-    on nothing else. A plan holds its model (about 0.4 MB on the default
-    bins at e = 1, 1 MB at e = 2) until a later plan takes it over or the
-    plan is dropped. A model passes on once, also through a plan that
-    needed no solve, and a failed solve drops it.
+    emd does. The solve runs on a fresh model, so the plan depends only on
+    its inputs.
 
     The plan's lower_bound is the _DualBound of the row duals and slack of
     the same solve: a lower bound on emd(h, h2, params) for every h, tight
     at h1.
     """
+    return _plan(h1, h2, params, None)[0]
+
+
+def _plan(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams,
+          model: Optional[_FlowModel]) -> Tuple[TransportPlan, Optional[_FlowModel]]:
+    """(plan, model): transport_plan's plan, solved on the model that
+    _model((h1.spec, params), b_eq, model) gives, and that model, or model
+    itself when no solve is needed. Passing each plan's model on to the
+    next restarts its dual simplex from the basis of the one before; where
+    several flows are optimal, which one a plan returns then depends on the
+    earlier plans of the chain as well, and on nothing else. A failed solve
+    raises, so its model is not returned.
+    """
     marginals, b_eq = _node_supplies(h1, h2, params)
-    network = (h1.spec, params)
-    model = None if warm is None else warm._model
-    if model is not None:
-        if model.network != network:
-            raise ValueError("the warm plan is of another bin specification or cost parameters")
-        warm._model = None
     units, total_cost, potentials, slack = {}, 0.0, None, 0.0
     # Zero mass (no marginals) needs no solve; b_eq is None then too.
     if marginals is not None and (b_eq is None or params.e == 1):
@@ -636,7 +630,7 @@ def transport_plan(
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        model = _model(network, b_eq, model)
+        model = _model((h1.spec, params), b_eq, model)
         arcs, arc_flow, total_cost = model.solve()
         arc_cost, tails, heads = model.arc_cost, model.tails, model.heads
         if model.solution.dual_valid:
@@ -653,8 +647,7 @@ def transport_plan(
     flow = {key: moved / MASS_SCALE for key, moved in sorted(units.items()) if moved}
     plan = TransportPlan(flow=flow, total_cost=total_cost)
     plan.lower_bound = _DualBound(h2, params, potentials, slack)
-    plan._model = model
-    return plan
+    return plan, model
 
 
 def emd(

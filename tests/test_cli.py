@@ -588,6 +588,11 @@ ERROR_CASES = {
     "mds-dims-zero": (64, lambda d, tmp: [
         "mds", _file(tmp, "d.csv", "p,0,1\nq,1,0\n"), "--dims", "0",
         "--out", str(tmp / "c.csv")], None),
+    # Columns past the number of points are all zero; a huge --dims used to
+    # fail allocating them.
+    "mds-dims-above-points": (64, lambda d, tmp: [
+        "mds", _file(tmp, "d.csv", "p,0,1\nq,1,0\n"), "--dims", "3",
+        "--out", str(tmp / "c.csv")], "dims must be at most the number of points, 2, got 3"),
     "evaluate-malformed-in-dir": (2, lambda d, tmp: [
         "evaluate", str(d["model"]), _dir_plus(d["real_dir"], tmp, MALFORMED),
         str(d["synth_dir"])], "99_1.mnt"),

@@ -455,17 +455,17 @@ def test_plan_potentials_bound_every_emd(hists, params):
         assert abs(bound(h1) - solved) <= 1e-12 * solved
 
 
-# A chain of plans, each warm on the one before, ends on an optimal vertex
-# of each problem: a plan costs the EMD, and its potentials bound every EMD
-# to the same target, tightly at its own histogram.
+# A chain of plans, each solved on the model the one before returned, ends
+# on an optimal vertex of each problem: a plan costs the EMD, and its
+# potentials bound every EMD to the same target, tightly at its own histogram.
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(hists=_histograms(4), params=PARAMS)
 def test_warm_plans_are_optimal_and_bound_every_emd(hists, params):
     *chain, target = hists
     cost = build_cost_matrix(target.spec, params)
-    plan = None
+    model = None
     for h in chain:
-        plan = transport_plan(h, target, params, warm=plan)
+        plan, model = transport._plan(h, target, params, model)
         solved = emd(h, target, params)
         assert exact_plan_cost(plan, cost) == plan.total_cost == solved
         for other in hists:

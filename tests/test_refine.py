@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -288,12 +290,12 @@ class TestRefine:
         module = importlib.import_module("minhist.refine")
         planned = []
 
-        def counting_plan(h1, h2, params, warm):
+        def counting_plan(h1, h2, params, model):
             planned.append(h1.mass.copy())
-            return transport_plan(h1, h2, params, warm=warm)
+            return transport._plan(h1, h2, params, model)
 
-        # refine looks up the public, traced name.
-        monkeypatch.setattr(module, "transport_plan", counting_plan)
+        # refine looks up _plan by its name in its own module.
+        monkeypatch.setattr(module, "_plan", counting_plan)
         cfg = base_config(threshold=threshold, max_iters=6, rng_seed=seed)
         t = init_template(cfg)
         result = refine(t, cfg)
@@ -348,13 +350,13 @@ class TestRefine:
             m.setattr(transport, "SLACK_TOL", -np.inf)
             want = refine(init_template(cfg), cfg)
 
-        def reversed_order(h1, h2, params, warm):
-            plan = transport_plan(h1, h2, params, warm=warm)
+        def reversed_order(h1, h2, params, model):
+            plan, model = transport._plan(h1, h2, params, model)
             later = itertools.count()
             plan.lower_bound = lambda h: -1e9 - next(later)
-            return plan
+            return plan, model
 
-        monkeypatch.setattr(module, "transport_plan", reversed_order)
+        monkeypatch.setattr(module, "_plan", reversed_order)
         got = refine(init_template(cfg), cfg)
         assert (got.status, got.trace, got.template) == (want.status, want.trace, want.template)
 
@@ -451,7 +453,7 @@ class TestRefine:
     # from, so a model shared between the runs would change them.
     @pytest.mark.parametrize("seed", [4, 18])
     def test_interleaved_runs_equal_runs_made_alone(self, seed, monkeypatch):
-        # Each plan is warm on the model of the run's own previous plan. So
+        # Each plan is solved on the model of the run's own previous plan. So
         # run B, made in full after each plan of run A, must change neither
         # A's plans and result nor its own.
         module = importlib.import_module("minhist.refine")
@@ -461,14 +463,14 @@ class TestRefine:
         def run(cfg, after_each_plan=lambda: None):
             plans = []
 
-            def recording_plan(h1, h2, params, warm):
-                plan = transport_plan(h1, h2, params, warm=warm)
+            def recording_plan(h1, h2, params, model):
+                plan, model = transport._plan(h1, h2, params, model)
                 plans.append(plan.flow)
                 after_each_plan()
-                return plan
+                return plan, model
 
             with monkeypatch.context() as m:
-                m.setattr(module, "transport_plan", recording_plan)
+                m.setattr(module, "_plan", recording_plan)
                 result = refine(init_template(cfg), cfg)
             return result.status, result.trace, result.template, plans
 
@@ -476,6 +478,35 @@ class TestRefine:
         runs_b = []
         assert run(cfg_a, lambda: runs_b.append(run(cfg_b))) == alone_a
         assert runs_b and all(b == alone_b for b in runs_b)
+
+    def test_concurrent_runs_equal_serial_runs(self):
+        # Each run owns its plan model, and emd's shared models sit behind
+        # its lock: runs in four threads that switch every microsecond must
+        # each give the result of the same run made alone.
+        cfgs = [base_config(threshold=1e-6, max_iters=12, rng_seed=seed) for seed in (3, 4, 5, 18)]
+
+        def run(cfg):
+            result = refine(init_template(cfg), cfg)
+            return result.status, result.trace, result.template
+
+        serial = [run(cfg) for cfg in cfgs]
+        concurrent = [None] * len(cfgs)
+
+        def work(k):
+            concurrent[k] = run(cfgs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cfgs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert concurrent == serial
 
     @pytest.mark.parametrize("seed", range(4))
     def test_deletion_blame_is_twice_the_plan_cost(self, seed):

@@ -1,9 +1,11 @@
+import gc
 import os
 import re
 import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -689,9 +691,9 @@ class TestEmd:
             assert emd(h3, h2, params) == transport_plan(h3, h2, params).total_cost
             assert changes == ["columns"]
         else:
-            first = transport_plan(h1, h2, params)
+            _, model = transport._plan(h1, h2, params, None)
             assert changes == []
-            transport_plan(h3, h2, params, warm=first)
+            transport._plan(h3, h2, params, model)
             assert len(changes) > 1 and set(changes) == {"row"}
         transport._emd_models.clear()
 
@@ -706,9 +708,9 @@ class TestEmd:
         rng = np.random.default_rng(34)
         h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
         monkeypatch.setattr(transport, "_Highs", Recording)
-        first = transport_plan(h1, h2)
+        _, model = transport._plan(h1, h2, CostParams(), None)
         assert len(reads) == 1
-        second = transport_plan(h3, h2, warm=first)
+        second, _ = transport._plan(h3, h2, CostParams(), model)
         assert len(reads) == 2 and reads[1] is reads[0]
         assert second.lower_bound.potentials is not None
 
@@ -746,45 +748,87 @@ class TestEmd:
         transport._emd_models.clear()
 
     @pytest.mark.parametrize("change", ["params", "spec"])
-    def test_warm_plan_of_another_network_rejected(self, change):
+    def test_a_model_of_another_network_is_not_reused(self, change):
+        # Given a model of another (spec, params), _plan solves on a fresh
+        # model and returns transport_plan's plan; the given model keeps
+        # its supplies.
         rng = np.random.default_rng(30)
         h1, h2 = (random_normalized_hist(rng, 4, 5) for _ in range(2))
-        plan = transport_plan(h1, h2)
+        _, model = transport._plan(h1, h2, CostParams(), None)
+        supplies = model.b_eq.copy()
         if change == "params":
             args = (h2, h1, CostParams(1.0, 2.0, 1.0))
         else:
-            args = (make_hist(h2.mass.T), make_hist(h1.mass.T))
-        with pytest.raises(ValueError, match="warm plan is of another bin specification"):
-            transport_plan(*args, warm=plan)
-        # The refused call leaves the model with the plan.
-        assert transport_plan(h2, h1, warm=plan).total_cost == emd(h2, h1)
-        assert plan._model is None
+            args = (make_hist(h2.mass.T), make_hist(h1.mass.T), CostParams())
+        plan, fresh = transport._plan(*args, model)
+        assert fresh is not model and fresh.network == (args[0].spec, args[2])
+        assert np.array_equal(model.b_eq, supplies)
+        assert plan == transport_plan(*args)
+        assert plan.total_cost == emd(*args)
 
     def test_a_plan_passes_its_model_on_once(self):
+        # _plan returns the model it solved on, and the next _plan
+        # re-supplies that model; a plan that needs no solve returns the
+        # model it was given.
         rng = np.random.default_rng(31)
         h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
-        first = transport_plan(h1, h3)
-        model = first._model
-        second = transport_plan(h2, h3, warm=first)
-        assert first._model is None and second._model is model
-        third = transport_plan(h1, h3, warm=first)  # nothing left to take over
-        assert third._model is not model
+        params = CostParams()
+        first, model = transport._plan(h1, h3, params, None)
+        second, again = transport._plan(h2, h3, params, model)
+        assert again is model
+        assert np.array_equal(model.b_eq, transport._node_supplies(h2, h3, params)[1])
+        assert second.total_cost == emd(h2, h3)
+        same, kept = transport._plan(h3, h3, params, model)
+        assert kept is model and same.total_cost == 0.0
+        third, fresh = transport._plan(h1, h3, params, None)
+        assert fresh is not model
         assert third == transport_plan(h1, h3) == first
 
     def test_failed_warm_solve_drops_the_model(self):
-        # A failed solve leaves no trusted basis: neither plan keeps the
-        # model, and a plan warm on the failed one starts afresh.
+        # A failed solve leaves no trusted basis: _plan raises, returns no
+        # model and keeps none, and a fresh model gives the plan.
         rng = np.random.default_rng(32)
         h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
         params = CostParams(1.0, 2.0, 2.0)
-        first = transport_plan(h1, h3, params)
-        first._model.highs.setOptionValue("simplex_iteration_limit", 0)
+        _, model = transport._plan(h1, h3, params, None)
+        model.highs.setOptionValue("simplex_iteration_limit", 0)
         with pytest.raises(RuntimeError, match="transportation solve failed"):
-            transport_plan(h2, h3, params, warm=first)
-        assert first._model is None
-        again = transport_plan(h2, h3, params, warm=first)
+            transport._plan(h2, h3, params, model)
+        failed = weakref.ref(model)
+        del model
+        gc.collect()
+        assert failed() is None
+        again, _ = transport._plan(h2, h3, params, None)
         assert again == transport_plan(h2, h3, params)
         assert again.total_cost == emd(h2, h3, params)
+
+    def test_kept_plans_hold_no_solver_state(self):
+        # A plan is its flow, total_cost and lower_bound: keeping plans
+        # keeps no HiGHS model. Once the chain's model is dropped it is
+        # freed, and no _FlowModel can be reached from the plans.
+        rng = np.random.default_rng(36)
+        params = CostParams(e=2.0)
+        target = random_normalized_hist(rng)
+        plans, model = [], None
+        for _ in range(100):
+            plan, model = transport._plan(random_normalized_hist(rng), target, params, model)
+            plans.append(plan)
+        plans.append(transport_plan(random_normalized_hist(rng), target, params))
+        chained = weakref.ref(model)
+        del model
+        gc.collect()
+        assert chained() is None
+        seen, reachable = set(), list(plans)
+        while reachable:
+            obj = reachable.pop()
+            # Classes and modules lead to every global, emd's models among them.
+            if id(obj) in seen or isinstance(obj, (type, type(transport))):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, transport._FlowModel)
+            reachable.extend(gc.get_referents(obj))
+        assert all(plan.total_cost > 0 and plan.lower_bound.potentials is not None
+                   for plan in plans)
 
     def test_triangle_inequality_e1(self):
         rng = np.random.default_rng(17)

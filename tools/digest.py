@@ -22,7 +22,8 @@ The output is six lines:
                 40 search ops: the query key, the ranked finger ids with
                 their scores in hex, and the true rank
     emd_calls   calls of minhist.transport.emd over the four digests
-    plan_calls  calls of minhist.transport.transport_plan over them
+    plan_calls  calls of minhist.transport._plan over them, or of
+                transport_plan in a tree without _plan
 
 Run it on a parent tree and on a change tree, from either tree:
 
@@ -144,13 +145,15 @@ def main(argv=None) -> int:
     mh = _harness(root).import_program()
     import workloads  # perfbench's, on the path import_program set
 
-    counts = _count_calls(mh, ("emd", "transport_plan"))
+    # Every plan goes through _plan where the tree has it.
+    plan = "_plan" if hasattr(mh.transport, "_plan") else "transport_plan"
+    counts = _count_calls(mh, ("emd", plan))
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("refine", _refine), ("realness", _realness),
                           ("population", _population), ("identify", _identify)):
             print(f"{name:<11} {run(mh, workloads, Path(tmp))[:16]}")
     print(f"{'emd_calls':<11} {counts['emd']}")
-    print(f"{'plan_calls':<11} {counts['transport_plan']}")
+    print(f"{'plan_calls':<11} {counts[plan]}")
     return 0
 
 
