@@ -6,12 +6,23 @@ score (BIS) over that finger's impressions, excluding the query impression
 itself; fingers are ranked by descending score with ties broken by ascending
 finger id. The accessed fraction models an incremental search: rank of the
 true finger divided by the number of gallery fingers.
+
+The gallery is held as sparse rows: one CSR matrix (entries x bins) over the
+entries' nonzero bins, so a built or loaded index takes memory in proportion
+to its nonzero bins, not one dense 4D array per entry. A search builds the
+query's dense 4D histogram once and scores every entry in one vectorised
+pass; raw masses are integer pair counts, so the scores are the bits `bis`
+gives. `GalleryIndex.entries` is a per-entry view that builds one dense
+GalleryEntry on each access.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import operator
+from collections import abc
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,7 +31,8 @@ import numpy as np
 from .histogram import IDENTIFICATION_SPEC, BinSpec, MinutiaeHistogram, _mass_shape, build_4dmh
 from .template import MinutiaTemplate, _int, _numbers, _object, _token
 
-# The keys of each entry of a saved index.
+# The keys of a saved index and of each of its entries.
+_INDEX_KEYS = ("spec", "entries")
 _ENTRY_KEYS = ("finger", "impression", "pair_count", "mass_idx", "mass_val")
 
 
@@ -40,51 +52,114 @@ class GalleryEntry:
     hist: MinutiaeHistogram
 
 
-@dataclass
 class GalleryIndex:
-    """Enrolled impressions as raw 4D histograms under a shared spec."""
+    """Enrolled impressions as raw 4D histograms under a shared spec, held as
+    the CSR rows of their nonzero bins with a finger id, impression id and
+    pair count per row."""
 
-    spec: BinSpec = IDENTIFICATION_SPEC
-    entries: List[GalleryEntry] = field(default_factory=list)
+    def __init__(self, spec: BinSpec = IDENTIFICATION_SPEC) -> None:
+        self.spec = spec
+        n_bins = math.prod(_mass_shape(spec, 4))
+        self._fingers: List[str] = []
+        self._impressions: List[str] = []
+        self._pair_counts: List[int] = []
+        # Row k's bins are _indices[_indptr[k]:_indptr[k + 1]], strictly
+        # increasing, with their masses in _data; int32 unless the spec has
+        # more bins than it can index.
+        self._indptr = np.zeros(1, dtype=np.intp)
+        self._indices = np.zeros(0, dtype=np.int32 if n_bins <= 2**31 else np.int64)
+        self._data = np.zeros(0)
+        # Rows enrolled since the arrays were last built, as (bins, masses).
+        self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        # Derived from the rows by _sync: the rows with a stored bin, the
+        # sorted distinct finger ids and each row's position among them.
+        self._filled = np.zeros(0, dtype=np.intp)
+        self._finger_ids: List[str] = []
+        self._codes = np.zeros(0, dtype=np.intp)
+
+    @property
+    def entries(self) -> Sequence[GalleryEntry]:
+        """The enrolled impressions in enrolment order, each built as a
+        dense GalleryEntry when it is accessed."""
+        return _Entries(self)
 
     def finger_ids(self) -> List[str]:
-        return sorted({e.finger_id for e in self.entries})
+        self._sync()
+        return list(self._finger_ids)
 
     def enroll(self, t: MinutiaTemplate) -> None:
         if t.finger_id is None or t.impression_id is None:
             raise ValueError("gallery templates need finger and impression ids")
         hist = build_4dmh(t, self.spec, normalize=False)
-        self.entries.append(
-            GalleryEntry(finger_id=t.finger_id, impression_id=t.impression_id, hist=hist)
+        mass = hist.mass.ravel()
+        idx = np.flatnonzero(mass)
+        self._append(t.finger_id, t.impression_id, hist.pair_count, idx, mass[idx])
+
+    def _append(self, finger: str, impression: str, pair_count: int,
+                idx: np.ndarray, val: np.ndarray) -> None:
+        self._fingers.append(finger)
+        self._impressions.append(impression)
+        self._pair_counts.append(pair_count)
+        self._pending.append((idx, val))
+
+    def _sync(self) -> None:
+        """Fold the pending rows into the CSR arrays and re-derive what the
+        search reads from them."""
+        if not self._pending:
+            return
+        counts = np.array([len(idx) for idx, _ in self._pending], dtype=np.intp)
+        self._indptr = np.concatenate([self._indptr, self._indptr[-1] + np.cumsum(counts)])
+        self._indices = np.concatenate(
+            [self._indices, *(idx for idx, _ in self._pending)], dtype=self._indices.dtype)
+        self._data = np.concatenate([self._data, *(val for _, val in self._pending)])
+        self._pending = []
+        self._filled = np.flatnonzero(np.diff(self._indptr))
+        self._finger_ids = sorted(set(self._fingers))
+        position = {f: k for k, f in enumerate(self._finger_ids)}
+        self._codes = np.array([position[f] for f in self._fingers], dtype=np.intp)
+
+    def _entry(self, k: int) -> GalleryEntry:
+        self._sync()
+        stored = slice(self._indptr[k], self._indptr[k + 1])
+        shape = _mass_shape(self.spec, 4)
+        mass = np.zeros(math.prod(shape))
+        mass[self._indices[stored]] = self._data[stored]
+        return GalleryEntry(
+            finger_id=self._fingers[k],
+            impression_id=self._impressions[k],
+            hist=MinutiaeHistogram(spec=self.spec, dims=4, mass=mass.reshape(shape),
+                                   normalized=False, pair_count=self._pair_counts[k]),
         )
 
     def save(self, path: Path | str) -> None:
         # load rejects an index without entries; search has nothing to rank.
-        if not self.entries:
+        if not self._fingers:
             raise ValueError("cannot save an empty gallery index")
+        self._sync()
         # Raw 4D histograms are almost entirely zero; store nonzero bins only.
+        bounds = self._indptr.tolist()
+        idx, val = self._indices.tolist(), self._data.tolist()
         payload = {
             "spec": asdict(self.spec),
             "entries": [
                 {
-                    "finger": e.finger_id,
-                    "impression": e.impression_id,
-                    "pair_count": e.hist.pair_count,
-                    "mass_idx": idx.tolist(),
-                    "mass_val": e.hist.mass.ravel()[idx].tolist(),
+                    "finger": finger,
+                    "impression": impression,
+                    "pair_count": pairs,
+                    "mass_idx": idx[a:b],
+                    "mass_val": val[a:b],
                 }
-                for e in self.entries
-                for idx in [np.flatnonzero(e.hist.mass)]
+                for finger, impression, pairs, a, b in zip(
+                    self._fingers, self._impressions, self._pair_counts, bounds, bounds[1:])
             ],
         }
         Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
     @classmethod
     def load(cls, path: Path | str) -> "GalleryIndex":
-        payload = _object(json.loads(Path(path).read_text(encoding="utf-8")), "index", cls)
+        payload = _object(json.loads(Path(path).read_text(encoding="utf-8")), "index", _INDEX_KEYS)
         spec = BinSpec(**_object(payload["spec"], "spec", BinSpec))
-        shape = _mass_shape(spec, 4)
-        n_bins = int(np.prod(shape))
+        n_bins = math.prod(_mass_shape(spec, 4))
         index = cls(spec=spec)
         if not (isinstance(payload["entries"], list) and payload["entries"]):
             raise ValueError("entries must be a non-empty list")
@@ -104,22 +179,30 @@ class GalleryIndex:
             finger = _token(entry["finger"], f"entry {k}: finger")
             impression = _token(entry["impression"], f"entry {k}: impression")
             pairs = _int(entry["pair_count"], f"entry {k}: pair_count", 0)
-            mass = np.zeros(n_bins)
-            mass[idx] = val
-            index.entries.append(
-                GalleryEntry(
-                    finger_id=finger,
-                    impression_id=impression,
-                    hist=MinutiaeHistogram(
-                        spec=spec,
-                        dims=4,
-                        mass=mass.reshape(shape),
-                        normalized=False,
-                        pair_count=pairs,
-                    ),
-                )
-            )
+            # A stored zero is no mass; the rows hold nonzero bins only, as save writes.
+            nonzero = val != 0
+            index._append(finger, impression, pairs, idx[nonzero], val[nonzero])
+        index._sync()
         return index
+
+
+class _Entries(abc.Sequence):
+    """A GalleryIndex's entries as a read-only sequence. Each access builds
+    that entry's dense histogram afresh, so iterating holds one at a time."""
+
+    def __init__(self, index: GalleryIndex) -> None:
+        self._index = index
+
+    def __len__(self) -> int:
+        return len(self._index._fingers)
+
+    def __getitem__(self, k) -> GalleryEntry:
+        return self._index._entry(range(len(self))[operator.index(k)])
+
+    def __iter__(self):
+        # Sequence's own __iter__ keeps the last entry while it builds the next.
+        for k in range(len(self)):
+            yield self._index._entry(k)
 
 
 def build_index(
@@ -148,18 +231,23 @@ def search(index: GalleryIndex, query: MinutiaTemplate) -> RankingResult:
     """
     if not index.entries:
         raise ValueError("empty gallery index")
-    q_hist = build_4dmh(query, index.spec, normalize=False)
+    index._sync()
+    q = build_4dmh(query, index.spec, normalize=False).mass.ravel()
 
-    best: Dict[str, float] = {}
-    for entry in index.entries:
-        if (
-            entry.finger_id == query.finger_id
-            and entry.impression_id == query.impression_id
-        ):
-            continue
-        score = bis(q_hist, entry.hist)
-        if entry.finger_id not in best or score > best[entry.finger_id]:
-            best[entry.finger_id] = score
+    # bis of the query and every row: the smaller mass of each stored bin,
+    # summed per row. A row without stored bins scores 0.
+    scores = np.zeros(len(index._fingers))
+    smaller = np.minimum(index._data, q[index._indices])
+    scores[index._filled] = np.add.reduceat(smaller, index._indptr[index._filled])
+    keep = np.ones(len(scores), dtype=bool)
+    keep[[k for k, (f, i) in enumerate(zip(index._fingers, index._impressions))
+          if f == query.finger_id and i == query.impression_id]] = False
+    # Scores are >= 0, so a finger still at -inf has no comparable impression.
+    best_of = np.full(len(index._finger_ids), -np.inf)
+    np.maximum.at(best_of, index._codes[keep], scores[keep])
+    best: Dict[str, float] = {
+        f: s for f, s in zip(index._finger_ids, best_of.tolist()) if s != -np.inf
+    }
 
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
     true_rank = None

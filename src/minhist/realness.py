@@ -398,7 +398,11 @@ def train(
     have_side = config.use_side_features and not np.isnan(side_raw).any()
     if have_side:
         offsets = side_raw.mean(axis=0)
-        scales = side_raw.std(axis=0)
+        # The std of each column over its largest magnitude, scaled back: the
+        # squares of a finite feature as large as 1e200 would overflow. The
+        # divisor is a power of two, so the scale has the bits of a plain std.
+        peaks = np.ldexp(1.0, np.frexp(np.abs(side_raw).max(axis=0))[1])
+        scales = (side_raw / peaks).std(axis=0) * peaks
         scales[scales <= 0] = 1.0
         side = tuple(((side_raw - offsets) / scales).T)  # columns b, c, d
         feature_norms = {

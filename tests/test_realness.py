@@ -340,6 +340,28 @@ class TestTrain:
                  for t in real2 + synth2]
         assert result.set2_accuracy == 100.0 * sum(right) / len(right)
 
+    def test_huge_side_feature_gets_a_finite_scale(self):
+        # var_ird 1e200 is finite and parses, but its square overflows.
+        real = make_population(117, 6, 2, "broad", REAL)
+        synth = make_population(217, 6, 2, "cluster", SYNTHETIC)
+        config = TrainConfig(split=(2, 2, 2), r_grid=(1.0,), s_grid=(1.0,), e_grid=(1.0,),
+                             w0_grid=(0.0,), w1_grid=(1.0,), use_side_features=True)
+        _, synth2, _ = split_by_finger(synth, config.split)
+        huge = replace(synth2[0], var_ird=1e200)
+        synth = [huge if t is synth2[0] else t for t in synth]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = train(real, synth, config).model.feature_norms
+        _, real2, _ = split_by_finger(real, config.split)
+        _, synth2, _ = split_by_finger(synth, config.split)
+        side = np.array([template_side_features(t) for t in real2 + synth2])
+        n = len(side)
+        assert norms["var_ird"][1] == pytest.approx(1e200 * np.sqrt(n - 1) / n, rel=1e-12)
+        # The other columns keep the bits of a plain std.
+        for k, name in enumerate(SIDE_FEATURES):
+            if name != "var_ird":
+                assert norms[name] == (side[:, k].mean(), side[:, k].std())
+
     def test_deterministic(self):
         real = make_population(103, 6, 2, "broad", REAL)
         synth = make_population(203, 6, 2, "cluster", SYNTHETIC)
