@@ -39,7 +39,9 @@ and their largest dual infeasibility, slack = max over arcs of y_tail -
 y_head - cost. By weak duality they give a lower bound on the EMD of any
 other histogram to the same target (`_DualBound`); the bound is -inf when
 slack is above SLACK_TOL times the largest arc cost. `emd` never reads the
-duals.
+duals. Upper bounds need no solve: at e = 1 a spanning tree of the bin
+grid carries one flow meeting the supplies, whose cost no optimum exceeds
+(`_tree_bounds`).
 
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
@@ -582,6 +584,65 @@ class _DualBound:
         eps = float(np.finfo(float).eps)
         margin = self.slack * units * depth * (1 + 4 * eps) + 8 * eps * abs(dual)
         return (dual - margin) / MASS_SCALE
+
+
+def _tree_bounds(spec: BinSpec, params: CostParams, supplies: np.ndarray) -> np.ndarray:
+    """Upper bounds on emd for a stack of node-supply vectors, one row each
+    (the b_eq of _node_supplies on the network of (spec, params)).
+
+    At e = 1 a "ladder" spanning tree of the bin grid is a subgraph of the
+    network: each line of bins along one axis is a path, and each two
+    neighbouring lines are joined by one rung along the other axis, at any
+    position (the combs, spanning trees with all rungs in one row, are
+    ladders). A tree carries one flow meeting the supplies, which on each
+    edge is the net supply of the part of the tree beyond it, so it costs
+    the sum of w_e * |net supply beyond e|, which no optimal flow exceeds.
+    Those net supplies are exact sums of the integer supplies. The rung
+    after line x carries the net supply of lines 0 .. x wherever it sits,
+    and a path edge the net supply of its line's bins up to it plus that of
+    the lines hung beyond it through the rungs on that side, so the
+    cheapest ladder of each orientation is a shortest path over the rung
+    positions, line by line. The bound is the cheaper of the two, times 1 +
+    8 eps: (s * A + r * B) / MASS_SCALE, for non-negative integers A and B,
+    takes six roundings of at most eps / 2 each, so it is never below the
+    exact optimum, nor below emd, its correctly rounded value. A row whose
+    sums could overflow int64, and every row at e != 1, gets +inf.
+    """
+    if params.e != 1:
+        return np.full(len(supplies), math.inf)
+    net = np.rint(supplies).astype(np.int64).reshape(-1, spec.b_dist, spec.b_dir)
+    k = len(net)
+    bound = np.full(k, math.inf)
+    # Lines along axis 2 with rungs along axis 1, on the grid and on its
+    # transpose.
+    for grid, rung_w, path_w in ((net, params.s, params.r), (net.swapaxes(1, 2), params.r, params.s)):
+        lines, length = grid.shape[1:]
+        prefix = np.cumsum(grid, axis=2)
+        # Net supply of lines 0 .. x: carried by the rung after line x,
+        # into line x + 1 (the last is 0, the total).
+        rung = np.cumsum(prefix[:, :, -1], axis=1)
+        into = np.concatenate([np.zeros((k, 1), dtype=np.int64), rung[:, :-1]], axis=1)
+        # Edge u of line x, with the rung from line x - 1 at l and the rung
+        # to line x + 1 at m, carries prefix + into * [l <= u] - rung * [m
+        # <= u]: cumulative sums of each of the four cases, over u.
+        shift = np.stack([np.zeros_like(rung), into, -rung, into - rung], axis=2)
+        sums = np.zeros((k, lines, 4, length), dtype=np.int64)
+        np.cumsum(np.abs(prefix[:, :, None, :-1] + shift[..., None]), axis=3, out=sums[..., 1:])
+        l, m = np.arange(length)[:, None], np.arange(length)[None, :]
+        lo, hi, mid = np.minimum(l, m), np.maximum(l, m), np.where(l <= m, 1, 2)
+        line_cost = (sums[:, :, 0, lo] + sums[:, :, mid, hi] - sums[:, :, mid, lo]
+                     + sums[:, :, 3, -1:, None] - sums[:, :, 3, hi])  # (k, x, l, m)
+        # The first line has no rung before it.
+        best = line_cost[:, 0, 0, :]
+        for x in range(1, lines):
+            best = (best[:, :, None] + line_cost[:, x]).min(axis=1)
+        rungs = np.abs(rung[:, :-1]).sum(axis=1)
+        bound = np.minimum(bound, float(rung_w) * rungs + float(path_w) * best.min(axis=1))
+    # A net supply is at most the units supplied, and no sum above adds up
+    # more than 2 n of them.
+    units = np.where(net > 0, net, 0).sum(axis=(1, 2))
+    bound[units.astype(float) * (2 * spec.b_dist * spec.b_dir) >= 2.0 ** 62] = math.inf
+    return bound / MASS_SCALE * (1 + 8 * float(np.finfo(float).eps))
 
 
 def transport_plan(

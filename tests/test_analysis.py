@@ -1,16 +1,20 @@
 import itertools
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from minhist import analysis
 from minhist.analysis import (
     DistanceMatrix,
     bootstrap_neighborhood,
     mds_embed,
 )
-from minhist.histogram import BinSpec, build_2dmh
-from minhist.transport import CostParams
+from minhist.histogram import BinSpec, MinutiaeHistogram, build_2dmh
+from minhist.realness import average_histogram
+from minhist.transport import CostParams, _node_supplies, _tree_bounds, emd
 
 from genpop import make_population
 
@@ -269,6 +273,122 @@ class TestBootstrapNeighborhood:
         hists = self._hists(67, n_impressions=1)
         with pytest.raises(ValueError, match="at least 2"):
             bootstrap_neighborhood(hists, alpha=0.1, replicates=100)
+
+
+def reference_picks(n, seed, replicates):
+    """The picks of test_matches_the_set_difference_draw's reference draw."""
+    rng = np.random.default_rng([seed, 3])
+    picks = []
+    for _ in range(replicates):
+        resample = rng.integers(0, n, size=n)
+        held_out = np.setdiff1d(np.arange(n), resample)
+        pick = held_out[rng.integers(0, held_out.size)] if held_out.size else rng.integers(0, n)
+        picks.append(int(pick))
+    return picks
+
+
+def reference_radius(hists, alpha, replicates, seed, params=CostParams()):
+    """Every distinct pick solved, the radius read off all sorted draws."""
+    mean = average_histogram(hists)
+    picks = reference_picks(len(hists), seed, replicates)
+    value = {p: emd(hists[p], mean, params) for p in dict.fromkeys(picks)}
+    k = math.ceil((1 - Fraction(str(alpha))) * replicates)
+    return sorted(value[p] for p in picks)[k - 1]
+
+
+class CountingEmd:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return emd(*args)
+
+
+def finger(kind, seed, n_impressions=32, jitter=8.0):
+    pop = make_population(seed, 1, n_impressions, kind, None, jitter=jitter)
+    return [build_2dmh(t, SPEC) for t in pop]
+
+
+class TestTreeBounds:
+    @staticmethod
+    def _hist(spec, mass, normalized=True):
+        return MinutiaeHistogram(spec=spec, dims=2, mass=mass, normalized=normalized,
+                                 pair_count=1)
+
+    @pytest.mark.parametrize("b_dist, b_dir", [(1, 9), (9, 1), (10, 10), (4, 7)])
+    @pytest.mark.parametrize("params", [CostParams(), CostParams(r=0.3, s=2.5)],
+                             ids=["r=s", "r!=s"])
+    def test_never_below_emd(self, b_dist, b_dir, params):
+        spec = BinSpec(b_dist=b_dist, b_dir=b_dir)
+        rng = np.random.default_rng([b_dist, b_dir, int(10 * params.r)])
+        n = b_dist * b_dir
+        h1s, h2s = [], []
+        for _ in range(25):
+            masses = rng.random((2, b_dist, b_dir)) * (rng.random((2, b_dist, b_dir)) < 0.6)
+            masses[:, 0, 0] += 1e-3
+            h1s.append(self._hist(spec, masses[0] / masses[0].sum()))
+            h2s.append(self._hist(spec, masses[1] / masses[1].sum()))
+        # Equal marginals and zero mass have no supplies and cost 0.
+        h1s += [h2s[0], self._hist(spec, np.zeros((b_dist, b_dir)), normalized=False)]
+        h2s += [h2s[0], self._hist(spec, np.zeros((b_dist, b_dir)), normalized=False)]
+        supplies = [_node_supplies(a, b, params)[1] for a, b in zip(h1s, h2s)]
+        assert supplies[-2] is None and supplies[-1] is None
+        stack = np.stack([np.zeros(n) if b_eq is None else b_eq for b_eq in supplies])
+        bounds = _tree_bounds(spec, params, stack)
+        values = np.array([emd(a, b, params) for a, b in zip(h1s, h2s)])
+        assert (bounds >= values).all()
+        assert (bounds[-2:] == 0).all()
+        # Finite at e = 1, so a bootstrap can leave picks unsolved.
+        assert np.isfinite(bounds).all()
+
+    def test_infinite_off_the_grid_network(self):
+        spec = BinSpec(b_dist=3, b_dir=3)
+        assert (_tree_bounds(spec, CostParams(e=2.0), np.ones((2, 27))) == np.inf).all()
+
+
+class TestBootstrapSolves:
+    @pytest.mark.parametrize("replicates", [100, 1000])
+    @pytest.mark.parametrize("kind, seed", [("broad", 80), ("cluster", 81)])
+    def test_radius_keeps_its_bits(self, kind, seed, replicates):
+        hists = finger(kind, seed)
+        for alpha in (0.5, 0.05, 0.01):
+            nb = bootstrap_neighborhood(hists, alpha=alpha, replicates=replicates, seed=seed)
+            assert nb.radius == reference_radius(hists, alpha, replicates, seed)
+
+    def test_cluster_finger_solves_fewer_than_its_picks(self, monkeypatch):
+        hists = finger("cluster", 82)
+        counting = CountingEmd()
+        monkeypatch.setattr(analysis, "emd", counting)
+        bootstrap_neighborhood(hists, alpha=0.05, replicates=200, seed=3)
+        assert 0 < counting.calls < len(set(reference_picks(len(hists), 3, 200)))
+
+    def test_every_pick_solved_at_e_2(self, monkeypatch):
+        hists = finger("cluster", 83, n_impressions=8)
+        params = CostParams(e=2.0)
+        counting = CountingEmd()
+        monkeypatch.setattr(analysis, "emd", counting)
+        nb = bootstrap_neighborhood(hists, alpha=0.05, replicates=200, params=params, seed=4)
+        assert counting.calls == len(set(reference_picks(len(hists), 4, 200)))
+        assert nb.radius == reference_radius(hists, 0.05, 200, 4, params)
+
+    def test_first_bad_pick_raises(self):
+        # Two impressions of twice and of no mass: their mean stays
+        # balanced against the others, but each fails emd's balance check
+        # with its own message. The one drawn first raises, as when each
+        # pick was solved as it was drawn.
+        hists = finger("broad", 84, n_impressions=6)
+        for k, factor in ((1, 2.0), (4, 0.0)):
+            hists[k] = MinutiaeHistogram(spec=SPEC, dims=2, mass=hists[k].mass * factor,
+                                         normalized=True, pair_count=1)
+        messages = {1: r"unequal total mass (1\.99|2\.0)", 4: r"unequal total mass 0\.0 vs"}
+        firsts = set()
+        for seed in range(6):
+            first = next(p for p in reference_picks(6, seed, 100) if p in messages)
+            firsts.add(first)
+            with pytest.raises(ValueError, match=messages[first]):
+                bootstrap_neighborhood(hists, alpha=0.1, replicates=100, seed=seed)
+        assert firsts == {1, 4}
 
 
 @pytest.mark.parametrize("call, kwargs, message", [

@@ -359,6 +359,15 @@ class TestMdsCommand:
         assert (coords[:, :embedded] != 0).any(axis=0).all()
         assert (coords[:, embedded:] == 0).all()
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # It used to stay on the first label and be written out with it.
+        matrix = tmp_path / "d.csv"
+        matrix.write_bytes("\ufeffp,0,1\nq,1,0\n".encode("utf-8"))
+        out = tmp_path / "coords.csv"
+        assert main(["mds", str(matrix), "--out", str(out)]) == 0
+        labels = [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()]
+        assert labels == ["label", "p", "q"]
+
     def test_unreadable_matrix_exits_2(self, tmp_path):
         assert main(["mds", str(tmp_path / "missing.csv"), "--out",
                      str(tmp_path / "out.csv")]) == 2
@@ -750,6 +759,26 @@ ERROR_CASES = {
     "mds-infinite-distance": (2, lambda d, tmp: [
         "mds", _file(tmp, "d.csv", "a,0,inf\nb,inf,0\n"), "--out", str(tmp / "c.csv")],
         "non-finite"),
+    # Squared in the double-centring, 1e308 overflowed: the command wrote
+    # NaN coordinates and exited 0.
+    "mds-distance-too-large": (2, lambda d, tmp: [
+        "mds", _file(tmp, "d.csv", "a,0,1e308\nb,1e308,0\n"), "--out", str(tmp / "c.csv")],
+        "distance matrix has entries above 6.704e+153, too large to square for MDS"),
+    # Each of these used to exit 2 with NumPy's or the shape check's
+    # message, which named neither row nor file.
+    "mds-row-too-short": (2, lambda d, tmp: [
+        "mds", _file(tmp, "d.csv", "a,0,1\nb,1\n"), "--out", str(tmp / "c.csv")],
+        "row 2 has 1 distances, expected 2"),
+    "mds-row-too-long": (2, lambda d, tmp: [
+        "mds", _file(tmp, "d.csv", "a,0,1,2\nb,1,0\n"), "--out", str(tmp / "c.csv")],
+        "row 1 has 3 distances, expected 2"),
+    "mds-empty-matrix": (2, lambda d, tmp: [
+        "mds", _file(tmp, "d.csv", "\n"), "--out", str(tmp / "c.csv")],
+        "distance matrix has no rows"),
+    # Repeated labels used to be written as two rows of coordinates.
+    "mds-repeated-label": (2, lambda d, tmp: [
+        "mds", _file(tmp, "d.csv", "a,0,1\na,1,0\n"), "--out", str(tmp / "c.csv")],
+        "distance matrix label 'a' is repeated"),
     "search-top-negative": (64, lambda d, tmp: _search(d, tmp, str(d["index"]), "--top", "-1"),
         "--top"),
     "refine-max-iters-negative": (64, lambda d, tmp: _refine(

@@ -21,7 +21,9 @@ The output is six lines:
                 index give equal finger_ids(), and those ids) and its first
                 40 search ops: the query key, the ranked finger ids with
                 their scores in hex, and the true rank
-    emd_calls   calls of minhist.transport.emd over the four digests
+    emd_calls   calls of minhist.transport.emd over the four digests; a
+                bootstrap op solves only the picks whose EMD bound can
+                reach its radius, so this counts the solves, not the picks
     plan_calls  calls of minhist.transport._plan over them, or of
                 transport_plan in a tree without _plan
 
