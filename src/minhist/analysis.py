@@ -11,7 +11,10 @@ empirical probability at least 1 - alpha. The radius is one order statistic
 of the bootstrap draws, so only the EMDs that can decide it are solved:
 picks go in descending order of an upper bound on their EMD
 (transport._tree_bounds) until the draw at that rank among the solved ones
-is at least every unsolved bound.
+is at least every unsolved bound. The distinct picks' supplies, which the
+bounds read, come from one pass over their stacked masses
+(transport._stack_supplies); emd checks and solves each chosen pick as any
+other call.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from .histogram import MinutiaeHistogram
 from .realness import average_histogram
 from .template import _int, _real, _write_csv
-from .transport import CostParams, _node_supplies, _tree_bounds, emd
+from .transport import CostParams, _stack_supplies, _tree_bounds, emd
 
 # Classical MDS double-centres the squared distances; no sum it forms
 # exceeds 4 of the largest square, which stays finite up to this distance.
@@ -171,10 +174,10 @@ def bootstrap_neighborhood(
     empirical (1 - alpha) quantile of those EMDs, without interpolation:
     the top-th largest draw, counted with multiplicity.
 
-    All picks are drawn first. Each distinct pick's inputs are checked in
-    first-draw order (the first bad one raises ValueError) and its EMD is
-    bounded from above by a spanning tree of the flow network
-    (transport._tree_bounds). Picks are solved through emd in descending
+    All picks are drawn first. The distinct picks' inputs are checked in
+    one pass, in first-draw order (the first bad one raises its ValueError),
+    and each one's EMD is bounded from above by a spanning tree of the flow
+    network (transport._tree_bounds). Picks are solved through emd in descending
     bound order until the top-th largest solved draw is at least every
     unsolved bound: no unsolved draw can then lie above it, so it is the
     radius, the very float emd returned. At e != 1 the bounds are +inf
@@ -202,12 +205,12 @@ def bootstrap_neighborhood(
             pick = int(rng.integers(0, n))
         draws[pick] = draws.get(pick, 0) + 1
     picks = list(draws)
-    supplies = [_node_supplies(impressions[p], mean, params)[1] for p in picks]
-    # A pick without supplies has EMD 0.
+    supplies, solve = _stack_supplies(np.stack([impressions[p].mass.ravel() for p in picks]),
+                                      impressions[picks[0]], mean, params)[2:]
+    # A pick that needs no solve has EMD 0.
     bounds = np.zeros(len(picks))
-    solvable = [i for i, b_eq in enumerate(supplies) if b_eq is not None]
-    if solvable:
-        bounds[solvable] = _tree_bounds(mean.spec, params, np.stack([supplies[i] for i in solvable]))
+    if solve.any():
+        bounds[solve] = _tree_bounds(mean.spec, params, supplies[solve])
 
     # Exact rational rank: in floats (1 - 0.41) * 100 is 59.00000000000001.
     k = math.ceil((1 - Fraction(str(float(alpha)))) * replicates)

@@ -10,8 +10,9 @@ combination; each unordered pair contributes through both orderings.
 A template at another resolution is binned as its rescale_to_500dpi, so
 every histogram is in 500-DPI pixels. One kernel (_bin_pairs) bins every
 pair, and one record (_Pairs) holds a template's binned pairs for both
-builders. It also counts a template that differs by one minutia by binning
-only that minutia's pairs.
+builders. It also counts the templates that each differ from it by one
+minutia, a whole batch of them in one binning pass over only the moved
+minutiae's pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,12 +158,12 @@ def _arrays(t: MinutiaTemplate):
 
 def _bin_pairs(xy: np.ndarray, dirs: np.ndarray, i, j, spec: BinSpec):
     """The pair-binning kernel: of the pairs (i, j) of minutiae with
-    positions xy and directions dirs (i may be one index for all), which lie
-    within spec.d_max, and the flat 2D bin dist_bin * b_dir + dir_bin of
-    each of those, the row-major layout of the 2D mass array. The boundary
-    values d = d_max and alpha = 180 land in the last bin of their axis.
-    Swapping i and j negates both coordinate differences exactly, so a pair
-    gets the same bin either way round."""
+    positions xy and directions dirs, which lie within spec.d_max, and the
+    flat 2D bin dist_bin * b_dir + dir_bin of each of those, the row-major
+    layout of the 2D mass array. The boundary values d = d_max and alpha =
+    180 land in the last bin of their axis. Swapping i and j negates both
+    coordinate differences exactly, so a pair gets the same bin either way
+    round."""
     d = np.hypot(xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1])
     keep = d <= spec.d_max
     alpha = _fold(np.abs((dirs[i] - dirs[j])[keep]))
@@ -170,13 +171,6 @@ def _bin_pairs(xy: np.ndarray, dirs: np.ndarray, i, j, spec: BinSpec):
     di = np.minimum((d[keep] / spec.dist_width).astype(np.intp), spec.b_dist - 1)
     ai = np.minimum((alpha / spec.dir_width).astype(np.intp), spec.b_dir - 1)
     return keep, di * spec.b_dir + ai
-
-
-def _minutia_bins(xy: np.ndarray, dirs: np.ndarray, k: int, spec: BinSpec) -> np.ndarray:
-    """The bins of the pairs of minutia k with each other minutia within
-    spec.d_max (_bin_pairs)."""
-    others = np.flatnonzero(np.arange(len(dirs)) != k)
-    return _bin_pairs(xy, dirs, k, others, spec)[1]
 
 
 def _count(spec: BinSpec, dims: int, bins: np.ndarray) -> np.ndarray:
@@ -241,26 +235,50 @@ class _Pairs:
         return _histogram(self.spec, 2, self.counts.copy(), len(self.bins), normalize)
 
     def moved(self, k: int, m: Optional[Minutia]) -> MinutiaeHistogram:
-        """The normalized 2D histogram of the template whose minutia k is m,
-        given at the template's dpi: k == len(self.dirs) appends m, and m
-        None deletes minutia k. Only minutia k's pairs are binned again: an
-        add bins n pairs, a delete takes n - 1 away, and a replacement does
-        both. The counts are integers, so the histogram is build_2dmh's of
-        that template, with its error for one without a pair within d_max."""
-        counts, pair_count = self.counts.copy(), len(self.bins)
+        """The normalized 2D histogram of the template whose minutia k is m
+        (the one-move case of moved_counts): build_2dmh's of that template,
+        with its error for one without a pair within d_max."""
+        counts, pair_counts = self.moved_counts([(k, m)])
+        return _histogram(self.spec, 2, counts[0].astype(float), int(pair_counts[0]),
+                          normalize=True)
+
+    def moved_counts(self, moves: Sequence[Tuple[int, Optional[Minutia]]]):
+        """The flat 2D pair counts of the templates that each move (k, m)
+        gives: minutia k becomes m, given at the template's dpi, where k ==
+        len(self.dirs) appends m and m None deletes minutia k. Returns
+        (counts, pair_counts): an int64 (moves, bins) array and each row's
+        number of pairs, build_2dmh's raw counts of each moved template.
+        Only the moved minutiae's pairs are binned again, all in one
+        _bin_pairs call: an add bins n pairs, a delete takes n - 1 away, and
+        a replacement does both."""
+        n, n_bins = len(self.dirs), self.spec.b_dist * self.spec.b_dir
+        ks = np.array([k for k, _ in moves], dtype=np.intp)
+        new = [m for _, m in moves if m is not None]
         xy, dirs = self.xy, self.dirs
-        if k < len(dirs):
-            gone = _minutia_bins(xy, dirs, k, self.spec)
-            np.subtract.at(counts, gone, 1.0)
-            pair_count -= gone.size
-        if m is not None:
-            mxy, mdirs = _arrays(MinutiaTemplate(minutiae=(m,), dpi=self.dpi))
-            xy = np.concatenate([xy[:k], mxy, xy[k + 1:]])
-            dirs = np.concatenate([dirs[:k], mdirs, dirs[k + 1:]])
-            added = _minutia_bins(xy, dirs, k, self.spec)
-            np.add.at(counts, added, 1.0)
-            pair_count += added.size
-        return _histogram(self.spec, 2, counts, pair_count, normalize=True)
+        if new:
+            try:
+                new_xy, new_dirs = _arrays(MinutiaTemplate(minutiae=tuple(new), dpi=self.dpi))
+            except ValueError:
+                # The first move whose minutia fails alone raises its error.
+                for m in new:
+                    _arrays(MinutiaTemplate(minutiae=(m,), dpi=self.dpi))
+                raise
+            xy, dirs = np.concatenate([xy, new_xy]), np.concatenate([dirs, new_dirs])
+        # Each move's partners: every minutia of the template but k.
+        move, other = np.nonzero(np.arange(n) != ks[:, None])
+        # The minutia that each move adds, n + its place among the added.
+        added = np.full(len(ks), -1)
+        added[[i for i, (_, m) in enumerate(moves) if m is not None]] = n + np.arange(len(new))
+        gone = ks[move] < n
+        put = added[move] >= 0
+        i = np.concatenate([ks[move[gone]], added[move[put]]])
+        keep, bins = _bin_pairs(xy, dirs, i, np.concatenate([other[gone], other[put]]), self.spec)
+        rows = np.concatenate([move[gone], move[put]])[keep] * n_bins + bins
+        n_gone = np.count_nonzero(keep[:np.count_nonzero(gone)])
+        size = len(ks) * n_bins
+        delta = np.bincount(rows[n_gone:], minlength=size) - np.bincount(rows[:n_gone], minlength=size)
+        counts = np.bincount(self.bins, minlength=n_bins) + delta.reshape(len(ks), n_bins)
+        return counts, counts.sum(axis=1)
 
 
 def build_2dmh(

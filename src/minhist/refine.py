@@ -25,10 +25,15 @@ by weak duality b · y is a lower bound on the EMD of any candidate whose
 node supplies are b (lower-bound filtering of EMD queries: Rubner, Tomasi &
 Guibas, IJCV 2000; Assent, Wenning & Seidl, ICDE 2006). A candidate differs
 from the current template by one minutia, so its bound is close to its EMD.
-Candidates are scored in (bound, batch index) order, and scoring stops at
-the first whose bound is not below the current EMD, or whose (bound, index)
-is above the best (EMD, index) so far: no later one could win. The accepted
-move, and so the run, is the one scoring the whole batch would give.
+The batch is counted in one binning pass (`_Pairs.moved_counts`), and
+checked, put on the network's nodes and bounded in one supplies pass
+(`transport._stack_supplies`, `_DualBound.bounds`). Candidates are scored
+in (bound, batch index) order, and scoring stops at the first whose bound
+is not below the current EMD, or whose (bound, index) is above the best
+(EMD, index) so far: no later one could win. Only a scored candidate gets
+a histogram, and `emd` checks and solves it as any other call. The
+accepted move, and so the run, is the one scoring the whole batch would
+give.
 Everything is seeded and fully deterministic: a run does not depend on what
 was solved before it, or on other runs interleaved with it.
 """
@@ -44,13 +49,12 @@ import numpy as np
 
 from .histogram import (
     MinutiaeHistogram,
-    TooFewMinutiaeError,
     _Pairs,
     build_2dmh,
 )
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
 from .template import _int, _mod, _real, _write_csv
-from .transport import CostParams, TransportPlan, _ground_cost, _plan, emd
+from .transport import CostParams, TransportPlan, _ground_cost, _plan, _stack_supplies, emd
 
 
 @dataclass(frozen=True)
@@ -235,25 +239,28 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
         delete_p /= delete_p.sum()
         # The whole batch is drawn before any is scored; _propose never sees
         # a score, so the generator is used as it would be either way.
-        scored = []
-        for index in range(cfg.batch_size):
-            move = _propose(rng, current, cfg, delete_p)
-            try:
-                cand_hist = pairs.moved(*move[1:])
-            except TooFewMinutiaeError:
-                continue  # all pairs beyond d_max; histogram undefined as a distribution
-            scored.append((plan.lower_bound(cand_hist), index, cand_hist, move))
+        moves = [_propose(rng, current, cfg, delete_p) for _ in range(cfg.batch_size)]
+        # One binning pass counts the batch, and one supplies pass bounds it.
+        # A candidate with all pairs beyond d_max has no histogram as a
+        # distribution, and is not scored.
+        counts, pair_counts = pairs.moved_counts([move[1:] for move in moves])
+        live = np.flatnonzero(pair_counts)
+        masses = counts[live] / pair_counts[live, None]
+        bounds = plan.lower_bound.bounds(
+            *_stack_supplies(masses, current_hist, cfg.target, cfg.params)[2:])
         # The lowest EMD wins, then the earliest batch index; the sentinel
         # (current EMD, -1) admits only strict improvements. In (bound,
         # index) order, once a candidate's bound and index cannot beat the
         # best so far, neither can any later one's.
         best = (current_emd, -1, None, None)
-        for bound, index, cand_hist, move in sorted(scored, key=lambda c: c[:2]):
+        for bound, index, row in sorted(zip(bounds.tolist(), live.tolist(), range(len(live)))):
             if (bound, index) > best[:2]:
                 break
+            cand_hist = MinutiaeHistogram(spec=spec, dims=2, mass=masses[row].reshape(
+                spec.b_dist, spec.b_dir), normalized=True, pair_count=int(pair_counts[index]))
             cand_emd = emd(cand_hist, cfg.target, cfg.params)
             if (cand_emd, index) < best[:2]:
-                best = (cand_emd, index, cand_hist, move)
+                best = (cand_emd, index, cand_hist, moves[index])
         if best[2] is None:
             status = "stall"
         else:

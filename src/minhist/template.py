@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+import sys
 from dataclasses import dataclass, is_dataclass, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -53,6 +54,7 @@ class TemplateParseError(ValueError):
 # parsed.
 
 _INF = float("inf")
+_FLOAT_MAX = sys.float_info.max
 
 
 def _real(value, name: str, minimum=None, positive: bool = False):
@@ -152,6 +154,9 @@ class MinutiaTemplate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "minutiae", tuple(self.minutiae))
         _int(self.dpi, "dpi", 1)
+        # Rescaling divides by the dpi as a float.
+        if self.dpi > _FLOAT_MAX:
+            raise ValueError(f"dpi must be at most {_FLOAT_MAX:.6g}, the largest float")
         if self.mean_ird is not None:
             _real(self.mean_ird, "mean_ird", positive=True)
         if self.var_ird is not None:
@@ -198,7 +203,8 @@ def parse_template(text: str) -> MinutiaTemplate:
     """Parse the template text format into a validated MinutiaTemplate.
 
     Before the first minutia, a line that starts with a word is a header
-    line, and an unknown header field is ignored. Minutiae order is
+    line, and an unknown header field is ignored; a known one given twice
+    raises. Minutiae order is
     preserved. One leading byte order mark (U+FEFF) is dropped.
     Raises TemplateParseError naming the line number on malformed input.
     """
@@ -240,6 +246,8 @@ def _parse_header_line(fields: List[str], header: dict, lineno: int) -> None:
     if len(fields) != 2:
         raise TemplateParseError(f"line {lineno}: '{key}' expects exactly one value")
     name, parse = _HEADER[key]
+    if name in header:
+        raise TemplateParseError(f"line {lineno}: '{key}' is given more than once")
     try:
         header[name] = parse(fields[1])
     except ValueError as exc:

@@ -41,7 +41,14 @@ other histogram to the same target (`_DualBound`); the bound is -inf when
 slack is above SLACK_TOL times the largest arc cost. `emd` never reads the
 duals. Upper bounds need no solve: at e = 1 a spanning tree of the bin
 grid carries one flow meeting the supplies, whose cost no optimum exceeds
-(`_tree_bounds`).
+(`_tree_bounds`). Both kinds of bound take a whole stack of histograms
+against one target at once, as refine's candidate batches and the
+bootstrap's picks come: one routine, `_stack_supplies`, checks and scales
+the stacked masses and puts them on the network's nodes in one pass, with
+the bits and errors of each row on its own. Its one-row case checks the
+inputs of every `emd`, and `_node_supplies`, which adds the marginals a
+plan reads, those of every plan, so each solve is still checked where it
+runs.
 
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
@@ -450,34 +457,91 @@ _emd_models: Dict[bytes, _FlowModel] = {}
 _WARM_LOCK = threading.Lock()
 
 
+def _stack_supplies(masses: np.ndarray, like: MinutiaeHistogram, target: MinutiaeHistogram,
+                    params: CostParams):
+    """Check k rows of source masses against one target and put each row's
+    scaled marginals on the nodes of the network of (target.spec, params),
+    in one pass over the (k, n) array masses.
+
+    Every row has the spec, dims and normalization of `like`, whose own
+    mass is not read. Each row is checked and scaled as _integer_marginals
+    checks and scales it against target's masses. Returns (src, dst,
+    supplies, solve): each row's scaled source and target masses per bin
+    (int64, (k, n), the rounding difference absorbed as _integer_marginals
+    absorbs it), its node supplies ((k, n_nodes)) and whether it needs a
+    solve. A row of zero mass needs none, nor does one whose scaled
+    marginals are equal (this also covers the 1x1 spec, whose neighbour
+    grid has no arcs): its optimum is 0. A bad stack raises the ValueError
+    of its first bad row, the one that row raises alone; parameters outside
+    check_cost_range raise even where no row needs a solve.
+    """
+    if like.spec != target.spec:
+        raise ValueError("histograms have different bin specifications")
+    if like.dims != 2 or target.dims != 2:
+        raise ValueError("the transport cost model is defined for 2D histograms")
+    if like.normalized != target.normalized:
+        raise ValueError("histograms must both be normalized or both raw")
+    n_nodes = _flow_network(target.spec, params)[0]
+    demand = target.mass.ravel()
+    # The target's masses ride along as the last row.
+    stacked = np.concatenate([masses, demand[None]])
+    *total_s, total_d = stacked.sum(axis=1).tolist()
+    # Enough for _integer_marginals to accept every row, whose balance
+    # tolerance is at least BALANCE_RTOL * max(1, total_d); a nan fails the
+    # sign check, and an inf the balance check or the last. A target of zero
+    # mass has no entry to take a rounding difference. Otherwise each row
+    # goes through _integer_marginals in turn, which raises the first bad
+    # row's error.
+    if not (total_s and stacked.min() >= 0 and total_d > 0
+            and max(abs(t - total_d) for t in total_s) <= BALANCE_RTOL * max(1.0, total_d)
+            and max(*total_s, total_d) * MASS_SCALE <= 2 ** 53):
+        for row in masses:
+            _integer_marginals(row, demand)
+    scaled = np.rint(stacked * MASS_SCALE).astype(np.int64)
+    *s_sums, d_sum = scaled.sum(axis=1).tolist()
+    src, d_int = scaled[:-1], scaled[-1]
+    dst = np.repeat(d_int[None], len(src), axis=0)
+    # Rounding can leave a row's scaled sums a few units apart; the
+    # difference goes to the first largest entry of the smaller side (an
+    # entry of positive mass where every entry rounds to 0).
+    d_top = None
+    live = []
+    for row, (s_sum, total) in enumerate(zip(s_sums, total_s)):
+        live.append(total != 0.0)  # a row of zero mass is not scaled
+        diff = s_sum - d_sum if total else 0
+        if diff > 0:
+            if d_top is None:
+                d_top = int(np.argmax(d_int)) if d_int.any() else int(np.argmax(demand > 0))
+            dst[row, d_top] += diff
+        elif diff < 0:
+            top = int(np.argmax(src[row]))
+            src[row, top if src[row, top] else np.argmax(masses[row] > 0)] -= diff
+    solve = ~(src == dst).all(axis=1)
+    if not (solve.all() and all(live)):
+        # Equal scaled masses on the same entries of positive mass.
+        solve = np.array(live) & (solve | ((masses > 0) != (demand > 0)).any(axis=1))
+    supplies = np.zeros((len(masses), n_nodes))
+    supplies[:, :src.shape[1]] = src
+    supplies[:, n_nodes - dst.shape[1]:] -= dst  # the last n nodes are sinks
+    return src, dst, supplies, solve
+
+
 def _node_supplies(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams):
-    """Check the inputs of emd and transport_plan and put the scaled
-    marginals on the nodes of the network of (h1.spec, params).
+    """Check the inputs of transport_plan and put the scaled marginals on
+    the nodes of the network of (h1.spec, params): the one-row case of
+    _stack_supplies, with the marginals.
 
     Returns (marginals, b_eq): the result of _integer_marginals (None for
     zero mass) and the node supplies, or b_eq None where the optimum is 0
     without a solve. Raises ValueError for parameters outside
     check_cost_range, even where the optimum is 0.
     """
-    if h1.spec != h2.spec:
-        raise ValueError("histograms have different bin specifications")
-    if h1.dims != 2 or h2.dims != 2:
-        raise ValueError("the transport cost model is defined for 2D histograms")
-    if h1.normalized != h2.normalized:
-        raise ValueError("histograms must both be normalized or both raw")
-    n_nodes = _flow_network(h1.spec, params)[0]
-    marginals = _integer_marginals(h1.mass.ravel(), h2.mass.ravel())
-    if marginals is None:
+    src, dst, supplies, solve = _stack_supplies(h1.mass.reshape(1, -1), h1, h2, params)
+    rows = np.nonzero(h1.mass.ravel() > 0)[0]
+    if not rows.size:
         return None, None
-    rows, s_int, cols, d_int = marginals
-    # Equal marginals cost nothing; this also covers the 1x1 spec, whose
-    # neighbour grid has no arcs.
-    if np.array_equal(rows, cols) and np.array_equal(s_int, d_int):
-        return marginals, None
-    b_eq = np.zeros(n_nodes)
-    b_eq[rows] = s_int
-    b_eq[b_eq.size - h1.mass.size + cols] -= d_int  # the last n nodes are sinks
-    return marginals, b_eq
+    cols = np.nonzero(h2.mass.ravel() > 0)[0]
+    return (rows, src[0, rows], cols, dst[0, cols]), supplies[0] if solve[0] else None
 
 
 def _paths(tails: np.ndarray, heads: np.ndarray, units: np.ndarray, supply: np.ndarray):
@@ -533,11 +597,11 @@ def _paths(tails: np.ndarray, heads: np.ndarray, units: np.ndarray, supply: np.n
     return paths
 
 
-def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a @ b correctly rounded, for finite arrays whose products neither
-    overflow nor underflow: Dekker's split (Numer. Math. 18, 1971) writes
-    each product exactly as the sum of two floats, which math.fsum adds
-    exactly."""
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for each row of a, correctly rounded, for finite arrays whose
+    products neither overflow nor underflow: Dekker's split (Numer. Math.
+    18, 1971) writes each product exactly as the sum of two floats, which
+    math.fsum adds exactly."""
     def split(v):
         c = 134217729.0 * v  # 2**27 + 1
         hi = c - (c - v)
@@ -546,7 +610,7 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     p = a * b
     (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return math.fsum(np.concatenate([p, err]).tolist())
+    return np.array([math.fsum(terms) for terms in np.concatenate([p, err], axis=1).tolist()])
 
 
 @dataclass(frozen=True)
@@ -562,6 +626,8 @@ class _DualBound:
     rounding: of y_tail - y_head - cost (at most eps * cost per arc, so eps
     * emd over an optimal flow), of b @ y (summed exactly, then rounded
     once) and of the arithmetic here. With no potentials (None) it is -inf.
+    bounds evaluates a whole stack of rows of _stack_supplies at once, with
+    the bits that each row's own call gives.
     """
 
     target: MinutiaeHistogram
@@ -570,25 +636,37 @@ class _DualBound:
     slack: float
 
     def __call__(self, h: MinutiaeHistogram) -> float:
+        """The bound for h: the one-row case of bounds."""
         if self.potentials is None:
             return -math.inf
-        b_eq = _node_supplies(h, self.target, self.params)[1]
-        if b_eq is None:
-            return 0.0
-        spec = self.target.spec
-        # A shortest path is monotone on the bin grid at e = 1 (every arc
-        # costs more than 0), and source -> middle -> sink otherwise.
-        depth = spec.b_dist + spec.b_dir - 2 if self.params.e == 1 else 2
-        units = float(b_eq[b_eq > 0].sum())
-        dual = _exact_dot(b_eq, self.potentials)
-        eps = float(np.finfo(float).eps)
-        margin = self.slack * units * depth * (1 + 4 * eps) + 8 * eps * abs(dual)
-        return (dual - margin) / MASS_SCALE
+        supplies, solve = _stack_supplies(h.mass.reshape(1, -1), h, self.target, self.params)[2:]
+        return self.bounds(supplies, solve).item()
+
+    def bounds(self, supplies: np.ndarray, solve: np.ndarray) -> np.ndarray:
+        """The bound for each row of the supplies and solve flags of
+        _stack_supplies against target: 0 for a row that needs no solve."""
+        if self.potentials is None:
+            return np.full(len(supplies), -math.inf)
+        bounds = np.zeros(len(supplies))
+        b_eq = supplies[solve]
+        if len(b_eq):
+            spec = self.target.spec
+            # A shortest path is monotone on the bin grid at e = 1 (every
+            # arc costs more than 0), and source -> middle -> sink otherwise.
+            depth = spec.b_dist + spec.b_dir - 2 if self.params.e == 1 else 2
+            # Sums of integers below 2**53, so exact in any order.
+            units = np.where(b_eq > 0, b_eq, 0.0).sum(axis=1)
+            dual = _exact_dot(b_eq, self.potentials)
+            eps = float(np.finfo(float).eps)
+            margin = self.slack * units * depth * (1 + 4 * eps) + 8 * eps * np.abs(dual)
+            bounds[solve] = (dual - margin) / MASS_SCALE
+        return bounds
 
 
 def _tree_bounds(spec: BinSpec, params: CostParams, supplies: np.ndarray) -> np.ndarray:
     """Upper bounds on emd for a stack of node-supply vectors, one row each
-    (the b_eq of _node_supplies on the network of (spec, params)).
+    (rows of the supplies of _stack_supplies on the network of (spec,
+    params)).
 
     At e = 1 a "ladder" spanning tree of the bin grid is a subgraph of the
     network: each line of bins along one axis is a path, and each two
@@ -726,9 +804,10 @@ def emd(
     ValueError for parameters outside check_cost_range, even where the
     value would be 0.
     """
-    b_eq = _node_supplies(h1, h2, params)[1]
-    if b_eq is None:
+    supplies, solve = _stack_supplies(h1.mass.reshape(1, -1), h1, h2, params)[2:]
+    if not solve[0]:
         return 0.0
+    b_eq = supplies[0]
     key = h2.mass.tobytes()
     with _WARM_LOCK:
         # Out of its slot until its solve succeeds: a failed or interrupted

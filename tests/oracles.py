@@ -18,6 +18,12 @@ A plain per-pair loop builds 2D and 4D minutiae histograms as the reference
 for the vectorised histogram builders, and a plain grid loop, which solves
 every EMD at every cost grid point, is the reference for the EMDs that
 training shares between grid points.
+
+One pair at a time, `loop_node_supplies` checks two histograms and puts
+their scaled marginals on the nodes of the flow network, and
+`loop_dual_bound` evaluates a plan's dual lower bound on them, its dot
+product summed in exact fractions: the references for the stacked supplies
+and bounds that refine and the bootstrap compute for a whole batch at once.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from minhist.transport import MASS_SCALE, CostParams, _integer_marginals, emd
+from minhist.transport import MASS_SCALE, CostParams, _flow_network, _integer_marginals, emd
 
 
 @lru_cache(maxsize=8)
@@ -174,3 +180,46 @@ def train_grid_oracle(hists, avg_real, avg_synth, config):
         yield params, np.array(
             [emd(h, avg_synth, params) - emd(h, avg_real, params) for h in hists]
         )
+
+
+def loop_node_supplies(h1, h2, params):
+    """(marginals, b_eq) for the network of (h1.spec, params): the result
+    of _integer_marginals (None for zero mass) and the node supplies, with
+    b_eq None where the optimum is 0 without a solve (zero mass, or equal
+    scaled marginals). Raises ValueError as emd does."""
+    if h1.spec != h2.spec:
+        raise ValueError("histograms have different bin specifications")
+    if h1.dims != 2 or h2.dims != 2:
+        raise ValueError("the transport cost model is defined for 2D histograms")
+    if h1.normalized != h2.normalized:
+        raise ValueError("histograms must both be normalized or both raw")
+    n_nodes = _flow_network(h1.spec, params)[0]
+    marginals = _integer_marginals(h1.mass.ravel(), h2.mass.ravel())
+    if marginals is None:
+        return None, None
+    rows, s_int, cols, d_int = marginals
+    if np.array_equal(rows, cols) and np.array_equal(s_int, d_int):
+        return marginals, None
+    b_eq = np.zeros(n_nodes)
+    b_eq[rows] = s_int
+    b_eq[b_eq.size - h1.mass.size + cols] -= d_int  # the last n nodes are sinks
+    return marginals, b_eq
+
+
+def loop_dual_bound(bound, h) -> float:
+    """The _DualBound `bound` evaluated at h from loop_node_supplies: its
+    potentials dotted with h's supplies in exact fractions and rounded once,
+    less the same margins."""
+    if bound.potentials is None:
+        return -math.inf
+    b_eq = loop_node_supplies(h, bound.target, bound.params)[1]
+    if b_eq is None:
+        return 0.0
+    spec = bound.target.spec
+    depth = spec.b_dist + spec.b_dir - 2 if bound.params.e == 1 else 2
+    units = float(b_eq[b_eq > 0].sum())
+    dual = float(sum(Fraction(a) * Fraction(y)
+                     for a, y in zip(b_eq.tolist(), bound.potentials.tolist())))
+    eps = float(np.finfo(float).eps)
+    margin = bound.slack * units * depth * (1 + 4 * eps) + 8 * eps * abs(dual)
+    return (dual - margin) / MASS_SCALE

@@ -668,6 +668,12 @@ ERROR_CASES = {
     "histogram-first-minutia-x-inf": (2, lambda d, tmp: [
         "histogram", _file(tmp, "inf.mnt", "dpi 500\ninf 20 30 E\n4 5 6 B\n")],
         "line 2: minutia x must be a finite number >= 0, got inf"),
+    "histogram-dpi-too-large": (2, lambda d, tmp: [
+        "histogram", _file(tmp, "big.mnt", "dpi " + "9" * 400 + "\n10 20 30 E\n4 5 6 B\n")],
+        "dpi must be at most"),
+    "histogram-repeated-dpi": (2, lambda d, tmp: [
+        "histogram", _file(tmp, "twice.mnt", "dpi 500\ndpi 1000\n10 20 30 E\n4 5 6 B\n")],
+        "line 2: 'dpi' is given more than once"),
     "histogram-4d-untyped": (64, lambda d, tmp: [
         "histogram", _file(tmp, "u.mnt", UNTYPED), "--dims", "4"], "typed"),
     "search-untyped": (64, lambda d, tmp: [

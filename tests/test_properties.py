@@ -143,8 +143,24 @@ def _move(t, kind, k, m):
 @example(t=ONE_PAIR, dpi=500, spec=BinSpec(), moves=[("delete", 0, None)])
 @example(t=ONE_PAIR, dpi=500, spec=BinSpec(),
          moves=[("delete", 1, None), ("add", 0, Minutia(0.0, 40.0, 90.0))])
+@example(t=ONE_PAIR, dpi=250, spec=BinSpec(),
+         moves=[("delete", 0, None), ("flip", 2, None), ("delete", 1, None),
+                ("add", 0, Minutia(500.0, 500.0, 0.0)), ("replace", 2, Minutia(0.0, 30.0, 10.0))])
 def test_one_minutia_moves_equal_the_builder(t, dpi, spec, moves):
     t = replace(t, dpi=dpi)
+    # The moves from t as one batch: row by row, build_2dmh's raw counts and
+    # pair count of that move's template, and its normalized bits where it
+    # has a pair.
+    batch = [_move(t, kind, k, m) for kind, k, m in moves]
+    counts, pair_counts = _Pairs.of(t, spec).moved_counts([move for _, move in batch])
+    assert counts.shape == (len(moves), spec.b_dist * spec.b_dir)
+    for (moved, _), row, pair_count in zip(batch, counts, pair_counts):
+        raw = build_2dmh(moved, spec, normalize=False)
+        assert row.astype(float).tobytes() == raw.mass.tobytes()
+        assert pair_count == raw.pair_count
+        if pair_count:
+            assert (row / pair_count).tobytes() == build_2dmh(moved, spec).mass.tobytes()
+    # One move at a time, each from the template the one before it gives.
     for kind, k, m in moves:
         pairs = _Pairs.of(t, spec)
         t, move = _move(t, kind, k, m)

@@ -1,8 +1,8 @@
 import importlib
-import itertools
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from minhist import transport
 from minhist.histogram import (
     BinSpec,
     MinutiaeHistogram,
-    TooFewMinutiaeError,
     _Pairs,
     build_2dmh,
 )
@@ -239,17 +238,16 @@ class TestRefine:
         # either draws a candidate without a pair: it has no normalized
         # histogram, and the batch goes on without it.
         pairless = []
-        moved = _Pairs.moved
+        moved_counts = _Pairs.moved_counts
 
-        def recording_moved(pairs, k, m):
-            try:
-                return moved(pairs, k, m)
-            except TooFewMinutiaeError:
-                n = len(pairs.dirs)
-                pairless.append(n + (k == n) - (m is None))
-                raise
+        def recording_moved_counts(pairs, moves):
+            counts, pair_counts = moved_counts(pairs, moves)
+            n = len(pairs.dirs)
+            pairless.extend(n + (k == n) - (m is None)
+                            for (k, m), count in zip(moves, pair_counts) if count == 0)
+            return counts, pair_counts
 
-        monkeypatch.setattr(_Pairs, "moved", recording_moved)
+        monkeypatch.setattr(_Pairs, "moved_counts", recording_moved_counts)
         t = MinutiaTemplate(minutiae=(Minutia(0.0, 0.0, 0.0), Minutia(10.0, 0.0, 90.0),
                                       Minutia(1000.0, 1000.0, 45.0)), dpi=500)
         cfg = base_config(threshold=1e-6, max_iters=3, batch_size=10)
@@ -352,8 +350,8 @@ class TestRefine:
 
         def reversed_order(h1, h2, params, model):
             plan, model = transport._plan(h1, h2, params, model)
-            later = itertools.count()
-            plan.lower_bound = lambda h: -1e9 - next(later)
+            plan.lower_bound = SimpleNamespace(
+                bounds=lambda supplies, solve: -1e9 - np.arange(len(supplies), dtype=float))
             return plan, model
 
         monkeypatch.setattr(module, "_plan", reversed_order)

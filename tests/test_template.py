@@ -64,6 +64,21 @@ def test_parse_full_header_and_comments():
 def test_parse_unknown_header_fields_ignored():
     t = parse_template("dpi 500\nquality 0.9 extra\n10 20 30 E\n")
     assert len(t) == 1
+    # Even when repeated.
+    t = parse_template("quality 1\ndpi 500\nquality 2\n10 20 30 E\n")
+    assert (t.dpi, len(t)) == (500, 1)
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("dpi 500\ndpi 1000\n10 20 30 E\n", 2, "dpi"),
+    ("dpi 500\nmean_ird 9\n# a comment\nMEAN_IRD 9\n10 20 30 E\n", 4, "mean_ird"),
+    ("finger 1\ndpi 500\nlabel real\nfinger 1\n10 20 30 E\n", 4, "finger"),
+])
+def test_repeated_header_field_is_an_error(text, line, key):
+    # A second line of a known field used to win silently, even one giving
+    # the same value.
+    with pytest.raises(TemplateParseError, match=f"^line {line}: '{key}' is given more than once$"):
+        parse_template(text)
 
 
 @pytest.mark.parametrize(
@@ -84,6 +99,10 @@ def test_parse_unknown_header_fields_ignored():
         # A malformed first minutia line is not a header line.
         ("dpi 500\n1,5 2 3 E\n4 5 6 B\n", "line 2: could not convert"),
         ("dpi 500\n4 5 6 B\n1,5 2 3 E\n", "line 3: could not convert"),
+        # Rescaling divides by the dpi as a float: this one used to raise
+        # OverflowError.
+        pytest.param("dpi " + "9" * 400 + "\n1 2 3 E\n", "dpi must be at most 1.79769e[+]308",
+                     id="dpi-above-the-largest-float"),
     ],
 )
 def test_parse_errors(text, fragment):

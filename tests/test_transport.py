@@ -23,7 +23,13 @@ from minhist.transport import (
     transport_plan,
 )
 
-from oracles import brute_force_transport_cost, exact_plan_cost, linprog_transport_cost
+from oracles import (
+    brute_force_transport_cost,
+    exact_plan_cost,
+    linprog_transport_cost,
+    loop_dual_bound,
+    loop_node_supplies,
+)
 
 
 def make_hist(mass, spec=None, normalized=True):
@@ -838,6 +844,149 @@ class TestEmd:
             ab, bc, ac = emd(a, b, params), emd(b, c, params), emd(a, c, params)
             assert ac <= ab + bc + 1e-7
 
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStackSupplies:
+    """A stack of source masses against one target is checked, scaled and
+    bounded in one pass; every row must give what the per-pair loop of
+    tests/oracles.py gives for it alone, bit for bit."""
+
+    @staticmethod
+    def _rows(rng, target, k):
+        """k random sparse rows of unit mass, the target itself, the target
+        moved by less than a scaled unit (equal scaled marginals), and the
+        same with that move on an entry where the target is 0 (the scaled
+        masses agree, the entries of positive mass do not)."""
+        shape = target.mass.shape
+        rows = rng.random((k, *shape)) * (rng.random((k, *shape)) < 0.5)
+        rows[:, 0, 0] += 1e-3
+        rows /= rows.sum(axis=(1, 2), keepdims=True)
+        nudged, stray = target.mass.copy(), target.mass.copy()
+        nudged[np.unravel_index(np.argmax(nudged), shape)] += 1e-13
+        stray[np.unravel_index(np.argmin(stray), shape)] += 1e-13
+        return np.concatenate([rows, [target.mass, nudged, stray]])
+
+    @pytest.mark.parametrize("spec, params", [
+        (BinSpec(), CostParams()),
+        (BinSpec(b_dist=4, b_dir=7), CostParams(e=2.0)),
+        (BinSpec(b_dist=6, b_dir=5), CostParams(r=0.5, s=2.0)),
+        (BinSpec(b_dist=5, b_dir=3), CostParams(r=2.0, s=0.5, e=2.0)),
+    ], ids=["10x10-e1", "4x7-e2", "6x5-s!=r", "5x3-s!=r-e2"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_the_loop(self, spec, params, seed):
+        rng = np.random.default_rng([seed, spec.b_dist, spec.b_dir])
+        mass = rng.random((spec.b_dist, spec.b_dir)) * (rng.random((spec.b_dist, spec.b_dir)) < 0.6)
+        mass[-1, -1] = 0.0
+        mass[0, 0] += 1e-3
+        target = make_hist(mass / mass.sum(), spec)
+        masses = self._rows(rng, target, 8)
+        hists = [make_hist(m, spec) for m in masses]
+        src, dst, supplies, solve = transport._stack_supplies(
+            masses.reshape(len(masses), -1), hists[0], target, params)
+        assert supplies.shape == (len(masses), transport._flow_network(spec, params)[0])
+        bound = transport_plan(hists[0], target, params).lower_bound
+        assert bound.potentials is not None
+        bounds = bound.bounds(supplies, solve)
+        for i, h in enumerate(hists):
+            marginals, b_eq = loop_node_supplies(h, target, params)
+            assert solve[i] == (b_eq is not None)
+            if b_eq is not None:
+                assert _bits(supplies[i]) == _bits(b_eq)
+            # The one-row cases.
+            got_marginals, got_b_eq = transport._node_supplies(h, target, params)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(got_marginals, marginals))
+            assert _bits(got_b_eq if b_eq is not None else []) == _bits(
+                b_eq if b_eq is not None else [])
+            want = loop_dual_bound(bound, h)
+            assert _bits(bounds[i]) == _bits(bound(h)) == _bits(want)
+        # The target itself, the nudged target and the stray entry.
+        assert solve.tolist()[-3:] == [False, False, True]
+        assert (bounds[~solve] == 0).all()
+
+    @pytest.mark.parametrize("tiny", [4e-10, 6e-10])
+    def test_rows_of_zero_mass(self, tiny):
+        # Raw masses against a target of 4e-10 (0 units) or 6e-10 (1 unit)
+        # at one entry: a row of zero mass needs no solve. Where a row rounds
+        # to more units than the target, the target's first entry of
+        # positive mass takes the difference, and where to fewer, the row's.
+        spec, params = BinSpec(b_dist=3, b_dir=4), CostParams()
+        target_mass = np.zeros((3, 4))
+        target_mass[1, 2] = tiny
+        target = make_hist(target_mass, spec, normalized=False)
+        masses = np.zeros((5, 3, 4))
+        masses[1] = target_mass
+        masses[2, 0, 1] = 4e-10
+        masses[3, 2, 3] = 1e-9
+        masses[4, 0, 1] = masses[4, 0, 2] = 3e-10
+        hists = [make_hist(m, spec, normalized=False) for m in masses]
+        _, _, supplies, solve = transport._stack_supplies(
+            masses.reshape(5, -1), hists[0], target, params)
+        for i, h in enumerate(hists):
+            marginals, b_eq = loop_node_supplies(h, target, params)
+            assert solve[i] == (b_eq is not None)
+            if b_eq is not None:
+                assert _bits(supplies[i]) == _bits(b_eq)
+            assert (transport._node_supplies(h, target, params)[0] is None) == (marginals is None)
+        assert solve.tolist() == [False, False, True, True, True]
+        assert supplies[3, 11] == 1 and supplies[3, 6] == -1
+        assert supplies[2, 1] == (tiny > 5e-10)
+
+    @staticmethod
+    def _message(h, target, params):
+        with pytest.raises(ValueError) as alone:
+            loop_node_supplies(h, target, params)
+        return str(alone.value)
+
+    @pytest.mark.parametrize("bad", [("negative", "unbalanced"), ("unbalanced", "negative"),
+                                     ("unbalanced", "double"), ("double", "unbalanced"),
+                                     ("inf", "negative"), ("huge", "nan")])
+    def test_first_of_two_bad_rows_raises(self, bad):
+        spec, params = BinSpec(b_dist=4, b_dir=4), CostParams()
+        rng = np.random.default_rng(3)
+        target = random_normalized_hist(rng, 4, 4)
+        masses = np.stack([random_normalized_hist(rng, 4, 4).mass for _ in range(6)])
+        edits = {"negative": lambda m: m.__setitem__((1, 1), -m[1, 1]),
+                 "unbalanced": lambda m: m.__imul__(1.5),
+                 "double": lambda m: m.__imul__(2.0),
+                 "nan": lambda m: m.__setitem__((0, 3), np.nan),
+                 "inf": lambda m: m.__setitem__((2, 0), np.inf),
+                 "huge": lambda m: m.__imul__(1e16)}
+        edits[bad[0]](masses[2])
+        edits[bad[1]](masses[4])
+        first = self._message(make_hist(masses[2], spec), target, params)
+        assert first != self._message(make_hist(masses[4], spec), target, params)
+        with pytest.raises(ValueError) as stacked:
+            transport._stack_supplies(masses.reshape(6, -1), target, target, params)
+        assert str(stacked.value) == first
+
+    def test_a_row_whose_difference_has_no_target_entry(self):
+        # Against a target of zero mass, a row of 1e-9 passes the balance
+        # check but scales to 1 unit, which no target entry can take: it
+        # raises what _integer_marginals raises, before a later bad row, and
+        # after an earlier one.
+        spec, params = BinSpec(b_dist=2, b_dir=2), CostParams()
+        target = make_hist(np.zeros((2, 2)), spec, normalized=False)
+        tiny, heavy = np.zeros(4), np.zeros(4)
+        tiny[3], heavy[0] = 1e-9, 2.0
+        for rows in ([np.zeros(4), tiny, heavy], [np.zeros(4), heavy, tiny]):
+            want = self._message(make_hist(rows[1].reshape(2, 2), spec, normalized=False),
+                                 target, params)
+            with pytest.raises(ValueError) as stacked:
+                transport._stack_supplies(np.stack(rows), target, target, params)
+            assert str(stacked.value) == want
+
+    def test_an_empty_stack(self):
+        target = make_hist(np.full((3, 3), 1 / 9))
+        src, dst, supplies, solve = transport._stack_supplies(
+            np.zeros((0, 9)), target, target, CostParams())
+        assert supplies.shape == (0, 9) and solve.shape == (0,)
+        bound = transport_plan(make_hist(np.eye(3) / 3), target).lower_bound
+        assert bound.bounds(supplies, solve).shape == (0,)
 
 def test_missing_highs_binding_names_the_scipy_version():
     # A SciPy whose HiGHS binding lacks _Highs, in a fresh interpreter.
