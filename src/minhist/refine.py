@@ -12,13 +12,20 @@ template's binned pairs (`_Pairs`) by re-binning that minutia's pairs
 alone; only the accepted candidate is built as a template. An
 optimal transport plan of the current histogram, the only plan built per
 iteration, identifies the bins that contribute the most cost, and
-deletions are biased toward minutiae whose pairs populate those bins. The
-plan comes from `transport._plan`, which decomposes an optimal flow on the
-network `emd` solves. Each run owns one HiGHS model for its plans, a local
-of the run: each plan restarts the dual simplex from the run's previous
-plan. Where several plans are optimal, the one returned sets the deletion
-blame, so it depends on the current histogram, the target and the run's
-own earlier plans, and on nothing solved outside the run.
+deletions are biased toward minutiae whose pairs populate those bins.
+
+Each run owns one HiGHS model, a local of the run, with its supplies in
+column form, so a re-supply is one binding call. Every solve of the run
+goes through `transport._solve` on that model and restarts the dual
+simplex from the run's previous solve: one solve for the initial template,
+then one per scored candidate. The solution of the best candidate so far is
+kept, and once that candidate is accepted, the next iteration's plan is
+built from it (`transport._plan_of`: its flow for the deletion blame, its
+row duals for the bound below), so no histogram is solved twice. Where
+several plans are optimal, the one a solve ends on sets the deletion blame,
+so it depends on the current histogram, the target and the run's own
+earlier solves, and on nothing solved outside the run. Each EMD is still
+the correctly rounded optimum, whichever vertex the solve ends on.
 
 The plan's `lower_bound` holds the node potentials y of the same solve, and
 by weak duality b · y is a lower bound on the EMD of any candidate whose
@@ -30,9 +37,9 @@ checked, put on the network's nodes and bounded in one supplies pass
 (`transport._stack_supplies`, `_DualBound.bounds`). Candidates are scored
 in (bound, batch index) order, and scoring stops at the first whose bound
 is not below the current EMD, or whose (bound, index) is above the best
-(EMD, index) so far: no later one could win. Only a scored candidate gets
-a histogram, and `emd` checks and solves it as any other call. The
-accepted move, and so the run, is the one scoring the whole batch would
+(EMD, index) so far: no later one could win. A scored candidate is solved
+on the supplies of that pass, and only the accepted one gets a histogram.
+The accepted move, and so the run, is the one scoring the whole batch would
 give.
 Everything is seeded and fully deterministic: a run does not depend on what
 was solved before it, or on other runs interleaved with it.
@@ -54,7 +61,8 @@ from .histogram import (
 )
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
 from .template import _int, _mod, _real, _write_csv
-from .transport import CostParams, TransportPlan, _ground_cost, _plan, _stack_supplies, emd
+from .transport import (CostParams, TransportPlan, _ground_cost, _node_supplies, _plan_of,
+                        _solve, _stack_supplies)
 
 
 @dataclass(frozen=True)
@@ -207,8 +215,8 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
 
     Stops on EMD <= threshold (success), a full batch without a strictly
     improving move (stall), or the iteration budget (timeout). Per
-    iteration the whole batch is drawn first, then scored by emd in
-    ascending order of the candidates' dual lower bounds (ties by batch
+    iteration the whole batch is drawn first, then scored by the exact EMD
+    in ascending order of the candidates' dual lower bounds (ties by batch
     index); a candidate whose bound shows it cannot win is not scored, nor
     is one without a minutiae pair within d_max. The lowest EMD wins, then
     the earliest batch index. The trace holds the initial EMD and one row
@@ -216,18 +224,23 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     without a minutiae pair within d_max raises TooFewMinutiaeError.
     """
     rng = np.random.default_rng([cfg.rng_seed, 1])
-    spec = cfg.target.spec
+    spec, target, params = cfg.target.spec, cfg.target, cfg.params
+    network = (spec, params)
 
-    current, current_hist, model = t, build_2dmh(t, spec), None
-    current_emd = emd(current_hist, cfg.target, cfg.params)
+    # The run's own model: every solve of the run restarts from the basis
+    # of the one before, and solved is the solution of the current template.
+    current, current_hist = t, build_2dmh(t, spec)
+    b_eq = _node_supplies(current_hist, target, params)[1]
+    model, solved = (None, None) if b_eq is None else _solve(network, b_eq, None, columns=True)
+    current_emd = 0.0 if solved is None else solved[2]
     trace = [TraceRow(iteration=0, emd=current_emd, move="init")]
     # "timeout" stands until a move reaches the threshold or a batch stalls.
     status = "success" if current_emd <= cfg.threshold else "timeout"
     iteration = 0
     while status == "timeout" and iteration < cfg.max_iters:
         iteration += 1
-        # Each plan restarts from the basis of this run's previous one.
-        plan, model = _plan(current_hist, cfg.target, cfg.params, model)
+        # The plan of the current template, from the solve that scored it.
+        plan = _plan_of(current_hist, target, params, solved)
         # One binning of the current template's pairs gives the deletion
         # blame and the counts every candidate is moved from.
         pairs = _Pairs.of(current, spec)
@@ -240,31 +253,36 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
         # The whole batch is drawn before any is scored; _propose never sees
         # a score, so the generator is used as it would be either way.
         moves = [_propose(rng, current, cfg, delete_p) for _ in range(cfg.batch_size)]
-        # One binning pass counts the batch, and one supplies pass bounds it.
-        # A candidate with all pairs beyond d_max has no histogram as a
-        # distribution, and is not scored.
+        # One binning pass counts the batch, and one supplies pass checks and
+        # bounds it. A candidate with all pairs beyond d_max has no histogram
+        # as a distribution, and is not scored.
         counts, pair_counts = pairs.moved_counts([move[1:] for move in moves])
         live = np.flatnonzero(pair_counts)
         masses = counts[live] / pair_counts[live, None]
-        bounds = plan.lower_bound.bounds(
-            *_stack_supplies(masses, current_hist, cfg.target, cfg.params)[2:])
+        supplies, solve = _stack_supplies(masses, current_hist, target, params)[2:]
+        bounds = plan.lower_bound.bounds(supplies, solve)
         # The lowest EMD wins, then the earliest batch index; the sentinel
         # (current EMD, -1) admits only strict improvements. In (bound,
         # index) order, once a candidate's bound and index cannot beat the
-        # best so far, neither can any later one's.
+        # best so far, neither can any later one's. The best keeps its
+        # solution, the next plan's.
         best = (current_emd, -1, None, None)
         for bound, index, row in sorted(zip(bounds.tolist(), live.tolist(), range(len(live)))):
             if (bound, index) > best[:2]:
                 break
-            cand_hist = MinutiaeHistogram(spec=spec, dims=2, mass=masses[row].reshape(
-                spec.b_dist, spec.b_dir), normalized=True, pair_count=int(pair_counts[index]))
-            cand_emd = emd(cand_hist, cfg.target, cfg.params)
+            cand_solved = None
+            if solve[row]:
+                model, cand_solved = _solve(network, supplies[row], model, columns=True)
+            cand_emd = 0.0 if cand_solved is None else cand_solved[2]
             if (cand_emd, index) < best[:2]:
-                best = (cand_emd, index, cand_hist, moves[index])
+                best = (cand_emd, index, row, cand_solved)
         if best[2] is None:
             status = "stall"
         else:
-            current_emd, _, current_hist, (desc, k, m) = best
+            current_emd, index, row, solved = best
+            desc, k, m = moves[index]
+            current_hist = MinutiaeHistogram(spec=spec, dims=2, mass=masses[row].reshape(
+                spec.b_dist, spec.b_dir), normalized=True, pair_count=int(pair_counts[index]))
             current = _moved(current, k, m)
             trace.append(TraceRow(iteration=iteration, emd=current_emd, move=desc))
             if current_emd <= cfg.threshold:

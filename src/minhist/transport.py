@@ -50,33 +50,47 @@ inputs of every `emd`, and `_node_supplies`, which adds the marginals a
 plan reads, those of every plan, so each solve is still checked where it
 runs.
 
+A plan is made in two steps. The solve step, `_solve`, solves the network
+for given node supplies; `emd`, `transport_plan` and refine all solve
+through it, and it returns the HiGHS solution with the flow. The plan step,
+`_plan_of`, builds a plan from one such solution: the marginals, the path
+decomposition of the flow (`_paths`) and the `_DualBound` of its row duals.
+So a caller that has already solved a histogram, as refine has its winning
+candidate, gets that histogram's plan without a second solve.
+
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
 model alive between solves. Every solve runs on a `_FlowModel`, the only
 code that calls the binding: it owns the HiGHS model, its options
 (HIGHS_OPTIONS), its supplies and the checks of each solve.
-`solve_transport` builds a fresh model per call. On histograms one rule,
-`_model`, builds or reuses every model: a model held for the same (spec,
-params) takes the new supplies, and the dual simplex restarts from its
-previous optimal basis, which stays dual feasible (Huangfu & Hall, Math.
-Prog. Comp. 2018); otherwise a fresh model is built with them. Where
-several flows are optimal, the vertex a reused model ends on depends on
-what it solved before, so a model is held only where that history is
-wanted. `emd` reads only the value, and holds up to two models, one per
-recent target histogram, in slots under a lock: a classify solves to the
-real and to the synthetic class average, each from the basis of its own
-last solve, so only the probe's supplies change. A call whose target has
-no model takes over the least recently used one once both slots are held,
-as population's EMD matrix does at every call. Only `emd`'s models hold
-their supplies in fixed injection columns (`_FlowModel`), so one binding
-call re-supplies them; plans and `solve_transport` keep the supplies in
-the row bounds, and so keep their vertices. Against one held model with
-row bounds this cuts the dual simplex iterations of a benchmark realness
-classify solve from 87 to 49 on average. Threads calling `emd` solve one
-at a time. `transport_plan` solves on a fresh model. `_plan` solves on the
-model its caller passes in and returns it, so a chain of plans (one refine
-run) depends on nothing solved outside it; a plan holds no model. A model
-whose solve failed or was interrupted is dropped, never held.
+`solve_transport` builds a fresh model per call. On histograms `_solve`
+builds or reuses every model: a model held for the same (spec, params)
+takes the new supplies, and the dual simplex restarts from its previous
+optimal basis, which stays dual feasible (Huangfu & Hall, Math. Prog. Comp.
+2018); otherwise a fresh model is built with them. Where several flows are
+optimal, the vertex a reused model ends on depends on what it solved
+before, so a model is held only where that history is wanted. Three kinds
+of model exist:
+- `emd`'s: up to two, one per recent target histogram, held in slots
+  under a lock. A classify solves to the real and to the synthetic class
+  average, each from the basis of its own last solve, so only the probe's
+  supplies change. A call whose target has no model takes over the least
+  recently used one once both slots are held, as population's EMD matrix
+  does at every call. Threads calling `emd` solve one at a time. `emd`
+  reads only the value.
+- refine's: one per run, a local of the run (see `minhist.refine`). Every
+  solve of the run, its initial template's and each scored candidate's,
+  restarts from the run's previous solve, so a run depends on nothing
+  solved outside it.
+- fresh ones: `transport_plan` and `solve_transport` build one per call,
+  so their plans depend only on their inputs.
+`emd`'s and refine's models hold their supplies in fixed injection columns
+(column form, `_FlowModel`), so one binding call re-supplies them.
+`transport_plan` and `solve_transport` keep the supplies in the row bounds
+(row form), and so keep their vertices. Against one held model with row
+bounds, column form cuts the dual simplex iterations of a benchmark
+realness classify solve from 87 to 49 on average. A plan holds no model,
+and a model whose solve failed or was interrupted is dropped, never held.
 """
 
 from __future__ import annotations
@@ -146,9 +160,9 @@ class TransportPlan:
 
     flow maps (source bin, sink bin) to transported mass; only nonzero
     entries are stored. total_cost is the exact optimum, correctly rounded.
-    lower_bound is set by transport_plan (None otherwise): the _DualBound of
-    the same solve. It is a result, not an argument, and takes no part in
-    == or repr.
+    lower_bound is set by the plan step (_plan_of; None otherwise): the
+    _DualBound of the same solve. It is a result, not an argument, and
+    takes no part in == or repr.
     """
 
     flow: Dict[Tuple[int, int], float]
@@ -212,7 +226,9 @@ def _integer_marginals(supply: np.ndarray, demand: np.ndarray):
     a scaled total of at most 2**53. Returns (rows, s_int, cols, d_int): the
     indices of the nonzero entries of each vector and their masses x
     MASS_SCALE, rounded, with equal sums. Returns None when the total mass
-    is zero.
+    is zero. A supply of positive mass against a demand of zero mass (within
+    the balance tolerance, such as 1e-9 against 0) raises ValueError: no
+    demand entry could take its scaled units.
     """
     if not (np.isfinite(supply).all() and np.isfinite(demand).all()):
         raise ValueError("masses must be finite")
@@ -226,6 +242,8 @@ def _integer_marginals(supply: np.ndarray, demand: np.ndarray):
         raise ValueError(f"total mass {max(total_s, total_d)!r} exceeds 2**53 / MASS_SCALE")
     if total_s == 0.0:
         return None
+    if total_d == 0.0:
+        raise ValueError(f"source mass {total_s!r} against a target of zero mass")
     rows = np.nonzero(supply > 0)[0]
     cols = np.nonzero(demand > 0)[0]
     s_int = np.rint(supply[rows] * MASS_SCALE).astype(np.int64)
@@ -276,7 +294,6 @@ class _FlowModel:
                  injected: Optional[np.ndarray] = None):
         self.arc_cost, self.tails, self.heads, self.b_eq = arc_cost, tails, heads, b_eq.copy()
         self.network = network
-        self.solution = None
         n_arcs, n_rows = arc_cost.size, b_eq.size
         inj = np.empty(0, dtype=np.int64) if injected is None else injected
         # The column of each node's injection, or None in row form.
@@ -330,19 +347,20 @@ class _FlowModel:
         self.b_eq[:] = b_eq
 
     def solve(self):
-        """Returns (arcs, flow, total_cost): the arcs with nonzero flow,
-        their integral flows, and the exact optimum / MASS_SCALE; the HiGHS
-        solution, with its row duals, is kept as self.solution. Raises
-        RuntimeError unless HiGHS reports an optimum and the snapped flow is
-        feasible: non-negative, with a net flow out of each node equal to
-        its supply, summed in int64."""
+        """Returns (arcs, flow, total_cost, solution): the arcs with nonzero
+        flow, their integral flows, the exact optimum / MASS_SCALE and the
+        HiGHS solution, a copy that the model's next solve leaves as it is
+        (only _plan_of reads its row duals). Raises RuntimeError unless
+        HiGHS reports an optimum and the snapped flow is feasible:
+        non-negative, with a net flow out of each node equal to its supply,
+        summed in int64."""
         run_status = self.highs.run()
         model_status = self.highs.getModelStatus()
         if run_status == HighsStatus.kError or model_status != HighsModelStatus.kOptimal:
             raise RuntimeError(
                 f"transportation solve failed: {self.highs.modelStatusToString(model_status)}"
             )
-        self.solution = solution = self.highs.getSolution()
+        solution = self.highs.getSolution()
         # Integral supplies imply an integral optimal vertex; snap off float fuzz.
         flow_int = np.rint(np.asarray(solution.col_value)[:self.arc_cost.size]).astype(np.int64)
         arcs = np.flatnonzero(flow_int)
@@ -352,7 +370,7 @@ class _FlowModel:
         np.subtract.at(net, self.heads[arcs], flow)
         if (flow < 0).any() or (net != self.b_eq.astype(np.int64)).any():
             raise RuntimeError("transportation solve failed: the flow does not meet the supplies")
-        return arcs, flow, _exact_cost(self.arc_cost[arcs], flow)
+        return arcs, flow, _exact_cost(self.arc_cost[arcs], flow), solution
 
 
 def solve_transport(supply, demand, cost) -> TransportPlan:
@@ -381,7 +399,7 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
     m, n = len(rows), len(cols)
     tails, heads = np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)
     b_eq = np.concatenate([s_int, -d_int]).astype(float)
-    arcs, flow_int, total_cost = _FlowModel(sub_cost.ravel(), tails, heads, b_eq).solve()
+    arcs, flow_int, total_cost, _ = _FlowModel(sub_cost.ravel(), tails, heads, b_eq).solve()
     fi, fj = np.divmod(arcs, n)
     mass = flow_int / MASS_SCALE
     flow = dict(zip(zip(rows[fi].tolist(), cols[fj].tolist()), mass.tolist()))
@@ -428,22 +446,28 @@ def _flow_network(spec: BinSpec, params: CostParams):
     return n_nodes, arc_cost, tails, heads
 
 
-def _model(network: Tuple[BinSpec, CostParams], b_eq: np.ndarray,
-           held: Optional[_FlowModel], columns: bool = False) -> _FlowModel:
-    """The model to solve the network of _flow_network(*network) on, with
-    supplies b_eq: held, re-supplied, when it models that network, else a
+def _solve(network: Tuple[BinSpec, CostParams], b_eq: np.ndarray,
+           held: Optional[_FlowModel], columns: bool = False):
+    """(model, solved): solve the network of _flow_network(*network) with
+    supplies b_eq, the one solve step of emd, transport_plan and refine.
+
+    The model is held, re-supplied, when it models that network, else a
     fresh model built with them, in column form if `columns` (one injection
-    column per source and sink node; only emd's models) and else in row
-    form."""
+    column per source and sink node: emd's and refine's models) and else in
+    row form. solved is what _FlowModel.solve returns. A failed solve
+    raises, so its model is not returned.
+    """
     if held is not None and held.network == network:
         held.supply(b_eq)
-        return held
-    n_nodes, arc_cost, tails, heads = _flow_network(*network)
-    injected = None
-    if columns:
-        n = network[0].b_dist * network[0].b_dir
-        injected = np.union1d(np.arange(n), np.arange(n_nodes - n, n_nodes))
-    return _FlowModel(arc_cost, tails, heads, b_eq, network, injected)
+        model = held
+    else:
+        n_nodes, arc_cost, tails, heads = _flow_network(*network)
+        injected = None
+        if columns:
+            n = network[0].b_dist * network[0].b_dir
+            injected = np.union1d(np.arange(n), np.arange(n_nodes - n, n_nodes))
+        model = _FlowModel(arc_cost, tails, heads, b_eq, network, injected)
+    return model, model.solve()
 
 
 # emd's models, keyed by the bytes of their last target's masses, least
@@ -750,13 +774,28 @@ def transport_plan(
 
 def _plan(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams,
           model: Optional[_FlowModel]) -> Tuple[TransportPlan, Optional[_FlowModel]]:
-    """(plan, model): transport_plan's plan, solved on the model that
-    _model((h1.spec, params), b_eq, model) gives, and that model, or model
-    itself when no solve is needed. Passing each plan's model on to the
-    next restarts its dual simplex from the basis of the one before; where
-    several flows are optimal, which one a plan returns then depends on the
-    earlier plans of the chain as well, and on nothing else. A failed solve
-    raises, so its model is not returned.
+    """(plan, model): transport_plan's plan, solved by _solve((h1.spec,
+    params), b_eq, model) and built by _plan_of, and the model it solved
+    on, or model itself when no solve is needed. Passing each plan's model
+    on to the next restarts its dual simplex from the basis of the one
+    before; where several flows are optimal, which one a plan returns then
+    depends on the earlier plans of the chain as well, and on nothing else.
+    A failed solve raises, so its model is not returned.
+    """
+    b_eq = _node_supplies(h1, h2, params)[1]
+    solved = None
+    if b_eq is not None:
+        model, solved = _solve((h1.spec, params), b_eq, model)
+    return _plan_of(h1, h2, params, solved), model
+
+
+def _plan_of(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams,
+             solved) -> TransportPlan:
+    """transport_plan's plan of h1 to h2, built from solved, the result of
+    the solve step (_solve) on the node supplies of _node_supplies(h1, h2,
+    params), or None where those are None (no solve needed). The flow is
+    decomposed into paths (_paths), and the row duals of the same solve
+    give the plan's lower_bound.
     """
     marginals, b_eq = _node_supplies(h1, h2, params)
     units, total_cost, potentials, slack = {}, 0.0, None, 0.0
@@ -769,11 +808,10 @@ def _plan(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams,
         units = dict(zip(zip(both.tolist(), both.tolist()),
                          np.minimum(s_int[i], d_int[j]).tolist()))
     if b_eq is not None:
-        model = _model((h1.spec, params), b_eq, model)
-        arcs, arc_flow, total_cost = model.solve()
-        arc_cost, tails, heads = model.arc_cost, model.tails, model.heads
-        if model.solution.dual_valid:
-            y = np.asarray(model.solution.row_dual, dtype=float)
+        arcs, arc_flow, total_cost, solution = solved
+        _, arc_cost, tails, heads = _flow_network(h1.spec, params)
+        if solution.dual_valid:
+            y = np.asarray(solution.row_dual, dtype=float)
             slack = float(np.max(y[tails] - y[heads] - arc_cost, initial=0.0))
             # Potentials far from dual feasible would give a useless bound.
             if np.isfinite(y).all() and slack <= SLACK_TOL * arc_cost.max():
@@ -786,7 +824,7 @@ def _plan(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams,
     flow = {key: moved / MASS_SCALE for key, moved in sorted(units.items()) if moved}
     plan = TransportPlan(flow=flow, total_cost=total_cost)
     plan.lower_bound = _DualBound(h2, params, potentials, slack)
-    return plan, model
+    return plan
 
 
 def emd(
@@ -799,10 +837,11 @@ def emd(
     to two models, one per recent target: the solve runs on the model of
     h2 when one is held, else on the least recently used one once both
     are, which then serves h2. A held model of the same (spec, params)
-    takes the new supplies and restarts from its basis (_model); the value
+    takes the new supplies and restarts from its basis (_solve); the value
     is the correctly rounded optimum whatever was solved before. Raises
-    ValueError for parameters outside check_cost_range, even where the
-    value would be 0.
+    ValueError for masses that _integer_marginals rejects (among them h1 of
+    positive mass against h2 of zero mass), and for parameters outside
+    check_cost_range, even where the value would be 0.
     """
     supplies, solve = _stack_supplies(h1.mass.reshape(1, -1), h1, h2, params)[2:]
     if not solve[0]:
@@ -816,7 +855,6 @@ def emd(
         model = _emd_models.pop(key, None)
         if model is None and len(_emd_models) == _EMD_SLOTS:
             model = _emd_models.pop(next(iter(_emd_models)))
-        model = _model((h1.spec, params), b_eq, model, columns=True)
-        value = model.solve()[2]
+        model, (_, _, value, _) = _solve((h1.spec, params), b_eq, model, columns=True)
         _emd_models[key] = model
     return value

@@ -34,6 +34,7 @@ from minhist.transport import (
 )
 
 from genpop import make_population
+from oracles import exact_plan_cost
 
 SPEC = BinSpec(b_dist=10, b_dir=10)
 
@@ -282,21 +283,22 @@ class TestRefine:
     # These runs end in a stall, a success and a timeout.
     @pytest.mark.parametrize("seed, threshold", [(9, 1e-6), (0, 0.3), (4, 1e-6)])
     def test_plans_only_for_the_current_template(self, seed, threshold, monkeypatch):
-        # Candidates are scored by emd alone; a transport plan, for the
+        # Candidates are scored by their solves alone; a transport plan, for the
         # deletion blame and the candidates' lower bound, is built once per
         # iteration for the current template.
         module = importlib.import_module("minhist.refine")
         planned = []
 
-        def counting_plan(h1, h2, params, model):
+        def counting_plan_of(h1, h2, params, solved):
             planned.append(h1.mass.copy())
-            return transport._plan(h1, h2, params, model)
+            return transport._plan_of(h1, h2, params, solved)
 
-        # refine looks up _plan by its name in its own module.
-        monkeypatch.setattr(module, "_plan", counting_plan)
+        # refine looks up _plan_of by its name in its own module.
+        monkeypatch.setattr(module, "_plan_of", counting_plan_of)
         cfg = base_config(threshold=threshold, max_iters=6, rng_seed=seed)
         t = init_template(cfg)
         result = refine(t, cfg)
+        assert planned
         accepted = len(result.trace) - 1
         # One plan per iteration run: each accepted move, plus the last
         # iteration when it stalls.
@@ -308,19 +310,42 @@ class TestRefine:
             h = MinutiaeHistogram(spec=SPEC, dims=2, mass=mass, normalized=True, pair_count=1)
             assert emd(h, cfg.target, cfg.params) == row.emd
 
+    @pytest.mark.parametrize("params", [CostParams(e=2.0), CostParams(0.5, 2.0, 1.0)],
+                             ids=["e=2", "r!=s"])
+    def test_each_plan_costs_its_trace_emd(self, params, monkeypatch):
+        # Each plan is built from the solution that scored its template,
+        # the initial solve's or the winning candidate's: its flow costs
+        # exactly the EMD in the trace row of that template.
+        module = importlib.import_module("minhist.refine")
+        plans = []
+
+        def recording_plan_of(h1, h2, params, solved):
+            plans.append(transport._plan_of(h1, h2, params, solved))
+            return plans[-1]
+
+        monkeypatch.setattr(module, "_plan_of", recording_plan_of)
+        cfg = base_config(threshold=1e-6, max_iters=8, rng_seed=6, params=params)
+        result = refine(init_template(cfg), cfg)
+        cost = build_cost_matrix(SPEC, params)
+        assert len(plans) >= 4
+        for plan, row in zip(plans, result.trace):
+            assert exact_plan_cost(plan, cost) == plan.total_cost == row.emd
+
     @staticmethod
     def _counting_run(cfg, monkeypatch):
-        """refine(init_template(cfg), cfg) and the number of emd calls it made."""
+        """refine(init_template(cfg), cfg) and the number of solves it made:
+        the initial one and one per scored candidate."""
         module = importlib.import_module("minhist.refine")
         calls = []
 
-        def counting_emd(h1, h2, params):
-            calls.append(h1)
-            return emd(h1, h2, params)
+        def counting_solve(network, b_eq, held, columns=False):
+            calls.append(b_eq)
+            return transport._solve(network, b_eq, held, columns)
 
         with monkeypatch.context() as m:
-            m.setattr(module, "emd", counting_emd)
+            m.setattr(module, "_solve", counting_solve)
             result = refine(init_template(cfg), cfg)
+        assert calls
         return result, len(calls)
 
     # Candidates whose dual lower bound cannot win are never scored; the
@@ -342,20 +367,30 @@ class TestRefine:
         # decreasing stand-in bounds that prune nothing), the winner must
         # still be the lowest EMD, then the earliest in the batch.
         module = importlib.import_module("minhist.refine")
-        monkeypatch.setattr(module, "emd", lambda h1, h2, params: round(emd(h1, h2, params), 2))
+        rounded, reordered = [], []
+
+        def rounded_solve(network, b_eq, held, columns=False):
+            model, (arcs, flow, cost, solution) = transport._solve(network, b_eq, held, columns)
+            rounded.append(cost)
+            return model, (arcs, flow, round(cost, 2), solution)
+
+        monkeypatch.setattr(module, "_solve", rounded_solve)
         cfg = base_config(threshold=1e-6, max_iters=8, rng_seed=seed)
         with monkeypatch.context() as m:
             m.setattr(transport, "SLACK_TOL", -np.inf)
             want = refine(init_template(cfg), cfg)
+        assert rounded
 
-        def reversed_order(h1, h2, params, model):
-            plan, model = transport._plan(h1, h2, params, model)
+        def reversed_order(h1, h2, params, solved):
+            plan = transport._plan_of(h1, h2, params, solved)
+            reordered.append(plan)
             plan.lower_bound = SimpleNamespace(
                 bounds=lambda supplies, solve: -1e9 - np.arange(len(supplies), dtype=float))
-            return plan, model
+            return plan
 
-        monkeypatch.setattr(module, "_plan", reversed_order)
+        monkeypatch.setattr(module, "_plan_of", reversed_order)
         got = refine(init_template(cfg), cfg)
+        assert reordered
         assert (got.status, got.trace, got.template) == (want.status, want.trace, want.template)
 
     def test_perturbed_potentials_switch_pruning_off(self, monkeypatch):
@@ -461,15 +496,16 @@ class TestRefine:
         def run(cfg, after_each_plan=lambda: None):
             plans = []
 
-            def recording_plan(h1, h2, params, model):
-                plan, model = transport._plan(h1, h2, params, model)
+            def recording_plan_of(h1, h2, params, solved):
+                plan = transport._plan_of(h1, h2, params, solved)
                 plans.append(plan.flow)
                 after_each_plan()
-                return plan, model
+                return plan
 
             with monkeypatch.context() as m:
-                m.setattr(module, "_plan", recording_plan)
+                m.setattr(module, "_plan_of", recording_plan_of)
                 result = refine(init_template(cfg), cfg)
+            assert plans
             return result.status, result.trace, result.template, plans
 
         alone_a, alone_b = run(cfg_a), run(cfg_b)

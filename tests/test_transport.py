@@ -393,6 +393,20 @@ class TestEmd:
         plan = transport_plan(empty, empty, params)
         assert plan.total_cost == 0.0 and plan.flow == {}
 
+    def test_a_source_against_a_target_of_zero_mass_is_rejected(self):
+        # 1e-9 against 0 passes the balance check, but scales to one unit
+        # that no target entry can take: a ValueError that says so. The
+        # other way round nothing moves.
+        spec = BinSpec(b_dist=2, b_dir=2)
+        tiny, zero = np.zeros((2, 2)), np.zeros((2, 2))
+        tiny[1, 1] = 1e-9
+        h1, h2 = (make_hist(m, spec, normalized=False) for m in (tiny, zero))
+        for call in (lambda: emd(h1, h2), lambda: transport_plan(h1, h2),
+                     lambda: solve_transport(tiny.ravel(), zero.ravel(), np.ones((4, 4)))):
+            with pytest.raises(ValueError, match="^source mass 1e-09 against a target of zero mass$"):
+                call()
+        assert emd(h2, h1) == transport_plan(h2, h1).total_cost == 0.0
+
     def test_mismatched_specs_rejected(self):
         h1 = random_normalized_hist(np.random.default_rng(0), 10, 10)
         h2 = random_normalized_hist(np.random.default_rng(0), 5, 10)
@@ -789,6 +803,33 @@ class TestEmd:
         third, fresh = transport._plan(h1, h3, params, None)
         assert fresh is not model
         assert third == transport_plan(h1, h3) == first
+
+    @pytest.mark.parametrize("shape, params", [
+        ((10, 10), CostParams()), ((4, 7), CostParams(e=2.0)), ((6, 5), CostParams(0.5, 2.0, 1.0))],
+        ids=["10x10-e1", "4x7-e2", "6x5-r!=s"])
+    def test_plans_of_chained_column_solves(self, shape, params):
+        # Refine chains its solves on one column-form model and builds each
+        # plan from the solution of the solve that scored its histogram.
+        # Each such plan costs exactly the EMD, the dense optimum and the
+        # linprog reference, and its potentials bound every EMD to the same
+        # target, tightly at its own histogram.
+        rng = np.random.default_rng([37, *shape])
+        target, *hists = (random_normalized_hist(rng, *shape) for _ in range(6))
+        network, cost = (target.spec, params), build_cost_matrix(target.spec, params)
+        model = first = None
+        for h in hists:
+            b_eq = transport._node_supplies(h, target, params)[1]
+            model, solved = transport._solve(network, b_eq, model, columns=True)
+            first = first or model
+            plan = transport._plan_of(h, target, params, solved)
+            solved_emd = emd(h, target, params)
+            assert exact_plan_cost(plan, cost) == plan.total_cost == solved_emd
+            assert solved_emd == solve_transport(h.mass, target.mass, cost).total_cost
+            assert solved_emd == linprog_transport_cost(h.mass.ravel(), target.mass.ravel(), cost)
+            for other in (*hists, target):
+                assert plan.lower_bound(other) <= emd(other, target, params)
+            assert abs(plan.lower_bound(h) - solved_emd) <= 1e-12 * solved_emd
+        assert model is first and model.column is not None
 
     def test_failed_warm_solve_drops_the_model(self):
         # A failed solve leaves no trusted basis: _plan raises, returns no

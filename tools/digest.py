@@ -6,7 +6,7 @@ SRC is the root of a source checkout (default: the checkout holding this
 script). minhist is imported from SRC/src, and SRC/perfbench's Refine,
 Realness, Population and Identify workloads generate the inputs and run the
 program, untimed, in a temporary directory; nothing under SRC is written.
-The output is six lines:
+The output is seven lines:
 
     refine      sha256 of the 150 refine runs of seeds 11-15, ops k < 30: per
                 run its status, the trace rows (iteration, EMD in hex, move),
@@ -26,6 +26,8 @@ The output is six lines:
                 reach its radius, so this counts the solves, not the picks
     plan_calls  calls of minhist.transport._plan over them, or of
                 transport_plan in a tree without _plan
+    solves      calls of minhist.transport._FlowModel.solve over them: every
+                HiGHS solve, through emd, a plan or a caller's own model
 
 Run it on a parent tree and on a change tree, from either tree:
 
@@ -75,6 +77,21 @@ def _count_calls(mh, names):
             if getattr(module, "__name__", "").startswith("minhist") and \
                     getattr(module, name, None) is original:
                 setattr(module, name, counted)
+    return counts
+
+
+def _count_solves(mh):
+    """Wrap _FlowModel.solve, the one method that runs HiGHS, on the class,
+    and return the call counter."""
+    counts = {"solve": 0}
+    flow_model = mh.transport._FlowModel
+    original = flow_model.solve
+
+    def counted(self):
+        counts["solve"] += 1
+        return original(self)
+
+    flow_model.solve = counted
     return counts
 
 
@@ -147,15 +164,19 @@ def main(argv=None) -> int:
     mh = _harness(root).import_program()
     import workloads  # perfbench's, on the path import_program set
 
-    # Every plan goes through _plan where the tree has it.
+    # transport_plan's plans go through _plan where the tree has it; a
+    # refine plan built from a candidate's solution solves nothing, and
+    # only the solves line sees that candidate's solve.
     plan = "_plan" if hasattr(mh.transport, "_plan") else "transport_plan"
     counts = _count_calls(mh, ("emd", plan))
+    solves = _count_solves(mh)
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in (("refine", _refine), ("realness", _realness),
                           ("population", _population), ("identify", _identify)):
             print(f"{name:<11} {run(mh, workloads, Path(tmp))[:16]}")
     print(f"{'emd_calls':<11} {counts['emd']}")
     print(f"{'plan_calls':<11} {counts[plan]}")
+    print(f"{'solves':<11} {solves['solve']}")
     return 0
 
 
