@@ -14,14 +14,15 @@ optimal transport plan of the current histogram, the only plan built per
 iteration, identifies the bins that contribute the most cost, and
 deletions are biased toward minutiae whose pairs populate those bins.
 
-Each run owns one HiGHS model, a local of the run, with its supplies in
-column form, so a re-supply is one binding call. Every solve of the run
+Each run owns one HiGHS model, a local of the run, which takes a
+candidate's supplies in one binding call. Every solve of the run
 goes through `transport._solve` on that model and restarts the dual
 simplex from the run's previous solve: one solve for the initial template,
 then one per scored candidate. The solution of the best candidate so far is
 kept, and once that candidate is accepted, the next iteration's plan is
-built from it (`transport._plan_of`: its flow for the deletion blame, its
-row duals for the bound below), so no histogram is solved twice. Where
+built from it and from the candidate's row of the supplies pass below
+(`transport._plan_of`: its flow for the deletion blame, its row duals for
+the bound below), so no histogram is solved twice. Where
 several plans are optimal, the one a solve ends on sets the deletion blame,
 so it depends on the current histogram, the target and the run's own
 earlier solves, and on nothing solved outside the run. Each EMD is still
@@ -38,7 +39,7 @@ checked, put on the network's nodes and bounded in one supplies pass
 in (bound, batch index) order, and scoring stops at the first whose bound
 is not below the current EMD, or whose (bound, index) is above the best
 (EMD, index) so far: no later one could win. A scored candidate is solved
-on the supplies of that pass, and only the accepted one gets a histogram.
+on the supplies of that pass, and no candidate is built as a histogram.
 The accepted move, and so the run, is the one scoring the whole batch would
 give.
 Everything is seeded and fully deterministic: a run does not depend on what
@@ -61,8 +62,7 @@ from .histogram import (
 )
 from .template import BIFURCATION, ENDING, UNKNOWN, Minutia, MinutiaTemplate
 from .template import _int, _mod, _real, _write_csv
-from .transport import (CostParams, TransportPlan, _ground_cost, _node_supplies, _plan_of,
-                        _solve, _stack_supplies)
+from .transport import CostParams, TransportPlan, _ground_cost, _plan_of, _solve, _stack_supplies
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,16 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     network = (spec, params)
 
     # The run's own model: every solve of the run restarts from the basis
-    # of the one before, and solved is the solution of the current template.
-    current, current_hist = t, build_2dmh(t, spec)
-    b_eq = _node_supplies(current_hist, target, params)[1]
-    model, solved = (None, None) if b_eq is None else _solve(network, b_eq, None, columns=True)
+    # of the one before. current_row is the current template's row of a
+    # supplies pass (scaled source and target masses, node supplies), and
+    # solved the solution of its solve. A template's histogram is
+    # normalized on the target's spec, as the target is, so the target
+    # stands for the rows' kind in each supplies pass.
+    current = t
+    src, dst, supplies, solve = _stack_supplies(
+        build_2dmh(t, spec).mass.reshape(1, -1), target, target, params)
+    current_row = (src[0], dst[0], supplies[0])
+    model, solved = _solve(network, supplies[0], None) if solve[0] else (None, None)
     current_emd = 0.0 if solved is None else solved[2]
     trace = [TraceRow(iteration=0, emd=current_emd, move="init")]
     # "timeout" stands until a move reaches the threshold or a batch stalls.
@@ -240,7 +246,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
     while status == "timeout" and iteration < cfg.max_iters:
         iteration += 1
         # The plan of the current template, from the solve that scored it.
-        plan = _plan_of(current_hist, target, params, solved)
+        plan = _plan_of(target, params, *current_row, solved)
         # One binning of the current template's pairs gives the deletion
         # blame and the counts every candidate is moved from.
         pairs = _Pairs.of(current, spec)
@@ -259,7 +265,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
         counts, pair_counts = pairs.moved_counts([move[1:] for move in moves])
         live = np.flatnonzero(pair_counts)
         masses = counts[live] / pair_counts[live, None]
-        supplies, solve = _stack_supplies(masses, current_hist, target, params)[2:]
+        src, dst, supplies, solve = _stack_supplies(masses, target, target, params)
         bounds = plan.lower_bound.bounds(supplies, solve)
         # The lowest EMD wins, then the earliest batch index; the sentinel
         # (current EMD, -1) admits only strict improvements. In (bound,
@@ -272,7 +278,7 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
                 break
             cand_solved = None
             if solve[row]:
-                model, cand_solved = _solve(network, supplies[row], model, columns=True)
+                model, cand_solved = _solve(network, supplies[row], model)
             cand_emd = 0.0 if cand_solved is None else cand_solved[2]
             if (cand_emd, index) < best[:2]:
                 best = (cand_emd, index, row, cand_solved)
@@ -280,9 +286,8 @@ def refine(t: MinutiaTemplate, cfg: RefineConfig) -> RefineResult:
             status = "stall"
         else:
             current_emd, index, row, solved = best
+            current_row = (src[row], dst[row], supplies[row])
             desc, k, m = moves[index]
-            current_hist = MinutiaeHistogram(spec=spec, dims=2, mass=masses[row].reshape(
-                spec.b_dist, spec.b_dir), normalized=True, pair_count=int(pair_counts[index]))
             current = _moved(current, k, m)
             trace.append(TraceRow(iteration=iteration, emd=current_emd, move=desc))
             if current_emd <= cfg.threshold:

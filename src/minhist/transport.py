@@ -46,17 +46,19 @@ against one target at once, as refine's candidate batches and the
 bootstrap's picks come: one routine, `_stack_supplies`, checks and scales
 the stacked masses and puts them on the network's nodes in one pass, with
 the bits and errors of each row on its own. Its one-row case checks the
-inputs of every `emd`, and `_node_supplies`, which adds the marginals a
-plan reads, those of every plan, so each solve is still checked where it
-runs.
+inputs of every `emd` and every `transport_plan`, so each solve is still
+checked where it runs.
 
 A plan is made in two steps. The solve step, `_solve`, solves the network
 for given node supplies; `emd`, `transport_plan` and refine all solve
 through it, and it returns the HiGHS solution with the flow. The plan step,
-`_plan_of`, builds a plan from one such solution: the marginals, the path
-decomposition of the flow (`_paths`) and the `_DualBound` of its row duals.
-So a caller that has already solved a histogram, as refine has its winning
-candidate, gets that histogram's plan without a second solve.
+`_plan_of`, builds a plan from one such solution and the supplies-pass row
+it solved: the row's scaled masses give what stays in place, the flow its
+path decomposition (`_paths`) and the row duals its `_DualBound`.
+`transport_plan` is that one chain: a one-row supplies pass, the solve step
+on a fresh model, the plan step. Refine runs the same chain on its own
+model, so a histogram it has already solved, its winning candidate, gets
+its plan without a second solve or supplies pass.
 
 HiGHS is driven through the binding SciPy bundles for `linprog`
 (`scipy.optimize._highspy._core`), because no public SciPy API keeps a
@@ -69,8 +71,8 @@ takes the new supplies, and the dual simplex restarts from its previous
 optimal basis, which stays dual feasible (Huangfu & Hall, Math. Prog. Comp.
 2018); otherwise a fresh model is built with them. Where several flows are
 optimal, the vertex a reused model ends on depends on what it solved
-before, so a model is held only where that history is wanted. Three kinds
-of model exist:
+before, so a model is held only where that history is wanted. Models
+differ only in how long they are held:
 - `emd`'s: up to two, one per recent target histogram, held in slots
   under a lock. A classify solves to the real and to the synthetic class
   average, each from the basis of its own last solve, so only the probe's
@@ -84,11 +86,11 @@ of model exist:
   solved outside it.
 - fresh ones: `transport_plan` and `solve_transport` build one per call,
   so their plans depend only on their inputs.
-`emd`'s and refine's models hold their supplies in fixed injection columns
-(column form, `_FlowModel`), so one binding call re-supplies them.
-`transport_plan` and `solve_transport` keep the supplies in the row bounds
-(row form), and so keep their vertices. Against one held model with row
-bounds, column form cuts the dual simplex iterations of a benchmark
+Every model holds its supplies in fixed injection columns, one per node
+that can carry a supply (`_FlowModel`): the sources and sinks of a
+histogram network, every node of the dense problem. One binding call
+re-supplies them all; against supplies held in the row bounds, one call
+per changed node, this also cuts the dual simplex iterations of a benchmark
 realness classify solve from 87 to 49 on average. A plan holds no model,
 and a model whose solve failed or was interrupted is dropped, never held.
 """
@@ -127,6 +129,9 @@ BALANCE_RTOL = 1e-9
 # Every nonzero arc cost must lie in this range (check_cost_range): beyond
 # it HiGHS can fail to solve, or stop short of the exact optimum.
 COST_RANGE = (1e-6, 1e6)
+# The largest cost magnitude solve_transport takes: HiGHS ends with an error
+# on every problem with a cost of 1e18 or more, and on some from 9.9e17.
+DENSE_COST_MAX = 1e17
 # A plan's potentials bound other EMDs only while their largest dual
 # infeasibility is at most this times the largest arc cost (transport_plan).
 SLACK_TOL = 1e-9
@@ -282,35 +287,29 @@ class _FlowModel:
     status, not by exception: each is checked. network is the (spec, params)
     of the _flow_network modelled, or None for a dense problem.
 
-    The supplies sit in the row bounds (row form), or, when `injected`
-    lists the nodes that can carry a supply, in one injection column per
-    such node: -1 at its node's row, cost 0, fixed at lower = upper = its
-    supply, with every row bound 0 (column form). The injections keep the
-    matrix totally unimodular, and supply() changes them all in one
-    binding call. The arcs are the first arc_cost.size columns in both."""
+    The arcs are the first arc_cost.size columns. Every row bound is 0, and
+    the supplies sit in one injection column per node of `injected`, the
+    nodes that can carry a supply: -1 at its node's row, cost 0, fixed at
+    lower = upper = its supply. The injections keep the matrix totally
+    unimodular, and supply() changes them all in one binding call."""
 
     def __init__(self, arc_cost: np.ndarray, tails: np.ndarray, heads: np.ndarray,
-                 b_eq: np.ndarray, network: Optional[Tuple[BinSpec, CostParams]] = None,
-                 injected: Optional[np.ndarray] = None):
+                 b_eq: np.ndarray, injected: np.ndarray,
+                 network: Optional[Tuple[BinSpec, CostParams]] = None):
         self.arc_cost, self.tails, self.heads, self.b_eq = arc_cost, tails, heads, b_eq.copy()
         self.network = network
         n_arcs, n_rows = arc_cost.size, b_eq.size
-        inj = np.empty(0, dtype=np.int64) if injected is None else injected
-        # The column of each node's injection, or None in row form.
-        self.column = None
         lp = HighsLp()
-        lp.num_col_, lp.num_row_ = n_arcs + inj.size, n_rows
-        lp.col_cost_ = np.concatenate([arc_cost, np.zeros(inj.size)])
+        lp.num_col_, lp.num_row_ = n_arcs + injected.size, n_rows
+        lp.col_cost_ = np.concatenate([arc_cost, np.zeros(injected.size)])
+        # The column of each node's injection.
+        self.column = np.full(n_rows, -1, dtype=np.int32)
+        self.column[injected] = np.arange(n_arcs, lp.num_col_, dtype=np.int32)
         # The binding copies an array in and out, so each is set whole.
         lower, upper = np.zeros(lp.num_col_), np.full(lp.num_col_, np.inf)
-        if injected is None:
-            lp.row_lower_ = lp.row_upper_ = self.b_eq
-        else:
-            self.column = np.full(n_rows, -1, dtype=np.int32)
-            self.column[inj] = np.arange(n_arcs, lp.num_col_, dtype=np.int32)
-            lower[n_arcs:] = upper[n_arcs:] = self.b_eq[inj]
-            lp.row_lower_ = lp.row_upper_ = np.zeros(n_rows)
+        lower[n_arcs:] = upper[n_arcs:] = self.b_eq[injected]
         lp.col_lower_, lp.col_upper_ = lower, upper
+        lp.row_lower_ = lp.row_upper_ = np.zeros(n_rows)
         # The incidence matrix by columns: arc k has +1 at row tails[k] and
         # -1 at row heads[k], the lower row first; then each injection, -1
         # at its node's row.
@@ -318,12 +317,12 @@ class _FlowModel:
         matrix.format_ = MatrixFormat.kColwise
         matrix.num_col_, matrix.num_row_ = lp.num_col_, lp.num_row_
         matrix.start_ = np.concatenate([np.arange(0, 2 * n_arcs + 1, 2),
-                                        2 * n_arcs + np.arange(1, inj.size + 1)])
+                                        2 * n_arcs + np.arange(1, injected.size + 1)])
         matrix.index_ = np.concatenate(
-            [np.sort(np.column_stack([tails, heads]), axis=1).ravel(), inj])
+            [np.sort(np.column_stack([tails, heads]), axis=1).ravel(), injected])
         matrix.value_ = np.concatenate([
             np.outer(np.where(tails < heads, 1.0, -1.0), [1.0, -1.0]).ravel(),
-            np.full(inj.size, -1.0)])
+            np.full(injected.size, -1.0)])
         self.highs = _Highs()
         for name, value in HIGHS_OPTIONS:
             if self.highs.setOptionValue(name, value) == HighsStatus.kError:
@@ -332,14 +331,10 @@ class _FlowModel:
             raise RuntimeError("transportation model rejected by HiGHS")
 
     def supply(self, b_eq: np.ndarray) -> None:
-        """Set the supplies to b_eq, changing only those that differ: one
-        row bound each in row form, one call for all in column form."""
+        """Set the supplies to b_eq, changing only those that differ, in one
+        binding call."""
         changed = np.flatnonzero(b_eq != self.b_eq)
-        if self.column is None:
-            for row in changed.tolist():
-                if self.highs.changeRowBounds(row, b_eq[row], b_eq[row]) == HighsStatus.kError:
-                    raise RuntimeError(f"HiGHS rejected the supply of node {row}")
-        elif changed.size:
+        if changed.size:
             values = b_eq[changed]
             if self.highs.changeColsBounds(changed.size, self.column[changed], values,
                                            values) == HighsStatus.kError:
@@ -377,10 +372,13 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
     """Solve the balanced transportation problem to exact optimality.
 
     `cost` is a 2D array-like of shape (len(supply), len(demand)). Marginals
-    must be finite, non-negative and balanced within tolerance, and costs
-    finite; otherwise ValueError. The returned plan is a basic optimal
-    solution (at most len(supply) + len(demand) - 1 nonzero flows); its
-    total cost is the exact optimum, correctly rounded.
+    must be finite, non-negative and balanced within tolerance, and every
+    cost finite and at most DENSE_COST_MAX in magnitude, also where a
+    marginal is 0; otherwise ValueError. The returned plan is a basic
+    optimal solution (at most len(supply) + len(demand) - 1 nonzero flows);
+    its total cost is the exact optimum, correctly rounded, while the
+    nonzero costs span less than about 2**52: beyond that (a cost of 1
+    beside one of 4e15) the solve can end on a vertex that is not optimal.
     """
     supply = np.asarray(supply, dtype=float).ravel()
     demand = np.asarray(demand, dtype=float).ravel()
@@ -389,6 +387,8 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
         raise ValueError("marginal lengths do not match the cost matrix")
     if not np.isfinite(cost).all():
         raise ValueError("costs must be finite")
+    if (np.abs(cost) > DENSE_COST_MAX).any():
+        raise ValueError(f"costs must be at most DENSE_COST_MAX = {DENSE_COST_MAX:g} in magnitude")
     marginals = _integer_marginals(supply, demand)
     if marginals is None:
         return TransportPlan(flow={}, total_cost=0.0)
@@ -399,7 +399,8 @@ def solve_transport(supply, demand, cost) -> TransportPlan:
     m, n = len(rows), len(cols)
     tails, heads = np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)
     b_eq = np.concatenate([s_int, -d_int]).astype(float)
-    arcs, flow_int, total_cost, _ = _FlowModel(sub_cost.ravel(), tails, heads, b_eq).solve()
+    arcs, flow_int, total_cost, _ = _FlowModel(sub_cost.ravel(), tails, heads, b_eq,
+                                               np.arange(m + n)).solve()
     fi, fj = np.divmod(arcs, n)
     mass = flow_int / MASS_SCALE
     flow = dict(zip(zip(rows[fi].tolist(), cols[fj].tolist()), mass.tolist()))
@@ -447,14 +448,13 @@ def _flow_network(spec: BinSpec, params: CostParams):
 
 
 def _solve(network: Tuple[BinSpec, CostParams], b_eq: np.ndarray,
-           held: Optional[_FlowModel], columns: bool = False):
+           held: Optional[_FlowModel]):
     """(model, solved): solve the network of _flow_network(*network) with
     supplies b_eq, the one solve step of emd, transport_plan and refine.
 
     The model is held, re-supplied, when it models that network, else a
-    fresh model built with them, in column form if `columns` (one injection
-    column per source and sink node: emd's and refine's models) and else in
-    row form. solved is what _FlowModel.solve returns. A failed solve
+    fresh model built with them, with one injection column per source and
+    sink node. solved is what _FlowModel.solve returns. A failed solve
     raises, so its model is not returned.
     """
     if held is not None and held.network == network:
@@ -462,11 +462,9 @@ def _solve(network: Tuple[BinSpec, CostParams], b_eq: np.ndarray,
         model = held
     else:
         n_nodes, arc_cost, tails, heads = _flow_network(*network)
-        injected = None
-        if columns:
-            n = network[0].b_dist * network[0].b_dir
-            injected = np.union1d(np.arange(n), np.arange(n_nodes - n, n_nodes))
-        model = _FlowModel(arc_cost, tails, heads, b_eq, network, injected)
+        n = network[0].b_dist * network[0].b_dir
+        injected = np.union1d(np.arange(n), np.arange(n_nodes - n, n_nodes))
+        model = _FlowModel(arc_cost, tails, heads, b_eq, injected, network)
     return model, model.solve()
 
 
@@ -548,24 +546,6 @@ def _stack_supplies(masses: np.ndarray, like: MinutiaeHistogram, target: Minutia
     supplies[:, :src.shape[1]] = src
     supplies[:, n_nodes - dst.shape[1]:] -= dst  # the last n nodes are sinks
     return src, dst, supplies, solve
-
-
-def _node_supplies(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams):
-    """Check the inputs of transport_plan and put the scaled marginals on
-    the nodes of the network of (h1.spec, params): the one-row case of
-    _stack_supplies, with the marginals.
-
-    Returns (marginals, b_eq): the result of _integer_marginals (None for
-    zero mass) and the node supplies, or b_eq None where the optimum is 0
-    without a solve. Raises ValueError for parameters outside
-    check_cost_range, even where the optimum is 0.
-    """
-    src, dst, supplies, solve = _stack_supplies(h1.mass.reshape(1, -1), h1, h2, params)
-    rows = np.nonzero(h1.mass.ravel() > 0)[0]
-    if not rows.size:
-        return None, None
-    cols = np.nonzero(h2.mass.ravel() > 0)[0]
-    return (rows, src[0, rows], cols, dst[0, cols]), supplies[0] if solve[0] else None
 
 
 def _paths(tails: np.ndarray, heads: np.ndarray, units: np.ndarray, supply: np.ndarray):
@@ -752,78 +732,63 @@ def transport_plan(
 ) -> TransportPlan:
     """Optimal transport plan from h1 to h2 under the bin-index ground cost.
 
-    The flow is solved on the network of _flow_network and decomposed into
-    paths (_paths); each path from node i to node j moves its units from
-    bin i % n to bin j % n. At e = 1 the network sees only the net supply,
-    so min(supply, demand) of each bin stays in place. Every path of an
-    optimal flow is a shortest path, whose length is the ground cost of its
-    ends, so the plan is optimal for the dense problem on the ground cost.
-    Masses are exact multiples of 1 / MASS_SCALE with the scaled marginals
-    of _integer_marginals as their sums; the plan need not be a basic
-    solution of the dense problem. total_cost is the
-    network's exact optimum, the same value as emd. Raises ValueError as
-    emd does. The solve runs on a fresh model, so the plan depends only on
-    its inputs.
+    The one-row supplies pass (_stack_supplies) checks and scales the
+    masses, the solve step (_solve) solves the network of _flow_network on
+    a fresh model, so the plan depends only on its inputs, and the plan
+    step (_plan_of) decomposes the flow into paths (_paths); each path
+    from node i to node j moves its units from bin i % n to bin j % n. At
+    e = 1 the network sees only the net supply, so min(supply, demand) of
+    each bin stays in place. Every path of an optimal flow is a shortest
+    path, whose length is the ground cost of its ends, so the plan is
+    optimal for the dense problem on the ground cost. Masses are exact
+    multiples of 1 / MASS_SCALE with the scaled masses of the supplies pass
+    as their sums; the plan need not be a basic solution of the dense
+    problem. total_cost is the network's exact optimum, the same value as
+    emd. Raises ValueError as emd does.
 
     The plan's lower_bound is the _DualBound of the row duals and slack of
     the same solve: a lower bound on emd(h, h2, params) for every h, tight
     at h1.
     """
-    return _plan(h1, h2, params, None)[0]
+    src, dst, supplies, solve = (
+        row[0] for row in _stack_supplies(h1.mass.reshape(1, -1), h1, h2, params))
+    solved = _solve((h1.spec, params), supplies, None)[1] if solve else None
+    return _plan_of(h2, params, src, dst, supplies, solved)
 
 
-def _plan(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams,
-          model: Optional[_FlowModel]) -> Tuple[TransportPlan, Optional[_FlowModel]]:
-    """(plan, model): transport_plan's plan, solved by _solve((h1.spec,
-    params), b_eq, model) and built by _plan_of, and the model it solved
-    on, or model itself when no solve is needed. Passing each plan's model
-    on to the next restarts its dual simplex from the basis of the one
-    before; where several flows are optimal, which one a plan returns then
-    depends on the earlier plans of the chain as well, and on nothing else.
-    A failed solve raises, so its model is not returned.
+def _plan_of(target: MinutiaeHistogram, params: CostParams, src: np.ndarray, dst: np.ndarray,
+             supplies: np.ndarray, solved) -> TransportPlan:
+    """transport_plan's plan to target, built from one row of
+    _stack_supplies against target, its scaled source and target masses
+    src and dst and its node supplies, and from solved: the result of the
+    solve step (_solve) on those supplies, or None where the row needs no
+    solve. The flow is decomposed into paths (_paths), and the row duals of
+    the same solve give the plan's lower_bound.
     """
-    b_eq = _node_supplies(h1, h2, params)[1]
-    solved = None
-    if b_eq is not None:
-        model, solved = _solve((h1.spec, params), b_eq, model)
-    return _plan_of(h1, h2, params, solved), model
-
-
-def _plan_of(h1: MinutiaeHistogram, h2: MinutiaeHistogram, params: CostParams,
-             solved) -> TransportPlan:
-    """transport_plan's plan of h1 to h2, built from solved, the result of
-    the solve step (_solve) on the node supplies of _node_supplies(h1, h2,
-    params), or None where those are None (no solve needed). The flow is
-    decomposed into paths (_paths), and the row duals of the same solve
-    give the plan's lower_bound.
-    """
-    marginals, b_eq = _node_supplies(h1, h2, params)
     units, total_cost, potentials, slack = {}, 0.0, None, 0.0
-    # Zero mass (no marginals) needs no solve; b_eq is None then too.
-    if marginals is not None and (b_eq is None or params.e == 1):
+    if solved is None or params.e == 1:
         # The e = 1 network sees only the net supply: min(supply, demand) of
         # each bin stays in place, as all of it does for equal marginals.
-        rows, s_int, cols, d_int = marginals
-        both, i, j = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
-        units = dict(zip(zip(both.tolist(), both.tolist()),
-                         np.minimum(s_int[i], d_int[j]).tolist()))
-    if b_eq is not None:
+        stay = np.minimum(src, dst)
+        both = np.flatnonzero(stay)
+        units = dict(zip(zip(both.tolist(), both.tolist()), stay[both].tolist()))
+    if solved is not None:
         arcs, arc_flow, total_cost, solution = solved
-        _, arc_cost, tails, heads = _flow_network(h1.spec, params)
+        _, arc_cost, tails, heads = _flow_network(target.spec, params)
         if solution.dual_valid:
             y = np.asarray(solution.row_dual, dtype=float)
             slack = float(np.max(y[tails] - y[heads] - arc_cost, initial=0.0))
             # Potentials far from dual feasible would give a useless bound.
             if np.isfinite(y).all() and slack <= SLACK_TOL * arc_cost.max():
                 potentials = y
-        n = h1.mass.size
-        paths = _paths(tails[arcs], heads[arcs], arc_flow, b_eq.astype(np.int64))
+        n = src.size
+        paths = _paths(tails[arcs], heads[arcs], arc_flow, supplies.astype(np.int64))
         for (first, last), moved in paths.items():
             key = (first % n, last % n)
             units[key] = units.get(key, 0) + moved
     flow = {key: moved / MASS_SCALE for key, moved in sorted(units.items()) if moved}
     plan = TransportPlan(flow=flow, total_cost=total_cost)
-    plan.lower_bound = _DualBound(h2, params, potentials, slack)
+    plan.lower_bound = _DualBound(target, params, potentials, slack)
     return plan
 
 
@@ -855,6 +820,6 @@ def emd(
         model = _emd_models.pop(key, None)
         if model is None and len(_emd_models) == _EMD_SLOTS:
             model = _emd_models.pop(next(iter(_emd_models)))
-        model, (_, _, value, _) = _solve((h1.spec, params), b_eq, model, columns=True)
+        model, (_, _, value, _) = _solve((h1.spec, params), b_eq, model)
         _emd_models[key] = model
     return value

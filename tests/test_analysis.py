@@ -14,7 +14,7 @@ from minhist.analysis import (
 )
 from minhist.histogram import BinSpec, MinutiaeHistogram, build_2dmh
 from minhist.realness import average_histogram
-from minhist.transport import CostParams, _node_supplies, _tree_bounds, emd
+from minhist.transport import CostParams, _stack_supplies, _tree_bounds, emd
 
 from genpop import make_population
 
@@ -332,7 +332,8 @@ class TestTreeBounds:
         # Equal marginals and zero mass have no supplies and cost 0.
         h1s += [h2s[0], self._hist(spec, np.zeros((b_dist, b_dir)), normalized=False)]
         h2s += [h2s[0], self._hist(spec, np.zeros((b_dist, b_dir)), normalized=False)]
-        supplies = [_node_supplies(a, b, params)[1] for a, b in zip(h1s, h2s)]
+        rows = [_stack_supplies(a.mass.reshape(1, -1), a, b, params)[2:] for a, b in zip(h1s, h2s)]
+        supplies = [b_eq[0] if solve[0] else None for b_eq, solve in rows]
         assert supplies[-2] is None and supplies[-1] is None
         stack = np.stack([np.zeros(n) if b_eq is None else b_eq for b_eq in supplies])
         bounds = _tree_bounds(spec, params, stack)

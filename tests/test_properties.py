@@ -471,9 +471,10 @@ def test_plan_potentials_bound_every_emd(hists, params):
         assert abs(bound(h1) - solved) <= 1e-12 * solved
 
 
-# A chain of plans, each solved on the model the one before returned, ends
-# on an optimal vertex of each problem: a plan costs the EMD, and its
-# potentials bound every EMD to the same target, tightly at its own histogram.
+# A chain of plans, each from a solve on the model the one before solved on
+# (the solve step and the plan step, as refine chains them), ends on an
+# optimal vertex of each problem: a plan costs the EMD, and its potentials
+# bound every EMD to the same target, tightly at its own histogram.
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(hists=_histograms(4), params=PARAMS)
 def test_warm_plans_are_optimal_and_bound_every_emd(hists, params):
@@ -481,7 +482,12 @@ def test_warm_plans_are_optimal_and_bound_every_emd(hists, params):
     cost = build_cost_matrix(target.spec, params)
     model = None
     for h in chain:
-        plan, model = transport._plan(h, target, params, model)
+        src, dst, supplies, solve = (
+            row[0] for row in transport._stack_supplies(h.mass.reshape(1, -1), h, target, params))
+        solved = None
+        if solve:
+            model, solved = transport._solve((target.spec, params), supplies, model)
+        plan = transport._plan_of(target, params, src, dst, supplies, solved)
         solved = emd(h, target, params)
         assert exact_plan_cost(plan, cost) == plan.total_cost == solved
         for other in hists:

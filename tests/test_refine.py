@@ -289,9 +289,9 @@ class TestRefine:
         module = importlib.import_module("minhist.refine")
         planned = []
 
-        def counting_plan_of(h1, h2, params, solved):
-            planned.append(h1.mass.copy())
-            return transport._plan_of(h1, h2, params, solved)
+        def counting_plan_of(target, params, src, dst, supplies, solved):
+            planned.append(src.copy())
+            return transport._plan_of(target, params, src, dst, supplies, solved)
 
         # refine looks up _plan_of by its name in its own module.
         monkeypatch.setattr(module, "_plan_of", counting_plan_of)
@@ -304,10 +304,14 @@ class TestRefine:
         # iteration when it stalls.
         assert len(planned) == accepted + (result.status == "stall")
         assert len(planned) <= min(cfg.max_iters, 1 + accepted)
-        assert np.array_equal(planned[0], build_2dmh(t, SPEC).mass)
-        # Plan k is of the template after k accepted moves.
-        for mass, row in zip(planned, result.trace):
-            h = MinutiaeHistogram(spec=SPEC, dims=2, mass=mass, normalized=True, pair_count=1)
+        monkeypatch.undo()
+        # Plan k is of the template after k accepted moves, the one a run
+        # of k iterations ends on: its scaled masses are that template's.
+        for k, (src, row) in enumerate(zip(planned, result.trace)):
+            done = t if k == 0 else refine(t, replace(cfg, max_iters=k)).template
+            h = build_2dmh(done, SPEC)
+            scaled = transport._stack_supplies(h.mass.reshape(1, -1), h, cfg.target, cfg.params)[0]
+            assert np.array_equal(src, scaled[0])
             assert emd(h, cfg.target, cfg.params) == row.emd
 
     @pytest.mark.parametrize("params", [CostParams(e=2.0), CostParams(0.5, 2.0, 1.0)],
@@ -319,8 +323,8 @@ class TestRefine:
         module = importlib.import_module("minhist.refine")
         plans = []
 
-        def recording_plan_of(h1, h2, params, solved):
-            plans.append(transport._plan_of(h1, h2, params, solved))
+        def recording_plan_of(*args):
+            plans.append(transport._plan_of(*args))
             return plans[-1]
 
         monkeypatch.setattr(module, "_plan_of", recording_plan_of)
@@ -338,9 +342,9 @@ class TestRefine:
         module = importlib.import_module("minhist.refine")
         calls = []
 
-        def counting_solve(network, b_eq, held, columns=False):
+        def counting_solve(network, b_eq, held):
             calls.append(b_eq)
-            return transport._solve(network, b_eq, held, columns)
+            return transport._solve(network, b_eq, held)
 
         with monkeypatch.context() as m:
             m.setattr(module, "_solve", counting_solve)
@@ -369,8 +373,8 @@ class TestRefine:
         module = importlib.import_module("minhist.refine")
         rounded, reordered = [], []
 
-        def rounded_solve(network, b_eq, held, columns=False):
-            model, (arcs, flow, cost, solution) = transport._solve(network, b_eq, held, columns)
+        def rounded_solve(network, b_eq, held):
+            model, (arcs, flow, cost, solution) = transport._solve(network, b_eq, held)
             rounded.append(cost)
             return model, (arcs, flow, round(cost, 2), solution)
 
@@ -381,8 +385,8 @@ class TestRefine:
             want = refine(init_template(cfg), cfg)
         assert rounded
 
-        def reversed_order(h1, h2, params, solved):
-            plan = transport._plan_of(h1, h2, params, solved)
+        def reversed_order(*args):
+            plan = transport._plan_of(*args)
             reordered.append(plan)
             plan.lower_bound = SimpleNamespace(
                 bounds=lambda supplies, solve: -1e9 - np.arange(len(supplies), dtype=float))
@@ -496,8 +500,8 @@ class TestRefine:
         def run(cfg, after_each_plan=lambda: None):
             plans = []
 
-            def recording_plan_of(h1, h2, params, solved):
-                plan = transport._plan_of(h1, h2, params, solved)
+            def recording_plan_of(*args):
+                plan = transport._plan_of(*args)
                 plans.append(plan.flow)
                 after_each_plan()
                 return plan

@@ -47,6 +47,24 @@ def random_normalized_hist(rng, b_dist=10, b_dir=10):
     return make_hist(mass)
 
 
+def one_row(h, target, params):
+    """(src, dst, supplies, solve): the one-row supplies pass of h against
+    target, as transport_plan and refine make it."""
+    return tuple(row[0] for row in transport._stack_supplies(h.mass.reshape(1, -1), h, target,
+                                                            params))
+
+
+def chained_plan(h, target, params, model):
+    """(plan, model): the plan of h to target from the solve step on model
+    (a fresh model when None) and the plan step, as refine chains them, and
+    the model solved on. A row that needs no solve leaves model as it is."""
+    src, dst, supplies, solve = one_row(h, target, params)
+    solved = None
+    if solve:
+        model, solved = transport._solve((h.spec, params), supplies, model)
+    return transport._plan_of(target, params, src, dst, supplies, solved), model
+
+
 class TestCostParams:
     def test_defaults_valid(self):
         p = CostParams()
@@ -178,10 +196,11 @@ class TestFlowNetwork:
     @pytest.mark.parametrize("network", ["e=1", "e=1.5", "e=2", "solve_transport"])
     def test_model_matrix_is_the_incidence_matrix(self, monkeypatch, network):
         # HiGHS gets the node-arc incidence matrix column-wise, two entries
-        # per arc with the lower row first (canonical CSC). The optimal
+        # per arc with the lower row first (canonical CSC), then one
+        # injection column per node that can carry a supply. The optimal
         # vertex the dual simplex ends on depends on this layout, and plans
         # and refine's traces depend on that vertex.
-        models = []
+        models, injected = [], []
 
         class Recording(transport._FlowModel):
             def __init__(self, *args):
@@ -193,27 +212,44 @@ class TestFlowNetwork:
             # Every source to every sink: 3 sources, 4 sinks, 12 arcs.
             solve_transport([1, 2, 3], [2, 1, 1, 2], np.arange(12.0).reshape(3, 4))
             assert (models[0].b_eq.size, models[0].tails.size) == (7, 12)
+            injected.append(np.arange(7))  # every source and sink
         else:
             params = CostParams(r=0.7, s=1.3, e=float(network[2:]))
             for b_dist in range(1, 6):
                 for b_dir in range(1, 6):
-                    n_nodes, arc_cost, tails, heads = transport._flow_network(
-                        BinSpec(b_dist=b_dist, b_dir=b_dir), params)
-                    transport._FlowModel(arc_cost, tails, heads, np.zeros(n_nodes))
-        assert models
-        for model in models:
+                    spec = BinSpec(b_dist=b_dist, b_dir=b_dir)
+                    n_nodes = transport._flow_network(spec, params)[0]
+                    transport._solve((spec, params), np.zeros(n_nodes), None)
+                    # The first n nodes are the sources, the last n the sinks.
+                    n = b_dist * b_dir
+                    injected.append(np.union1d(np.arange(n), np.arange(n_nodes - n, n_nodes)))
+        assert models and len(models) == len(injected)
+        for model, nodes in zip(models, injected):
             tails, heads = model.tails, model.heads
+            n_arcs = tails.size
             lp = model.highs.getLp()
-            assert (lp.num_row_, lp.num_col_) == (model.b_eq.size, tails.size)
+            assert (lp.num_row_, lp.num_col_) == (model.b_eq.size, n_arcs + nodes.size)
             matrix = lp.a_matrix_
             assert matrix.format_ == transport.MatrixFormat.kColwise
-            np.testing.assert_array_equal(matrix.start_, np.arange(0, 2 * tails.size + 1, 2))
-            rows = np.asarray(matrix.index_).reshape(-1, 2)
-            values = np.asarray(matrix.value_).reshape(-1, 2)
+            start, index, value = (np.asarray(a) for a in (matrix.start_, matrix.index_,
+                                                          matrix.value_))
+            np.testing.assert_array_equal(start[:n_arcs + 1], np.arange(0, 2 * n_arcs + 1, 2))
+            rows = index[:2 * n_arcs].reshape(-1, 2)
+            values = value[:2 * n_arcs].reshape(-1, 2)
             assert (rows[:, 0] < rows[:, 1]).all()
             assert (np.sort(values, axis=1) == [-1.0, 1.0]).all()
             np.testing.assert_array_equal(rows[values == 1], tails)
             np.testing.assert_array_equal(rows[values == -1], heads)
+            # Each further column is one injection: -1 at its node's row,
+            # cost 0, fixed at that node's supply; every row bound is 0.
+            np.testing.assert_array_equal(np.diff(start[n_arcs:]), np.ones(nodes.size))
+            np.testing.assert_array_equal(index[2 * n_arcs:], nodes)
+            assert (value[2 * n_arcs:] == -1.0).all()
+            assert (np.asarray(lp.col_cost_)[n_arcs:] == 0.0).all()
+            for bound in (lp.col_lower_, lp.col_upper_):
+                np.testing.assert_array_equal(np.asarray(bound)[n_arcs:], model.b_eq[nodes])
+            for bound in (lp.row_lower_, lp.row_upper_):
+                assert (np.asarray(bound) == 0.0).all()
 
 
 class TestSolveTransport:
@@ -311,6 +347,25 @@ class TestSolveTransport:
     def test_non_finite_cost_rejected(self, bad):
         with pytest.raises(ValueError, match="costs must be finite"):
             solve_transport([0.5, 0.5], [0.5, 0.5], [[0.0, bad], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cost_magnitude_limit(self, sign):
+        # HiGHS fails on every problem with a cost of 1e18 or more in
+        # magnitude ("Solve error", and "Unknown" from 1e20). A cost at
+        # DENSE_COST_MAX is solved exactly; one just above it is refused
+        # before any model is built, also on an arc that carries no flow
+        # and in a row of zero mass.
+        limit = sign * transport.DENSE_COST_MAX
+        cost = np.array([[0.0, limit], [limit, 0.0]])
+        plan = solve_transport([1.0, 0.0], [0.0, 1.0], cost)
+        assert plan.total_cost == limit == linprog_transport_cost([1.0, 0.0], [0.0, 1.0], cost)
+        assert plan.flow == {(0, 1): 1.0}
+        above = np.nextafter(limit, sign * np.inf)
+        for supply, demand, bad in (([1.0, 0.0], [0.0, 1.0], [[0.0, above], [above, 0.0]]),
+                                    ([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [above, 0.0]]),
+                                    ([1.0, 0.0], [1.0, 0.0], [[0.0, 1.0], [above, 0.0]])):
+            with pytest.raises(ValueError, match="DENSE_COST_MAX = 1e\\+17"):
+                solve_transport(supply, demand, bad)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(14)
@@ -670,8 +725,10 @@ class TestEmd:
         assert transport._emd_models == {}
 
     def test_plans_do_not_evict_the_kept_model(self):
-        # Refine alternates transport_plan and emd on one (spec, params);
-        # its speed relies on emd finding its model kept.
+        # A realness classify solves to the same target again and again;
+        # its speed relies on emd finding its model kept, also when
+        # transport_plan and solve_transport solve on the same (spec,
+        # params) in between.
         rng = np.random.default_rng(27)
         h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
         params = CostParams(1.0, 2.0, 2.0)
@@ -686,9 +743,9 @@ class TestEmd:
     @pytest.mark.parametrize("solver", ["emd", "transport_plan"])
     def test_a_fresh_model_is_built_with_its_supplies(self, monkeypatch, solver):
         # One rule builds or reuses a model: a fresh one gets its supplies
-        # from passModel, and only a reused one changes bounds. emd's models
-        # take theirs as injection column bounds, all in one call, and
-        # plans as row bounds, one call per node.
+        # from passModel, and only a reused one changes bounds. Every model
+        # takes them as injection column bounds, all in one call, and no
+        # row bound ever changes.
         changes = []
 
         class Recording(transport._Highs):
@@ -711,10 +768,11 @@ class TestEmd:
             assert emd(h3, h2, params) == transport_plan(h3, h2, params).total_cost
             assert changes == ["columns"]
         else:
-            _, model = transport._plan(h1, h2, params, None)
+            transport_plan(h3, h2, params)
+            _, model = chained_plan(h1, h2, params, None)
             assert changes == []
-            transport._plan(h3, h2, params, model)
-            assert len(changes) > 1 and set(changes) == {"row"}
+            chained_plan(h3, h2, params, model)
+            assert changes == ["columns"]
         transport._emd_models.clear()
 
     def test_a_plan_reads_the_solution_once(self, monkeypatch):
@@ -728,9 +786,9 @@ class TestEmd:
         rng = np.random.default_rng(34)
         h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
         monkeypatch.setattr(transport, "_Highs", Recording)
-        _, model = transport._plan(h1, h2, CostParams(), None)
+        _, model = chained_plan(h1, h2, CostParams(), None)
         assert len(reads) == 1
-        second, _ = transport._plan(h3, h2, CostParams(), model)
+        second, _ = chained_plan(h3, h2, CostParams(), model)
         assert len(reads) == 2 and reads[1] is reads[0]
         assert second.lower_bound.potentials is not None
 
@@ -769,38 +827,37 @@ class TestEmd:
 
     @pytest.mark.parametrize("change", ["params", "spec"])
     def test_a_model_of_another_network_is_not_reused(self, change):
-        # Given a model of another (spec, params), _plan solves on a fresh
-        # model and returns transport_plan's plan; the given model keeps
-        # its supplies.
+        # Given a model of another (spec, params), the solve step solves on
+        # a fresh model, and the plan step gives transport_plan's plan; the
+        # given model keeps its supplies.
         rng = np.random.default_rng(30)
         h1, h2 = (random_normalized_hist(rng, 4, 5) for _ in range(2))
-        _, model = transport._plan(h1, h2, CostParams(), None)
+        _, model = chained_plan(h1, h2, CostParams(), None)
         supplies = model.b_eq.copy()
         if change == "params":
             args = (h2, h1, CostParams(1.0, 2.0, 1.0))
         else:
             args = (make_hist(h2.mass.T), make_hist(h1.mass.T), CostParams())
-        plan, fresh = transport._plan(*args, model)
+        plan, fresh = chained_plan(*args, model)
         assert fresh is not model and fresh.network == (args[0].spec, args[2])
         assert np.array_equal(model.b_eq, supplies)
         assert plan == transport_plan(*args)
         assert plan.total_cost == emd(*args)
 
     def test_a_plan_passes_its_model_on_once(self):
-        # _plan returns the model it solved on, and the next _plan
-        # re-supplies that model; a plan that needs no solve returns the
-        # model it was given.
+        # The solve step returns the model it solved on, and the next solve
+        # step re-supplies that model; a plan that needs no solve costs 0.
         rng = np.random.default_rng(31)
         h1, h2, h3 = (random_normalized_hist(rng, 5, 5) for _ in range(3))
         params = CostParams()
-        first, model = transport._plan(h1, h3, params, None)
-        second, again = transport._plan(h2, h3, params, model)
+        first, model = chained_plan(h1, h3, params, None)
+        second, again = chained_plan(h2, h3, params, model)
         assert again is model
-        assert np.array_equal(model.b_eq, transport._node_supplies(h2, h3, params)[1])
+        assert np.array_equal(model.b_eq, one_row(h2, h3, params)[2])
         assert second.total_cost == emd(h2, h3)
-        same, kept = transport._plan(h3, h3, params, model)
-        assert kept is model and same.total_cost == 0.0
-        third, fresh = transport._plan(h1, h3, params, None)
+        same, _ = chained_plan(h3, h3, params, model)
+        assert same.total_cost == 0.0
+        third, fresh = chained_plan(h1, h3, params, None)
         assert fresh is not model
         assert third == transport_plan(h1, h3) == first
 
@@ -818,10 +875,10 @@ class TestEmd:
         network, cost = (target.spec, params), build_cost_matrix(target.spec, params)
         model = first = None
         for h in hists:
-            b_eq = transport._node_supplies(h, target, params)[1]
-            model, solved = transport._solve(network, b_eq, model, columns=True)
+            src, dst, supplies, _ = one_row(h, target, params)
+            model, solved = transport._solve(network, supplies, model)
             first = first or model
-            plan = transport._plan_of(h, target, params, solved)
+            plan = transport._plan_of(target, params, src, dst, supplies, solved)
             solved_emd = emd(h, target, params)
             assert exact_plan_cost(plan, cost) == plan.total_cost == solved_emd
             assert solved_emd == solve_transport(h.mass, target.mass, cost).total_cost
@@ -829,23 +886,23 @@ class TestEmd:
             for other in (*hists, target):
                 assert plan.lower_bound(other) <= emd(other, target, params)
             assert abs(plan.lower_bound(h) - solved_emd) <= 1e-12 * solved_emd
-        assert model is first and model.column is not None
+        assert model is first
 
     def test_failed_warm_solve_drops_the_model(self):
-        # A failed solve leaves no trusted basis: _plan raises, returns no
-        # model and keeps none, and a fresh model gives the plan.
+        # A failed solve leaves no trusted basis: the solve step raises,
+        # returns no model and keeps none, and a fresh model gives the plan.
         rng = np.random.default_rng(32)
         h1, h2, h3 = (random_normalized_hist(rng, 6, 6) for _ in range(3))
         params = CostParams(1.0, 2.0, 2.0)
-        _, model = transport._plan(h1, h3, params, None)
+        _, model = chained_plan(h1, h3, params, None)
         model.highs.setOptionValue("simplex_iteration_limit", 0)
         with pytest.raises(RuntimeError, match="transportation solve failed"):
-            transport._plan(h2, h3, params, model)
+            chained_plan(h2, h3, params, model)
         failed = weakref.ref(model)
         del model
         gc.collect()
         assert failed() is None
-        again, _ = transport._plan(h2, h3, params, None)
+        again, _ = chained_plan(h2, h3, params, None)
         assert again == transport_plan(h2, h3, params)
         assert again.total_cost == emd(h2, h3, params)
 
@@ -858,7 +915,7 @@ class TestEmd:
         target = random_normalized_hist(rng)
         plans, model = [], None
         for _ in range(100):
-            plan, model = transport._plan(random_normalized_hist(rng), target, params, model)
+            plan, model = chained_plan(random_normalized_hist(rng), target, params, model)
             plans.append(plan)
         plans.append(transport_plan(random_normalized_hist(rng), target, params))
         chained = weakref.ref(model)
@@ -938,7 +995,7 @@ class TestStackSupplies:
             if b_eq is not None:
                 assert _bits(supplies[i]) == _bits(b_eq)
             # The one-row cases.
-            got_marginals, got_b_eq = transport._node_supplies(h, target, params)
+            got_marginals, got_b_eq = self._one_row_loop_case(h, target, params)
             assert all(np.array_equal(a, b) and a.dtype == b.dtype
                        for a, b in zip(got_marginals, marginals))
             assert _bits(got_b_eq if b_eq is not None else []) == _bits(
@@ -972,10 +1029,22 @@ class TestStackSupplies:
             assert solve[i] == (b_eq is not None)
             if b_eq is not None:
                 assert _bits(supplies[i]) == _bits(b_eq)
-            assert (transport._node_supplies(h, target, params)[0] is None) == (marginals is None)
+            assert (self._one_row_loop_case(h, target, params)[0] is None) == (marginals is None)
         assert solve.tolist() == [False, False, True, True, True]
         assert supplies[3, 11] == 1 and supplies[3, 6] == -1
         assert supplies[2, 1] == (tiny > 5e-10)
+
+    @staticmethod
+    def _one_row_loop_case(h, target, params):
+        """What loop_node_supplies gives, from the one-row supplies pass:
+        the marginals (None for zero mass) and the node supplies (None
+        where the row needs no solve)."""
+        src, dst, supplies, solve = one_row(h, target, params)
+        rows = np.flatnonzero(h.mass > 0)
+        if not rows.size:
+            return None, None
+        cols = np.flatnonzero(target.mass > 0)
+        return (rows, src[rows], cols, dst[cols]), supplies if solve else None
 
     @staticmethod
     def _message(h, target, params):

@@ -24,8 +24,9 @@ The output is seven lines:
     emd_calls   calls of minhist.transport.emd over the four digests; a
                 bootstrap op solves only the picks whose EMD bound can
                 reach its radius, so this counts the solves, not the picks
-    plan_calls  calls of minhist.transport._plan over them, or of
-                transport_plan in a tree without _plan
+    plan_calls  calls of minhist.transport.transport_plan over them (no
+                workload makes one), or, in an older tree where plans are
+                made by transport._plan, calls of _plan
     solves      calls of minhist.transport._FlowModel.solve over them: every
                 HiGHS solve, through emd, a plan or a caller's own model
 
@@ -164,9 +165,10 @@ def main(argv=None) -> int:
     mh = _harness(root).import_program()
     import workloads  # perfbench's, on the path import_program set
 
-    # transport_plan's plans go through _plan where the tree has it; a
-    # refine plan built from a candidate's solution solves nothing, and
-    # only the solves line sees that candidate's solve.
+    # An older tree's plans go through transport._plan, where this counts
+    # them; otherwise transport_plan is counted. A refine plan is built
+    # from a candidate's solution and counts in neither: only the solves
+    # line sees that candidate's solve.
     plan = "_plan" if hasattr(mh.transport, "_plan") else "transport_plan"
     counts = _count_calls(mh, ("emd", plan))
     solves = _count_solves(mh)
